@@ -26,7 +26,8 @@ use std::process::ExitCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stmaker::{
-    standard_features, FeatureWeights, Recorder, SpatialIndexKind, Summarizer, SummarizerConfig,
+    standard_features, FeatureWeights, Recorder, SpatialIndexKind, SummarizeError, Summarizer,
+    SummarizerConfig,
 };
 use stmaker_generator::{TripConfig, TripGenerator, World, WorldConfig};
 use stmaker_io::{
@@ -386,25 +387,24 @@ impl Stack {
             Some(path) => {
                 eprintln!("loading model {path}…");
                 let model = load_model(path, opts)?;
-                if model.registry_len != 0 && model.registry_len != self.world.registry.len() {
-                    return Err(format!(
-                        "model {path} was trained against a different world \
-                         ({} landmarks vs this world's {}); retrain with `train` \
-                         or point --dir at the world the model came from",
-                        model.registry_len,
-                        self.world.registry.len()
-                    ));
-                }
                 let features = standard_features();
                 let weights = FeatureWeights::uniform(&features);
-                Ok(Summarizer::from_model(
+                Summarizer::try_from_model(
                     &self.world.net,
                     &self.world.registry,
                     model,
                     features,
                     weights,
                     self.config(),
-                ))
+                )
+                .map_err(|e| match e {
+                    SummarizeError::ModelMismatch { model, registry } => format!(
+                        "model {path} was trained against a different world \
+                         ({model} landmarks vs this world's {registry}); retrain with `train` \
+                         or point --dir at the world the model came from"
+                    ),
+                    e => format!("model {path}: {e}"),
+                })
             }
             None => Ok(self.train(300)),
         }

@@ -176,4 +176,31 @@ fn runtime_errors_stay_exit_one() {
     let (code, _, stderr) = run(&["serve", "--dir", dir.to_str().expect("utf8")]);
     assert_eq!(code, 1, "{stderr}");
     assert!(stderr.contains("error"), "{stderr}");
+
+    // So is a model that does not fit the world: one trained against a
+    // different registry size, or one written before the precomputed
+    // popular-route winners table existed.
+    let d = dir.to_str().expect("utf8");
+    let model = dir.join("model.json");
+    let m = model.to_str().expect("utf8");
+    assert_eq!(run(&["gen", "--dir", d, "--trips", "1", "--seed", "7"]).0, 0);
+    assert_eq!(run(&["train", "--dir", d, "--out", m, "--n-train", "20"]).0, 0);
+    let json = std::fs::read_to_string(&model).expect("read model");
+    let len_at = json.find("\"registry_len\":").expect("registry_len key") + 15;
+    let len_end = len_at + json[len_at..].find(|c: char| !c.is_ascii_digit()).expect("number end");
+    let n: usize = json[len_at..len_end].parse().expect("registry length");
+    let other_world = format!("{}{}{}", &json[..len_at], n + 1, &json[len_end..]);
+    let start = json.find(",\"winners\":").expect("winners key");
+    let end = start + json[start..].find(",\"cfg\":").expect("cfg follows winners");
+    let legacy = format!("{}{}", &json[..start], &json[end..]);
+    for (name, body, needle) in
+        [("other_world", other_world, "different world"), ("legacy", legacy, "winners")]
+    {
+        let bad = dir.join(format!("{name}.json"));
+        std::fs::write(&bad, body).expect("write model");
+        let args = ["summarize", "--dir", d, "--trip", "trip_000.csv", "--model"];
+        let (code, _, stderr) = run(&[&args[..], &[bad.to_str().expect("utf8")]].concat());
+        assert_eq!(code, 1, "{name}: {stderr}");
+        assert!(stderr.contains(needle) && stderr.contains(name), "{name}: {stderr}");
+    }
 }

@@ -95,6 +95,7 @@ pub use summarize::{
 pub use stmaker_cache::CacheStats;
 pub use stmaker_obs::{Recorder, Report};
 
-// Spatial-index selection, re-exported so the CLI and benches can flip the
-// backend (`--spatial-index rtree|grid`) without depending on `stmaker-geo`.
+// Spatial-index selection, re-exported so the CLI and the benchmark can flip
+// the backend (`--spatial-index rtree|grid`) without depending on
+// `stmaker-geo`.
 pub use stmaker_geo::{SpatialIndexKind, SpatialStats};

@@ -18,8 +18,7 @@
 //! glitches serialize as NaN. [`StreamingSummarizer::try_push`] therefore
 //! never panics — defective samples are dropped and counted (the default
 //! [`OutOfOrderPolicy::Drop`]) or surfaced as a typed [`StreamError`]
-//! ([`OutOfOrderPolicy::Reject`]). The panicking
-//! [`StreamingSummarizer::push`] survives as a deprecated shim.
+//! ([`OutOfOrderPolicy::Reject`]).
 
 use crate::summarize::{SummarizeError, Summarizer, Summary};
 use stmaker_obs::{ArgValue, SlidingWindow, WindowSummary, DEFAULT_WINDOW_CAPACITY};
@@ -301,20 +300,6 @@ impl<'s, 'a> StreamingSummarizer<'s, 'a> {
             // previous summary as if it were fresh.
             Ok(None)
         }
-    }
-
-    /// Feeds one sample (legacy panicking form).
-    ///
-    /// # Panics
-    /// Panics if `point` is older than the previous sample. New code should
-    /// use [`StreamingSummarizer::try_push`], which applies
-    /// [`StreamConfig::out_of_order`] instead of panicking.
-    #[deprecated(note = "panics on out-of-order input; use try_push")]
-    pub fn push(&mut self, point: RawPoint) -> Option<&Summary> {
-        if let Some(last) = self.buffer.last() {
-            assert!(last.t <= point.t, "stream samples must be time-ordered");
-        }
-        self.try_push(point).ok().flatten()
     }
 
     /// Re-summarizes the buffered prefix; returns whether a fresh summary

@@ -214,9 +214,7 @@ pub struct TrainedModel {
     /// Size of the landmark registry the model was trained against.
     /// Landmark ids are positional, so loading a model against a registry of
     /// a different size would silently rename every landmark;
-    /// [`Summarizer::from_model`] rejects the mismatch. 0 in models saved by
-    /// older versions (check skipped).
-    #[serde(default)]
+    /// [`Summarizer::try_from_model`] rejects the mismatch.
     pub registry_len: usize,
 }
 
@@ -276,7 +274,7 @@ pub struct Summary {
 }
 
 /// A prepared (calibrated + extracted) trajectory, reusable across
-/// summarizations with different `k` (used by the Fig. 12 benchmarks and the
+/// summarizations with different `k` (used by the Fig. 12 timing and the
 /// parameter-sweep experiments).
 pub struct Prepared {
     /// The calibrated symbolic trajectory.
@@ -307,10 +305,9 @@ fn build_route_cache(cfg: &SummarizerConfig) -> Option<Arc<CachedRoutes>> {
     (cfg.route_cache > 0).then(|| Arc::new(CachedRoutes::new(cfg.route_cache)))
 }
 
-/// Checks that `model` was trained against a registry of `registry`'s size
-/// (0 = legacy model, check skipped).
+/// Checks that `model` was trained against a registry of `registry`'s size.
 fn check_model(model: &TrainedModel, registry: &LandmarkRegistry) -> Result<(), SummarizeError> {
-    if model.registry_len != 0 && model.registry_len != registry.len() {
+    if model.registry_len != registry.len() {
         return Err(SummarizeError::ModelMismatch {
             model: model.registry_len,
             registry: registry.len(),
@@ -402,7 +399,7 @@ impl<'a> Summarizer<'a> {
         obs.add("train.trajectories_skipped", skipped);
         let popular = PopularRoutes::build_with(&symbolics, cfg.popular, &exec);
         // Reuse the matcher built for extraction instead of indexing the
-        // network's edge geometry a second time via from_model.
+        // network's edge geometry a second time via try_from_model.
         let route_cache = build_route_cache(&cfg);
         Self {
             net,
@@ -418,30 +415,10 @@ impl<'a> Summarizer<'a> {
 
     /// Assembles a summarizer around an existing (e.g. loaded) model.
     ///
-    /// # Panics
-    /// Panics if the model records a registry size different from
-    /// `registry`'s — landmark ids are positional, and a mismatched registry
-    /// would silently reinterpret every landmark in the model.
-    pub fn from_model(
-        net: &'a RoadNetwork,
-        registry: &'a LandmarkRegistry,
-        model: TrainedModel,
-        features: FeatureSet,
-        weights: FeatureWeights,
-        cfg: SummarizerConfig,
-    ) -> Self {
-        assert!(
-            model.registry_len == 0 || model.registry_len == registry.len(),
-            "model was trained against a {}-landmark registry, got {} landmarks",
-            model.registry_len,
-            registry.len()
-        );
-        Self::assemble(net, registry, model, features, weights, cfg)
-    }
-
-    /// Fallible [`Self::from_model`]: a registry-size mismatch is a
-    /// [`SummarizeError::ModelMismatch`] instead of a panic — the form a
-    /// serving process loading operator-supplied model files wants.
+    /// A model that records a registry size different from `registry`'s is
+    /// a [`SummarizeError::ModelMismatch`]: landmark ids are positional, and
+    /// a mismatched registry would silently reinterpret every landmark in
+    /// the model.
     pub fn try_from_model(
         net: &'a RoadNetwork,
         registry: &'a LandmarkRegistry,
@@ -451,21 +428,10 @@ impl<'a> Summarizer<'a> {
         cfg: SummarizerConfig,
     ) -> Result<Self, SummarizeError> {
         check_model(&model, registry)?;
-        Ok(Self::assemble(net, registry, model, features, weights, cfg))
-    }
-
-    fn assemble(
-        net: &'a RoadNetwork,
-        registry: &'a LandmarkRegistry,
-        model: TrainedModel,
-        features: FeatureSet,
-        weights: FeatureWeights,
-        cfg: SummarizerConfig,
-    ) -> Self {
         assert_eq!(weights.as_slice().len(), features.len(), "weights must match feature set");
         let matcher = MapMatcher::with_index(net, cfg.matching, cfg.spatial_index);
         let route_cache = build_route_cache(&cfg);
-        Self { net, registry, matcher, features, weights, cfg, model, route_cache }
+        Ok(Self { net, registry, matcher, features, weights, cfg, model, route_cache })
     }
 
     /// Replaces the trained model in place — the hot-swap primitive the
@@ -1001,5 +967,26 @@ mod tests {
         assert_eq!(back.n_trained, 0);
         assert_eq!(back.to_json(), json, "canonical form is stable");
         assert!(TrainedModel::from_json("{broken").is_err());
+
+        // Model files from before the popular-route tables and the registry
+        // length existed lack those keys; they fail to load instead of
+        // taking a second, slower code path.
+        fn strip(value: &mut serde_json::Value, key: &str) {
+            match value {
+                serde_json::Value::Map(entries) => {
+                    entries.retain(|(k, _)| k != key);
+                    entries.iter_mut().for_each(|(_, v)| strip(v, key));
+                }
+                serde_json::Value::Seq(items) => items.iter_mut().for_each(|v| strip(v, key)),
+                _ => {}
+            }
+        }
+        for key in ["winners", "supports", "registry_len"] {
+            let mut value = serde_json::to_value(&model).expect("serializes");
+            strip(&mut value, key);
+            let json = serde_json::to_string(&value).expect("serializes");
+            let err = TrainedModel::from_json(&json).err().expect("legacy model must not load");
+            assert!(err.to_string().contains(key), "{key}: {err}");
+        }
     }
 }

@@ -7,9 +7,10 @@
 //! symbolic size and across k ∈ 1..=7.
 //!
 //! The run also collects per-stage telemetry (spans + counters +
-//! histograms) through `stmaker-obs` and writes it as `BENCH_obs.json`
-//! (override the path with `STMAKER_OBS_OUT`), the same schema the CLI's
-//! `--metrics-json` and the bench crate's `obs_report` bench emit.
+//! histograms) through `stmaker-obs` and writes it to
+//! `experiments/out/fig12_obs.json` next to the timing table (override the
+//! path with `STMAKER_OBS_OUT`), the same schema the CLI's
+//! `--metrics-json` emits.
 
 use serde::Serialize;
 use stmaker::{standard_features, FeatureWeights, SummarizerConfig};
@@ -28,9 +29,8 @@ fn main() {
     let scale = ExperimentScale::from_env();
     println!("# Fig. 12 — summarization time cost (scale: {})", scale.label);
     let h = Harness::new(scale);
-    // Journal-backed so the run matches the obs_report bench schema
-    // (exemplars from the batch leg, obs.events_dropped counter) — both
-    // write the same BENCH_obs.json baseline that CI diffs against.
+    // Journal-backed so the report carries exemplars from the batch leg
+    // and the obs.events_dropped counter.
     let obs = Recorder::enabled_with_journal(stmaker_obs::DEFAULT_JOURNAL_CAPACITY);
     let features = standard_features();
     let weights = FeatureWeights::uniform(&features);
@@ -96,7 +96,8 @@ fn main() {
     // summarization), in the shared stmaker-obs report schema.
     let report = obs.report();
     println!("\n{}", stmaker_obs::stats::render(&report));
-    let obs_path = std::env::var("STMAKER_OBS_OUT").unwrap_or_else(|_| "BENCH_obs.json".to_owned());
+    let obs_path = std::env::var("STMAKER_OBS_OUT")
+        .unwrap_or_else(|_| "experiments/out/fig12_obs.json".to_owned());
     match report.write_json(&obs_path) {
         Ok(()) => println!("wrote {obs_path}"),
         Err(e) => eprintln!("warning: cannot write {obs_path}: {e}"),

@@ -32,8 +32,8 @@
 //!   streaming, keyed by data-derived window index; see [`window`].
 //! * **[`Report`]** — a serializable snapshot (`spans`, `counters`,
 //!   `gauges`, `histograms`, plus `exemplars`/`windows`) shared by
-//!   `stmaker-cli --metrics-json`, the Fig. 12 eval binary, and the
-//!   benches (`BENCH_obs.json`); the [`stats`] module renders the same
+//!   `stmaker-cli --metrics-json`, `GET /metrics` and the Fig. 12 eval
+//!   binary; the [`stats`] module renders the same
 //!   data as a human table, and [`diff`] compares two snapshots for the
 //!   `stmaker obs diff` regression gate.
 //!

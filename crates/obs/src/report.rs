@@ -1,8 +1,8 @@
 //! The machine-readable telemetry snapshot and its schema checks.
 //!
 //! One schema serves every producer — `stmaker-cli --metrics-json`, the
-//! Fig. 12 eval binary, and the benches' `BENCH_obs.json` — so the perf
-//! trajectory can be diffed across PRs. The top level is always an object
+//! server's `GET /metrics` and the Fig. 12 eval binary — so any two
+//! reports can be diffed. The top level is always an object
 //! with the four keys in [`REQUIRED_KEYS`] (plus the optional `exemplars`
 //! and `windows` arrays added by observability v2); [`validate_json`] is
 //! the single gate used by `cargo xtask obs-schema` and CI.
@@ -90,8 +90,8 @@ impl Report {
         out
     }
 
-    /// Serializes to pretty JSON (the `BENCH_obs.json` /
-    /// `--metrics-json` format), in canonical order — byte-stable for
+    /// Serializes to pretty JSON (the `--metrics-json` / `GET /metrics`
+    /// format), in canonical order — byte-stable for
     /// identical recorded state.
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(&self.normalized()).unwrap_or_else(|_| "{}".to_owned())

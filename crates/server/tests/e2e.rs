@@ -255,6 +255,15 @@ fn hot_swap_serves_cold_cache_bytes() {
         let (status, body) = request(addr, "POST", "/model", bad.to_json().as_bytes());
         assert_eq!(status, 422);
         assert!(body_text(&body).contains("registry"), "{}", body_text(&body));
+
+        // So is a model written before the precomputed winners table.
+        let json = fx.train(8, 5005).to_json();
+        let start = json.find(",\"winners\":").expect("winners key");
+        let end = start + json[start..].find(",\"cfg\":").expect("cfg follows winners");
+        let legacy = format!("{}{}", &json[..start], &json[end..]);
+        let (status, body) = request(addr, "POST", "/model", legacy.as_bytes());
+        assert_eq!(status, 422);
+        assert!(body_text(&body).contains("winners"), "{}", body_text(&body));
     });
 }
 
@@ -396,14 +405,16 @@ fn ingest_session_replays_and_finishes() {
 #[test]
 fn metrics_reports_serve_counters() {
     let fx = Fixture::new();
+    let obs = Recorder::enabled();
     let server = Server::bind(
         &fx.world.net,
         &fx.world.registry,
         fx.train(20, 1001),
-        SummarizerConfig::default().with_recorder(Recorder::enabled()),
+        SummarizerConfig::default().with_recorder(obs.clone()),
         ServeConfig::default(),
     )
     .expect("bind");
+    let mut summary_len = 0;
     with_running(&server, |addr| {
         let (status, _) = request(addr, "GET", "/healthz", b"");
         assert_eq!(status, 200);
@@ -417,10 +428,17 @@ fn metrics_reports_serve_counters() {
         let report = stmaker_obs::Report::from_json(&json).expect("parses");
         assert!(report.counters.get("serve.requests").copied().unwrap_or(0) >= 2, "{report:?}");
         assert!(report.counters.get("serve.responses_ok").copied().unwrap_or(0) >= 2);
-        assert!(report.counters.get("serve.bytes_out").copied().unwrap_or(0) > body.len() as u64);
         assert!(report.histograms.contains_key("serve.request_ms"), "latency histogram");
         assert!(report.gauges.contains_key("serve.model_version"));
+        summary_len = body.len() as u64;
     });
+    // Bytes out and latency are recorded after a response is written, so
+    // read them once the drained server has joined its workers: every
+    // request is timed.
+    let report = obs.report();
+    assert!(report.counters.get("serve.bytes_out").copied().unwrap_or(0) > summary_len);
+    let timed = report.histograms.get("serve.request_ms").map_or(0, |h| h.count);
+    assert_eq!(timed, 3, "latency histogram timed {timed} requests");
 }
 
 /// Per-request sanitize override: a defective body is a typed 422 under

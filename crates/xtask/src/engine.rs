@@ -16,7 +16,7 @@ pub const STRICT_CRATES: &[&str] =
 /// `stmaker-suite` package; `__examples__` / `__experiments__` are the
 /// non-crate report-only lanes.
 pub const REPORT_ONLY_CRATES: &[&str] =
-    &["eval", "bench", "xtask", "__root__", "__examples__", "__experiments__"];
+    &["eval", "xtask", "__root__", "__examples__", "__experiments__"];
 
 /// DP hot-path files subject to the L3 cast rule (workspace-relative).
 pub const HOT_PATH_FILES: &[&str] = &[
@@ -114,9 +114,6 @@ fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
     crate_names.sort();
     for name in &crate_names {
         collect_rs(&crates_dir.join(name).join("src"), root, name, &mut sources)?;
-        // Criterion-style bench targets live outside src/ but still emit
-        // obs names (the `bench.*` gauge family) — scan them too.
-        collect_rs(&crates_dir.join(name).join("benches"), root, name, &mut sources)?;
     }
     // The root `stmaker-suite` package's library, plus the report-only
     // lanes over examples/ and experiments/.
@@ -164,13 +161,8 @@ pub fn run_lint(opts: &LintOptions) -> Result<LintReport, String> {
         .iter()
         .zip(&lexed)
         .map(|(s, lx)| {
-            // Bench targets are report-only regardless of their crate:
-            // benches may unwrap and read the clock, but their obs names
-            // still feed the L7 registry check.
-            let level =
-                if s.rel.contains("/benches/") { Level::Report } else { crate_level(&s.crate_key) };
             let hot = HOT_PATH_FILES.contains(&s.rel.as_str());
-            FileCtx::new(&s.crate_key, &s.rel, lx, level, hot)
+            FileCtx::new(&s.crate_key, &s.rel, lx, crate_level(&s.crate_key), hot)
         })
         .collect();
 

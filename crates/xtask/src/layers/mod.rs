@@ -26,7 +26,7 @@ pub enum Level {
     Strict,
     /// L1 + L4 + L7 as errors; L2/L3/L5/L6 not applied (supporting crates).
     Workspace,
-    /// All rules, downgraded to warnings (eval/bench/xtask/suite/examples).
+    /// All rules, downgraded to warnings (eval/xtask/suite/examples).
     Report,
 }
 

@@ -13,7 +13,7 @@
 //! * `obs-schema <report.json> [--require-stages a,b,c]
 //!   [--require-counters a,b] [--require-positive a,b]` — validate a
 //!   telemetry report produced by `stmaker-cli --metrics-json`, the
-//!   Fig. 12 eval binary, or the `obs_report` / `cache_hot_path` benches:
+//!   server's `GET /metrics`, or the Fig. 12 eval binary:
 //!   the file must be a JSON object with the `spans` / `counters` /
 //!   `gauges` / `histograms` top-level keys, and (optionally) must contain
 //!   a span for every named pipeline stage, every named counter, and a

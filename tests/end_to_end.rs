@@ -311,14 +311,15 @@ fn model_persistence_round_trips_summaries() {
     assert_eq!(loaded.n_trained, trained.model().n_trained);
     let features2 = standard_features();
     let weights2 = FeatureWeights::uniform(&features2);
-    let revived = Summarizer::from_model(
+    let revived = Summarizer::try_from_model(
         &h.world.net,
         &h.world.registry,
         loaded,
         features2,
         weights2,
         SummarizerConfig::default(),
-    );
+    )
+    .expect("registry matches");
     for raw in &test {
         let a = trained.summarize(raw).map(|s| s.text).unwrap_or_default();
         let b = revived.summarize(raw).map(|s| s.text).unwrap_or_default();
@@ -476,6 +477,27 @@ fn summaries_byte_identical_across_spatial_index_backends() {
         (model, texts)
     };
 
+    // Calibration's corridor query answers with the identical landmark set
+    // per trip on both backends: the raw polyline resampled at the
+    // calibration radius, swept at 1.5 × that radius.
+    let params = stmaker_suite::calibration::CalibrationParams::default();
+    let registries = [SpatialIndexKind::Grid, SpatialIndexKind::Rtree].map(|kind| {
+        let mut registry = h.world.registry.clone();
+        registry.set_index_kind(kind);
+        registry
+    });
+    for (i, raw) in train.iter().chain(&test).enumerate() {
+        let probe = raw.polyline().resample(params.radius_m.max(1.0));
+        let [grid, rtree] = registries.each_ref().map(|registry| {
+            let mut out = Vec::new();
+            let mut stats = stmaker_suite::SpatialStats::default();
+            registry.candidates_along(probe.points(), params.radius_m * 1.5, &mut out, &mut stats);
+            out
+        });
+        assert!(!grid.is_empty(), "trip {i} must pass near some landmark");
+        assert_eq!(rtree, grid, "trip {i} candidate set");
+    }
+
     // The reference: grid backend, one thread — the pre-R-tree pipeline.
     let (model_ref, texts_ref) = make(SpatialIndexKind::Grid, 1);
     assert!(texts_ref.iter().flatten().count() >= 10, "most test trips must summarize");
@@ -570,6 +592,14 @@ fn summaries_identical_with_and_without_cache() {
             assert!(stats.hits + stats.misses > 0, "batch must exercise the cache");
             if capacity == 2 {
                 assert!(stats.evictions > 0, "a 2-route cache must evict on this corpus");
+            } else {
+                // A second pass over the same trips is answered from the
+                // warm cache and still renders the same bytes.
+                let warm: Vec<Option<String>> =
+                    s.summarize_batch(&test).into_iter().map(|r| r.ok().map(|s| s.text)).collect();
+                assert_eq!(warm, reference, "warm cache at {threads} thread(s) changed bytes");
+                let warm_stats = s.route_cache_stats().expect("cache enabled").since(&stats);
+                assert!(warm_stats.hit_rate() >= 0.9, "warm hit rate {}", warm_stats.hit_rate());
             }
         }
     }
