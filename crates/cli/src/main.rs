@@ -19,7 +19,7 @@
 //! subcommand, and `--metrics-json PATH` writes the full telemetry report
 //! (spans, counters, gauges, histograms) as JSON.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -31,15 +31,14 @@ use stmaker::{
 };
 use stmaker_generator::{TripConfig, TripGenerator, World, WorldConfig};
 use stmaker_io::{
-    read_model_file_as, read_raw_points_csv_from, read_raw_points_jsonl_from, read_raw_trips_stc,
-    read_trajectory_csv, read_trajectory_csv_from, read_trajectory_jsonl_from, read_trips_stc,
-    summary_to_geojson, write_model_file, write_point_runs_stc, write_trajectory_csv_to,
-    write_trajectory_jsonl_to, write_trips_stc, ModelFormat,
+    decode_runs, decode_trip, decode_trips, read_model_file_as, summary_to_geojson,
+    write_model_file, write_point_runs_stc, write_trajectory_csv_to, write_trajectory_jsonl_to,
+    write_trips_stc, DecodeError, DecodedTrip, ModelFormat, TripFormat,
 };
 use stmaker_obs::TraceClock;
 use stmaker_server::{ServeConfig, Server};
 use stmaker_textmine::InvertedIndex;
-use stmaker_trajectory::{sanitize, RawPoint, RawTrajectory, SanitizeConfig, SanitizePolicy};
+use stmaker_trajectory::{sanitize, RawTrajectory, SanitizeConfig, SanitizePolicy};
 
 /// Global observability options, stripped from the argument list before
 /// subcommand dispatch so every subcommand accepts them in any position.
@@ -449,68 +448,55 @@ fn trip_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-/// On-disk trip encodings the CLI reads and writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TripFormat {
-    Csv,
-    Jsonl,
-    Stc,
+fn read_trip_bytes(path: &Path) -> Result<Vec<u8>, String> {
+    std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
-impl TripFormat {
-    fn of(path: &Path) -> TripFormat {
-        match path.extension().and_then(|x| x.to_str()) {
-            Some("jsonl") => TripFormat::Jsonl,
-            Some("stc") => TripFormat::Stc,
-            _ => TripFormat::Csv,
-        }
+/// A trip file's decode error, prefixed with its path; a container with
+/// the wrong trip count also says how to split it.
+fn decode_failed(path: &Path, e: &DecodeError) -> String {
+    let hint = match e {
+        DecodeError::TripCount { .. } => " (split it with `convert --out-dir`)",
+        _ => "",
+    };
+    format!("{}: {e}{hint}", path.display())
+}
+
+/// The trajectory of one decoded trip, its sanitize report printed and
+/// recorded; a refused trip is an error prefixed with `what`.
+fn accept(decoded: DecodedTrip, what: &str, obs: &Obs) -> Result<RawTrajectory, String> {
+    if let Some(report) = &decoded.report {
+        eprintln!("{report}");
+        report.record_into(&obs.recorder);
     }
+    decoded.trip.map_err(|e| format!("{what}: {e}"))
 }
 
-fn open_buffered(path: &Path) -> Result<BufReader<std::fs::File>, String> {
-    std::fs::File::open(path)
-        .map(BufReader::new)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))
+/// Loads the one trip of a trip file (CSV, JSON-lines, or a single-trip
+/// STC1 container).
+fn load_trip(path: &Path, obs: &Obs) -> Result<RawTrajectory, String> {
+    let bytes = read_trip_bytes(path)?;
+    let decoded = decode_trip(&bytes, TripFormat::of_path(path), obs.sanitize)
+        .map_err(|e| decode_failed(path, &e))?;
+    accept(decoded, &path.display().to_string(), obs)
 }
 
-/// Strict single-trip read of any trip file. Text formats stream through a
-/// buffered reader; an `.stc` container must hold exactly one trip.
-fn read_trip_strict(path: &Path) -> Result<RawTrajectory, String> {
-    match TripFormat::of(path) {
-        TripFormat::Csv => read_trajectory_csv_from(open_buffered(path)?)
-            .map_err(|e| format!("{}: {e}", path.display())),
-        TripFormat::Jsonl => read_trajectory_jsonl_from(open_buffered(path)?)
-            .map_err(|e| format!("{}: {e}", path.display())),
-        TripFormat::Stc => {
-            let bytes =
-                std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let trips = read_trips_stc(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-            single_trip(trips, path)
-        }
-    }
-}
-
-/// Lenient single-trip read: defects survive for the sanitizer.
-fn read_trip_lenient(path: &Path) -> Result<Vec<RawPoint>, String> {
-    match TripFormat::of(path) {
-        TripFormat::Csv => read_raw_points_csv_from(open_buffered(path)?)
-            .map_err(|e| format!("{}: {e}", path.display())),
-        TripFormat::Jsonl => read_raw_points_jsonl_from(open_buffered(path)?)
-            .map_err(|e| format!("{}: {e}", path.display())),
-        TripFormat::Stc => {
-            let bytes =
-                std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let runs =
-                read_raw_trips_stc(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-            single_trip(runs, path)
-        }
-    }
+/// Loads every trip of a trip file; an STC1 container may hold many, and
+/// a refused one is named by its index.
+fn load_trips(path: &Path, obs: &Obs) -> Result<Vec<RawTrajectory>, String> {
+    let bytes = read_trip_bytes(path)?;
+    decode_trips(&bytes, TripFormat::of_path(path), obs.sanitize)
+        .map_err(|e| decode_failed(path, &e))?
+        .into_iter()
+        .enumerate()
+        .map(|(i, d)| accept(d, &format!("{}: trip {i}", path.display()), obs))
+        .collect()
 }
 
 /// Writes one trajectory in the encoding named by the path's extension,
 /// through a `BufWriter` so text rows don't pay a syscall per line.
 fn write_trip_file(path: &Path, traj: &RawTrajectory) -> Result<(), String> {
-    write_trip_as(path, traj, TripFormat::of(path))
+    write_trip_as(path, traj, TripFormat::of_path(path))
 }
 
 /// [`write_trip_file`] with an explicit encoding (for `convert --to`,
@@ -524,61 +510,23 @@ fn write_trip_as(path: &Path, traj: &RawTrajectory, fmt: TripFormat) -> Result<(
         text => {
             let mut w = BufWriter::new(std::fs::File::create(path).map_err(fail)?);
             match text {
-                TripFormat::Csv => write_trajectory_csv_to(&mut w, traj).map_err(fail)?,
-                _ => write_trajectory_jsonl_to(&mut w, traj).map_err(fail)?,
+                TripFormat::Jsonl => write_trajectory_jsonl_to(&mut w, traj).map_err(fail)?,
+                _ => write_trajectory_csv_to(&mut w, traj).map_err(fail)?,
             }
             w.flush().map_err(fail)
         }
     }
 }
 
-fn single_trip<T>(mut trips: Vec<T>, path: &Path) -> Result<T, String> {
-    match trips.len() {
-        1 => Ok(trips.remove(0)),
-        n => Err(format!(
-            "{}: container holds {n} trips; this command takes exactly one \
-             (split it with `convert --out-dir`)",
-            path.display()
-        )),
-    }
-}
-
-/// Reads a trip file (CSV, JSON-lines, or a single-trip STC1 container)
-/// into a sample buffer under the global `--sanitize` policy. Without a
-/// policy the strict reader runs and any defect is a hard, line-numbered
-/// error; with one, the lenient reader feeds the sanitizer, the report
-/// goes to stderr and the recorder, and the longest surviving segment is
-/// returned.
-fn load_trip_points(path: &Path, obs: &Obs) -> Result<Vec<RawPoint>, String> {
-    match obs.sanitize {
-        None => Ok(read_trip_strict(path)?.points().to_vec()),
-        Some(policy) => {
-            let pts = read_trip_lenient(path)?;
-            let cfg = SanitizeConfig::with_policy(policy);
-            let cleaned = sanitize(&pts, &cfg).map_err(|e| format!("{}: {e}", path.display()))?;
-            eprintln!("{}", cleaned.report);
-            cleaned.report.record_into(&obs.recorder);
-            cleaned
-                .longest()
-                .map(<[RawPoint]>::to_vec)
-                .ok_or_else(|| format!("{}: no usable segment after sanitization", path.display()))
-        }
-    }
-}
-
-/// Summarizes an already-loaded sample buffer through the fallible entry
-/// points — a malformed buffer is an error message, never a backtrace.
-fn summarize_points_cmd(
+/// Summarizes at the optimal granularity (`k == 0`) or with exactly `k`
+/// partitions.
+fn summarize_at(
     summarizer: &Summarizer<'_>,
-    points: Vec<RawPoint>,
+    raw: &RawTrajectory,
     k: usize,
 ) -> Result<stmaker::Summary, String> {
-    if k == 0 {
-        summarizer.summarize_points(&points).map_err(|e| e.to_string())
-    } else {
-        let raw = RawTrajectory::try_new(points).map_err(|e| e.to_string())?;
-        summarizer.summarize_k(&raw, k).map_err(|e| e.to_string())
-    }
+    if k == 0 { summarizer.summarize(raw) } else { summarizer.summarize_k(raw, k) }
+        .map_err(|e| e.to_string())
 }
 
 fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
@@ -592,15 +540,14 @@ fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
     // generated trip — the smoke path for ingest hardening (the file must
     // come from the same seed's world for calibration to anchor). Loaded
     // before the world build so a bad file fails fast.
-    let file_points =
-        opts.get("--trip").map(|file| load_trip_points(Path::new(file), obs)).transpose()?;
+    let file_trip = opts.get("--trip").map(|file| load_trip(Path::new(file), obs)).transpose()?;
 
     let stack = Stack::from_config(WorldConfig::small(seed), obs);
     let summarizer = stack.train(150);
 
-    if let Some(points) = file_points {
-        println!("trip: {} samples", points.len());
-        let summary = summarize_points_cmd(&summarizer, points, k)?;
+    if let Some(raw) = file_trip {
+        println!("trip: {} samples", raw.len());
+        let summary = summarize_at(&summarizer, &raw, k)?;
         println!("\n{}", summary.text);
         return Ok(());
     }
@@ -617,9 +564,7 @@ fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
         hour as u32,
         ((hour % 1.0) * 60.0) as u32,
     );
-    let summary =
-        if k == 0 { summarizer.summarize(&trip.raw) } else { summarizer.summarize_k(&trip.raw, k) }
-            .map_err(|e| e.to_string())?;
+    let summary = summarize_at(&summarizer, &trip.raw, k)?;
     println!("\n{}", summary.text);
 
     // `--repeat N` re-summarizes the same trip as an N-copy batch: every
@@ -660,14 +605,19 @@ fn cmd_sanitize(args: &[String], obs: &Obs) -> Result<(), String> {
     let max_speed: f64 = opts.parse("--max-speed", 70.0)?;
     let max_gap: i64 = opts.parse("--max-gap", 1800)?;
 
-    let pts = read_trip_lenient(&file)?;
+    let bytes = read_trip_bytes(&file)?;
+    let runs =
+        decode_runs(&bytes, TripFormat::of_path(&file)).map_err(|e| decode_failed(&file, &e))?;
+    let [pts] = &runs[..] else {
+        return Err(decode_failed(&file, &DecodeError::TripCount { got: runs.len() }));
+    };
 
     let cfg = SanitizeConfig {
         policy: obs.sanitize.unwrap_or_default(),
         max_speed_mps: max_speed,
         max_gap_secs: max_gap,
     };
-    let cleaned = sanitize(&pts, &cfg).map_err(|e| format!("{}: {e}", file.display()))?;
+    let cleaned = sanitize(pts, &cfg).map_err(|e| format!("{}: {e}", file.display()))?;
     cleaned.report.record_into(&obs.recorder);
     println!("{}", cleaned.report);
     for (i, seg) in cleaned.segments.iter().enumerate() {
@@ -714,13 +664,11 @@ fn cmd_gen(args: &[String], obs: &Obs) -> Result<(), String> {
     Ok(())
 }
 
-/// Target encodings of `convert`. `json` is the model encoding; trips
-/// convert between `csv`, `jsonl`, and `stc`.
+/// Target encodings of `convert`: a trip encoding, or `json`, the model
+/// encoding (a model also converts to `stc`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConvertTarget {
-    Stc,
-    Csv,
-    Jsonl,
+    Trips(TripFormat),
     Json,
 }
 
@@ -729,33 +677,16 @@ impl std::str::FromStr for ConvertTarget {
 
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
-            "stc" => Ok(Self::Stc),
-            "csv" => Ok(Self::Csv),
-            "jsonl" => Ok(Self::Jsonl),
             "json" => Ok(Self::Json),
-            other => Err(format!("unknown target {other:?} (expected stc, csv, jsonl, or json)")),
+            other => other.parse().map(Self::Trips).map_err(|_| {
+                format!("unknown target {other:?} (expected stc, csv, jsonl, or json)")
+            }),
         }
     }
 }
 
 fn file_len(path: &Path) -> u64 {
     std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
-}
-
-/// Sanitizes one lenient point run down to its longest valid segment.
-fn sanitize_run(
-    pts: &[RawPoint],
-    policy: SanitizePolicy,
-    path: &Path,
-    obs: &Obs,
-) -> Result<RawTrajectory, String> {
-    let cfg = SanitizeConfig::with_policy(policy);
-    let cleaned = sanitize(pts, &cfg).map_err(|e| format!("{}: {e}", path.display()))?;
-    cleaned.report.record_into(&obs.recorder);
-    let longest = cleaned
-        .longest()
-        .ok_or_else(|| format!("{}: no usable segment after sanitization", path.display()))?;
-    RawTrajectory::try_new(longest.to_vec()).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Re-encodes trips or models between the text formats and STC1.
@@ -792,7 +723,11 @@ fn cmd_convert(args: &[String], obs: &Obs) -> Result<(), String> {
         let path = Path::new(file);
         let looks_model = match path.extension().and_then(|x| x.to_str()) {
             Some("json") => true,
-            Some("stc") => stc_holds_model(path)?,
+            Some("stc") => {
+                stmaker_io::stc::file_kind(path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?
+                    == Some(stmaker_io::stc::KIND_MODEL)
+            }
             _ => false,
         };
         if looks_model {
@@ -816,30 +751,7 @@ fn cmd_convert(args: &[String], obs: &Obs) -> Result<(), String> {
     let mut bytes_read = 0u64;
     for path in &inputs {
         bytes_read += file_len(path);
-        if TripFormat::of(path) == TripFormat::Stc {
-            let bytes =
-                std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            match obs.sanitize {
-                None => trips.extend(
-                    read_trips_stc(&bytes).map_err(|e| format!("{}: {e}", path.display()))?,
-                ),
-                Some(policy) => {
-                    let runs = read_raw_trips_stc(&bytes)
-                        .map_err(|e| format!("{}: {e}", path.display()))?;
-                    for run in &runs {
-                        trips.push(sanitize_run(run, policy, path, obs)?);
-                    }
-                }
-            }
-        } else {
-            match obs.sanitize {
-                None => trips.push(read_trip_strict(path)?),
-                Some(policy) => {
-                    let pts = read_trip_lenient(path)?;
-                    trips.push(sanitize_run(&pts, policy, path, obs)?);
-                }
-            }
-        }
+        trips.extend(load_trips(path, obs)?);
     }
     let points_read: u64 = trips.iter().map(|t| t.len() as u64).sum();
     obs.recorder.add("io.trips_read", trips.len() as u64);
@@ -853,35 +765,29 @@ fn cmd_convert(args: &[String], obs: &Obs) -> Result<(), String> {
                 "json is the model encoding; trips convert to stc, csv, or jsonl".to_owned()
             );
         }
-        (ConvertTarget::Stc, Some(path), _) => {
+        (ConvertTarget::Trips(TripFormat::Stc), Some(path), _) => {
             std::fs::write(path, write_trips_stc(&trips))
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             outputs.push(path.clone());
         }
-        (ConvertTarget::Stc, None, _) => {
+        (ConvertTarget::Trips(TripFormat::Stc), None, _) => {
             return Err("--to stc writes one container; pass --out FILE".to_owned());
         }
-        (text, Some(path), _) => {
+        (ConvertTarget::Trips(fmt), Some(path), _) => {
             let [trip] = &trips[..] else {
                 return Err(format!(
                     "{} trips to write; pass --out-dir DIR for one file per trip",
                     trips.len()
                 ));
             };
-            let fmt = if text == ConvertTarget::Csv { TripFormat::Csv } else { TripFormat::Jsonl };
             write_trip_as(path, trip, fmt)?;
             outputs.push(path.clone());
         }
-        (text, None, Some(dir)) => {
+        (ConvertTarget::Trips(fmt), None, Some(dir)) => {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-            let (fmt, ext) = if text == ConvertTarget::Csv {
-                (TripFormat::Csv, "csv")
-            } else {
-                (TripFormat::Jsonl, "jsonl")
-            };
             for (i, trip) in trips.iter().enumerate() {
-                let path = dir.join(format!("trip_{i:03}.{ext}"));
+                let path = dir.join(format!("trip_{i:03}.{fmt}"));
                 write_trip_as(&path, trip, fmt)?;
                 outputs.push(path);
             }
@@ -901,24 +807,6 @@ fn cmd_convert(args: &[String], obs: &Obs) -> Result<(), String> {
     Ok(())
 }
 
-/// True when `path` is an STC1 container of kind "model" (header peek, no
-/// full read).
-fn stc_holds_model(path: &Path) -> Result<bool, String> {
-    use std::io::Read;
-    let mut f =
-        std::fs::File::open(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut hdr = [0u8; 8];
-    let mut filled = 0usize;
-    while filled < hdr.len() {
-        match f.read(&mut hdr[filled..]) {
-            Ok(0) => return Ok(false),
-            Ok(n) => filled += n,
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        }
-    }
-    Ok(hdr[..4] == *b"STC1" && u16::from_le_bytes([hdr[6], hdr[7]]) == stmaker_io::stc::KIND_MODEL)
-}
-
 fn convert_model(
     path: &Path,
     target: ConvertTarget,
@@ -928,7 +816,7 @@ fn convert_model(
     let out = out.ok_or("model conversion writes one file; pass --out FILE")?;
     let format = match target {
         ConvertTarget::Json => ModelFormat::Json,
-        ConvertTarget::Stc => ModelFormat::Stc,
+        ConvertTarget::Trips(TripFormat::Stc) => ModelFormat::Stc,
         _ => return Err("a model converts to json or stc only".to_owned()),
     };
     let bytes_read = file_len(path);
@@ -975,12 +863,11 @@ fn cmd_summarize(args: &[String], obs: &Obs) -> Result<(), String> {
     let trip_file = opts.require("--trip")?;
     let k: usize = opts.parse("--k", 0)?;
 
-    let trip_path = dir.join(trip_file);
-    let points = load_trip_points(&trip_path, obs)?;
+    let raw = load_trip(&dir.join(trip_file), obs)?;
 
     let stack = Stack::from_config(load_world_config(&dir)?, obs);
     let summarizer = stack.summarizer(&opts)?;
-    let summary = summarize_points_cmd(&summarizer, points, k)?;
+    let summary = summarize_at(&summarizer, &raw, k)?;
 
     println!("{}", summary.text);
     if let Some(out) = opts.get("--geojson") {
@@ -1005,12 +892,9 @@ fn cmd_group(args: &[String], obs: &Obs) -> Result<(), String> {
     // not take the whole corridor report down.
     let mut trips: Vec<RawTrajectory> = Vec::new();
     for p in &files {
-        match std::fs::read_to_string(p)
-            .map_err(|e| e.to_string())
-            .and_then(|body| read_trajectory_csv(&body).map_err(|e| e.to_string()))
-        {
+        match load_trip(p, obs) {
             Ok(t) => trips.push(t),
-            Err(e) => eprintln!("warning: skipping {}: {e}", p.display()),
+            Err(e) => eprintln!("warning: skipping {e}"),
         }
     }
     if trips.is_empty() {
@@ -1047,13 +931,10 @@ fn cmd_search(args: &[String], obs: &Obs) -> Result<(), String> {
     let mut names = Vec::new();
     let mut texts = Vec::new();
     for p in &files {
-        let parsed = std::fs::read_to_string(p)
-            .map_err(|e| e.to_string())
-            .and_then(|body| read_trajectory_csv(&body).map_err(|e| e.to_string()));
-        let raw = match parsed {
+        let raw = match load_trip(p, obs) {
             Ok(raw) => raw,
             Err(e) => {
-                eprintln!("warning: skipping {}: {e}", p.display());
+                eprintln!("warning: skipping {e}");
                 continue;
             }
         };

@@ -300,6 +300,24 @@ pub struct Summarizer<'a> {
     route_cache: Option<Arc<CachedRoutes>>,
 }
 
+/// A trip the batch worker loop accepts: valid by construction, or a raw
+/// buffer validated inside its worker.
+trait BatchTrip: Sync {
+    fn raw_view(&self) -> Result<RawView<'_>, TrajectoryError>;
+}
+
+impl BatchTrip for RawTrajectory {
+    fn raw_view(&self) -> Result<RawView<'_>, TrajectoryError> {
+        Ok(self.view())
+    }
+}
+
+impl BatchTrip for Vec<RawPoint> {
+    fn raw_view(&self) -> Result<RawView<'_>, TrajectoryError> {
+        RawView::try_new(self)
+    }
+}
+
 /// The route cache a config asks for (`None` when disabled).
 fn build_route_cache(cfg: &SummarizerConfig) -> Option<Arc<CachedRoutes>> {
     (cfg.route_cache > 0).then(|| Arc::new(CachedRoutes::new(cfg.route_cache)))
@@ -585,9 +603,25 @@ impl<'a> Summarizer<'a> {
         self.summarize_batch_inner(trips, Some(k))
     }
 
-    fn summarize_batch_inner(
+    /// Summarizes many *untrusted* sample buffers in parallel — the batch
+    /// analogue of [`Self::summarize_points`]. Where [`Self::summarize_batch`]
+    /// takes [`RawTrajectory`] values that are valid by construction, this
+    /// accepts raw buffers straight off disk: each is validated inside its
+    /// worker, and a defective buffer yields [`SummarizeError::Input`] at its
+    /// index while every other trip still summarizes. Results stay
+    /// index-aligned and byte-identical at any `cfg.threads`.
+    pub fn summarize_batch_points(
         &self,
-        trips: &[RawTrajectory],
+        trips: &[Vec<RawPoint>],
+    ) -> Vec<Result<Summary, SummarizeError>> {
+        self.summarize_batch_inner(trips, None)
+    }
+
+    /// The one batch worker loop behind every batch entry point; the trip
+    /// type only decides how a trip becomes a [`RawView`].
+    fn summarize_batch_inner<T: BatchTrip>(
+        &self,
+        trips: &[T],
         k: Option<usize>,
     ) -> Vec<Result<Summary, SummarizeError>> {
         let obs = &self.cfg.recorder;
@@ -602,43 +636,13 @@ impl<'a> Summarizer<'a> {
         // time and the caller replays the per-trip durations in input
         // order.
         let detailed = obs.is_enabled();
-        let timed = exec.par_map(trips, |_, raw| {
+        let timed = exec.par_map(trips, |_, trip| {
             // lint: wallclock — per-trip duration is replayed to obs in input order, never folded into summaries
             let t0 = Instant::now();
             let local = if detailed { Recorder::enabled() } else { Recorder::disabled() };
-            let r = self
-                .prepare_view(raw.view(), &local)
-                .and_then(|p| self.summarize_prepared_obs(&p, k, &local));
-            (r, t0.elapsed(), detailed.then(|| local.report()))
-        });
-        let out = self.collect_batch(timed);
-        self.record_cache_delta(cache_before);
-        out
-    }
-
-    /// Summarizes many *untrusted* sample buffers in parallel — the batch
-    /// analogue of [`Self::summarize_points`]. Where [`Self::summarize_batch`]
-    /// takes [`RawTrajectory`] values that are valid by construction, this
-    /// accepts raw buffers straight off disk: each is validated inside its
-    /// worker, and a defective buffer yields [`SummarizeError::Input`] at its
-    /// index while every other trip still summarizes. Results stay
-    /// index-aligned and byte-identical at any `cfg.threads`.
-    pub fn summarize_batch_points(
-        &self,
-        trips: &[Vec<RawPoint>],
-    ) -> Vec<Result<Summary, SummarizeError>> {
-        let obs = &self.cfg.recorder;
-        let _root = obs.span("summarize_batch");
-        let cache_before = self.route_cache.as_ref().map(|c| c.stats());
-        let exec = Executor::new(self.cfg.threads).with_recorder(obs.clone());
-        let detailed = obs.is_enabled();
-        let timed = exec.par_map(trips, |_, points| {
-            // lint: wallclock — per-trip duration is replayed to obs in input order, never folded into summaries
-            let t0 = Instant::now();
-            let local = if detailed { Recorder::enabled() } else { Recorder::disabled() };
-            let r = RawView::try_new(points).map_err(SummarizeError::Input).and_then(|raw| {
+            let r = trip.raw_view().map_err(SummarizeError::Input).and_then(|raw| {
                 self.prepare_view(raw, &local)
-                    .and_then(|p| self.summarize_prepared_obs(&p, None, &local))
+                    .and_then(|p| self.summarize_prepared_obs(&p, k, &local))
             });
             (r, t0.elapsed(), detailed.then(|| local.report()))
         });

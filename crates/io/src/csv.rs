@@ -10,12 +10,12 @@
 
 use std::io::{BufRead, Write};
 
-use crate::FormatError;
+use crate::{validated, FormatError, Rows};
 use stmaker_geo::GeoPoint;
 use stmaker_trajectory::{RawPoint, RawTrajectory, Timestamp};
 
 /// Parses rows into `(line_no, point)` pairs without validating values —
-/// the shared front half of the strict and lenient readers. `"nan"` and
+/// the shared front half of the strict and lenient decodes. `"nan"` and
 /// `"inf"` are valid `f64` spellings, so defective samples survive this
 /// stage; only *structurally* unreadable rows (non-numeric fields, bad
 /// datetimes) error.
@@ -24,9 +24,7 @@ use stmaker_trajectory::{RawPoint, RawTrajectory, Timestamp};
 /// calls — ingest allocates per *point*, never per line. Returns the rows
 /// plus the total line count (the strict validator reports "too few
 /// samples" against the last line of the file).
-fn parse_rows_csv_from<R: BufRead>(
-    mut reader: R,
-) -> Result<(Vec<(usize, RawPoint)>, usize), FormatError> {
+pub(crate) fn parse_rows_csv_from<R: BufRead>(mut reader: R) -> Result<(Rows, usize), FormatError> {
     let mut rows = Vec::new();
     let mut seen_data = false;
     let mut buf = String::new();
@@ -75,71 +73,12 @@ fn parse_rows_csv_from<R: BufRead>(
     Ok((rows, line_no))
 }
 
-/// Validates parsed rows: finite + in-range coordinates, at least two
-/// samples, non-decreasing timestamps — each failure reported with the
-/// 1-based line number of the offending row.
-fn validate_rows(rows: &[(usize, RawPoint)], total_lines: usize) -> Result<(), FormatError> {
-    for (line_no, p) in rows {
-        if !p.point.lat.is_finite() || !p.point.lon.is_finite() {
-            return Err(FormatError::new(
-                *line_no,
-                format!("non-finite coordinates: {}, {}", p.point.lat, p.point.lon),
-            ));
-        }
-        if !(-90.0..=90.0).contains(&p.point.lat) || !(-180.0..=180.0).contains(&p.point.lon) {
-            return Err(FormatError::new(
-                *line_no,
-                format!("coordinates out of range: {}, {}", p.point.lat, p.point.lon),
-            ));
-        }
-    }
-    if rows.len() < 2 {
-        return Err(FormatError::new(
-            total_lines,
-            format!("a trajectory needs at least 2 samples, got {}", rows.len()),
-        ));
-    }
-    for w in rows.windows(2) {
-        if w[1].1.t < w[0].1.t {
-            return Err(FormatError::new(
-                w[1].0,
-                format!(
-                    "timestamps must be non-decreasing: t={} after t={}",
-                    w[1].1.t.0, w[0].1.t.0
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Parses a trajectory from CSV text, rejecting any defective sample
 /// (non-finite or out-of-range coordinates, decreasing timestamps) with the
 /// offending line number.
 pub fn read_trajectory_csv(text: &str) -> Result<RawTrajectory, FormatError> {
-    read_trajectory_csv_from(text.as_bytes())
-}
-
-/// Streaming variant of [`read_trajectory_csv`]: parses directly off a
-/// buffered reader (a `BufReader<File>`, a socket) without materializing
-/// the document as one `String`.
-pub fn read_trajectory_csv_from<R: BufRead>(reader: R) -> Result<RawTrajectory, FormatError> {
-    let (rows, total_lines) = parse_rows_csv_from(reader)?;
-    validate_rows(&rows, total_lines)?;
-    Ok(RawTrajectory::new(rows.into_iter().map(|(_, p)| p).collect()))
-}
-
-/// Parses CSV rows into raw samples *without* validating coordinates or
-/// ordering — the lenient front door for
-/// `stmaker_trajectory::sanitize`, which wants to see the defects so it can
-/// count and repair them. Only structurally unreadable rows error.
-pub fn read_raw_points_csv(text: &str) -> Result<Vec<RawPoint>, FormatError> {
-    read_raw_points_csv_from(text.as_bytes())
-}
-
-/// Streaming variant of [`read_raw_points_csv`].
-pub fn read_raw_points_csv_from<R: BufRead>(reader: R) -> Result<Vec<RawPoint>, FormatError> {
-    Ok(parse_rows_csv_from(reader)?.0.into_iter().map(|(_, p)| p).collect())
+    let (rows, total_lines) = parse_rows_csv_from(text.as_bytes())?;
+    validated(rows, total_lines)
 }
 
 /// Serializes a trajectory to the canonical CSV layout (Unix seconds).
@@ -302,13 +241,13 @@ mod tests {
         // The sanitizer's front door: defective values survive parsing so
         // they can be counted and repaired downstream.
         let text = "lat,lon,ts\nnan,116.3,0\n39.9,116.3,10\n39.91,116.31,5\n99.0,116.3,20\n";
-        let pts = read_raw_points_csv(text).unwrap();
+        let pts = crate::points(parse_rows_csv_from(text.as_bytes()).unwrap().0);
         assert_eq!(pts.len(), 4);
         assert!(pts[0].point.lat.is_nan());
         assert_eq!(pts[2].t, Timestamp(5)); // out-of-order kept verbatim
         assert_eq!(pts[3].point.lat, 99.0); // out-of-range kept verbatim
                                             // Structurally unreadable rows still error, with their line number.
-        let e = read_raw_points_csv("39.9,116.3,0\nnot,numbers,here\n").unwrap_err();
+        let e = parse_rows_csv_from(&b"39.9,116.3,0\nnot,numbers,here\n"[..]).unwrap_err();
         assert_eq!(e.line, 2);
     }
 

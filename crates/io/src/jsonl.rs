@@ -7,7 +7,7 @@
 
 use std::io::{BufRead, Write};
 
-use crate::FormatError;
+use crate::{validated, FormatError, Rows};
 use serde::{Deserialize, Serialize};
 use stmaker_geo::GeoPoint;
 use stmaker_trajectory::{RawPoint, RawTrajectory, Timestamp};
@@ -21,13 +21,13 @@ struct Sample {
 
 /// Parses lines into `(line_no, point)` pairs without validating values —
 /// serde happily deserializes huge literals like `1e999` to `inf`, and
-/// the lenient path wants to carry such defects to the sanitizer intact.
+/// the lenient decode wants to carry such defects to the sanitizer intact.
 ///
 /// Streams from any `BufRead` with a single reused line buffer (no per-line
 /// `String` allocation). Returns the rows plus the total line count.
-fn parse_rows_jsonl_from<R: BufRead>(
+pub(crate) fn parse_rows_jsonl_from<R: BufRead>(
     mut reader: R,
-) -> Result<(Vec<(usize, RawPoint)>, usize), FormatError> {
+) -> Result<(Rows, usize), FormatError> {
     let mut rows = Vec::new();
     let mut buf = String::new();
     let mut line_no = 0usize;
@@ -56,68 +56,11 @@ fn parse_rows_jsonl_from<R: BufRead>(
     Ok((rows, line_no))
 }
 
-/// Validates parsed samples with the same rules as the CSV reader: finite +
-/// in-range coordinates, at least two samples, non-decreasing timestamps,
-/// each failure naming the offending 1-based line.
-fn validate_rows(rows: &[(usize, RawPoint)], total_lines: usize) -> Result<(), FormatError> {
-    for (line_no, p) in rows {
-        if !p.point.lat.is_finite() || !p.point.lon.is_finite() {
-            return Err(FormatError::new(
-                *line_no,
-                format!("non-finite coordinates: {}, {}", p.point.lat, p.point.lon),
-            ));
-        }
-        if !(-90.0..=90.0).contains(&p.point.lat) || !(-180.0..=180.0).contains(&p.point.lon) {
-            return Err(FormatError::new(
-                *line_no,
-                format!("coordinates out of range: {}, {}", p.point.lat, p.point.lon),
-            ));
-        }
-    }
-    if rows.len() < 2 {
-        return Err(FormatError::new(
-            total_lines,
-            format!("a trajectory needs at least 2 samples, got {}", rows.len()),
-        ));
-    }
-    for w in rows.windows(2) {
-        if w[1].1.t < w[0].1.t {
-            return Err(FormatError::new(
-                w[1].0,
-                format!(
-                    "timestamps must be non-decreasing: t={} after t={}",
-                    w[1].1.t.0, w[0].1.t.0
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Parses a trajectory from JSON-lines text, rejecting any defective sample
-/// with the offending line number.
+/// with the offending line number (the CSV reader's validation rules).
 pub fn read_trajectory_jsonl(text: &str) -> Result<RawTrajectory, FormatError> {
-    read_trajectory_jsonl_from(text.as_bytes())
-}
-
-/// Streaming variant of [`read_trajectory_jsonl`]: parses directly off a
-/// buffered reader without materializing the document as one `String`.
-pub fn read_trajectory_jsonl_from<R: BufRead>(reader: R) -> Result<RawTrajectory, FormatError> {
-    let (rows, total_lines) = parse_rows_jsonl_from(reader)?;
-    validate_rows(&rows, total_lines)?;
-    Ok(RawTrajectory::new(rows.into_iter().map(|(_, p)| p).collect()))
-}
-
-/// Parses JSON-lines samples *without* validating coordinates or ordering —
-/// the lenient front door for `stmaker_trajectory::sanitize`. Only
-/// structurally unreadable lines error.
-pub fn read_raw_points_jsonl(text: &str) -> Result<Vec<RawPoint>, FormatError> {
-    read_raw_points_jsonl_from(text.as_bytes())
-}
-
-/// Streaming variant of [`read_raw_points_jsonl`].
-pub fn read_raw_points_jsonl_from<R: BufRead>(reader: R) -> Result<Vec<RawPoint>, FormatError> {
-    Ok(parse_rows_jsonl_from(reader)?.0.into_iter().map(|(_, p)| p).collect())
+    let (rows, total_lines) = parse_rows_jsonl_from(text.as_bytes())?;
+    validated(rows, total_lines)
 }
 
 /// Serializes a trajectory to JSON-lines.
@@ -190,7 +133,7 @@ mod tests {
             (1, RawPoint { point: GeoPoint { lat: f64::NAN, lon: 116.3 }, t: Timestamp(0) }),
             (2, RawPoint { point: GeoPoint::new(39.9, 116.3), t: Timestamp(1) }),
         ];
-        let e = validate_rows(&rows, 2).unwrap_err();
+        let e = crate::validate_rows(&rows, 2).unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("non-finite"), "{e}");
     }
@@ -200,11 +143,12 @@ mod tests {
         // Out-of-order and out-of-range samples survive parsing verbatim so
         // the sanitizer can count and repair them.
         let t = "{\"lat\":99.9,\"lon\":116.3,\"t\":10}\n{\"lat\":39.9,\"lon\":116.3,\"t\":0}\n";
-        let pts = read_raw_points_jsonl(t).unwrap();
+        let pts = crate::points(parse_rows_jsonl_from(t.as_bytes()).unwrap().0);
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].point.lat, 99.9); // out-of-range kept verbatim
         assert_eq!(pts[1].t, Timestamp(0)); // out-of-order kept verbatim
-        let e = read_raw_points_jsonl("{\"lat\":39.9,\"lon\":116.3,\"t\":0}\nnope\n").unwrap_err();
+        let bad = "{\"lat\":39.9,\"lon\":116.3,\"t\":0}\nnope\n";
+        let e = parse_rows_jsonl_from(bad.as_bytes()).unwrap_err();
         assert_eq!(e.line, 2);
     }
 }

@@ -287,6 +287,17 @@ pub fn is_stc(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && bytes[..4] == STC_MAGIC
 }
 
+/// The artifact kind ([`KIND_TRIPS`] or [`KIND_MODEL`]) of the file at
+/// `path`, peeked from its header without reading the rest; `None` when
+/// the file does not start with an STC1 header. Lets a caller pick the
+/// trips or the model codec for an `.stc` file before decoding it.
+pub fn file_kind(path: impl AsRef<std::path::Path>) -> std::io::Result<Option<u16>> {
+    use std::io::Read;
+    let mut head = Vec::with_capacity(8);
+    std::fs::File::open(path)?.take(8).read_to_end(&mut head)?;
+    Ok((head.len() == 8 && is_stc(&head)).then(|| u16::from_le_bytes([head[6], head[7]])))
+}
+
 // ---------------------------------------------------------------------------
 // Container framing
 // ---------------------------------------------------------------------------

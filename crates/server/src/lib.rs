@@ -8,7 +8,7 @@
 //!
 //! | endpoint                | what it does                                       |
 //! |-------------------------|----------------------------------------------------|
-//! | `POST /summarize`       | one trip body (CSV/JSONL/STC1) → summary text      |
+//! | `POST /summarize`       | one trip body (`?format=csv\|jsonl\|stc`) → summary text |
 //! | `POST /summarize_batch` | many trips (blank-line blocks or one STC1 container) → one summary per line |
 //! | `POST /ingest`          | streaming push into a [`StreamingSummarizer`] session |
 //! | `GET /model`            | serving parameters; `?format=stc\|json` downloads the model |
@@ -20,10 +20,10 @@
 //! # Determinism contract
 //!
 //! A served summary is **byte-identical** to what `stmaker-cli summarize`
-//! prints for the same input: both paths load points through the same
-//! `stmaker-io` readers under the same [`SanitizePolicy`] and call the
-//! same [`Summarizer`] entry points (the batch endpoint fans out through
-//! the `stmaker-exec` pool inside [`Summarizer::summarize_batch_points`],
+//! prints for the same input: both front ends decode trips through the one
+//! `stmaker_io::decode` entry point under the same [`SanitizePolicy`] and
+//! call the same [`Summarizer`] entry points (the batch endpoint fans out
+//! through the `stmaker-exec` pool inside [`Summarizer::summarize_batch`],
 //! whose merge is index-preserving). The e2e tests and the CI "Serve
 //! smoke" step `cmp` the two byte-for-byte.
 //!
@@ -61,12 +61,12 @@ use stmaker::{
     Summarizer, SummarizerConfig, TrainedModel,
 };
 use stmaker_io::{
-    is_stc, read_model_stc, read_raw_points_csv, read_raw_points_jsonl, read_raw_trips_stc,
-    read_trajectory_csv, read_trajectory_jsonl, write_model_stc,
+    decode_batch, decode_runs, decode_trip, is_stc, read_model_stc, write_model_stc, DecodeError,
+    DecodedTrip, TripFormat,
 };
 use stmaker_poi::LandmarkRegistry;
 use stmaker_road::RoadNetwork;
-use stmaker_trajectory::{sanitize, RawPoint, RawTrajectory, SanitizeConfig, SanitizePolicy};
+use stmaker_trajectory::{RawPoint, SanitizePolicy};
 
 mod http;
 
@@ -156,26 +156,6 @@ struct Session {
     points: Vec<RawPoint>,
     dropped_invalid: u64,
     dropped_out_of_order: u64,
-}
-
-/// Wire encoding of a trip body, selected by the `format` query
-/// parameter. Absent (or unrecognized) values keep the original CSV
-/// default, matching the pre-STC behavior byte for byte.
-#[derive(Clone, Copy, PartialEq)]
-enum BodyFormat {
-    Csv,
-    Jsonl,
-    Stc,
-}
-
-impl BodyFormat {
-    fn of(req: &Request) -> Self {
-        match req.query("format") {
-            Some("jsonl") => BodyFormat::Jsonl,
-            Some("stc") => BodyFormat::Stc,
-            _ => BodyFormat::Csv,
-        }
-    }
 }
 
 /// Writes `resp` and closes `stream` without losing the response to a TCP
@@ -579,62 +559,18 @@ impl<'w> Server<'w> {
         }
     }
 
-    /// Parses one trip body exactly like the CLI's trip loader: strict
-    /// reader without a policy, lenient reader + sanitizer + longest
-    /// surviving segment with one — the byte-identity contract depends on
-    /// the two paths staying in lockstep.
-    fn parse_points(
-        &self,
-        text: &str,
-        jsonl: bool,
-        policy: Option<SanitizePolicy>,
-    ) -> Result<Vec<RawPoint>, String> {
-        match policy {
-            None => {
-                let traj =
-                    if jsonl { read_trajectory_jsonl(text) } else { read_trajectory_csv(text) }
-                        .map_err(|e| e.to_string())?;
-                Ok(traj.points().to_vec())
-            }
-            Some(policy) => {
-                let pts =
-                    if jsonl { read_raw_points_jsonl(text) } else { read_raw_points_csv(text) }
-                        .map_err(|e| e.to_string())?;
-                let cfg = SanitizeConfig::with_policy(policy);
-                let cleaned = sanitize(&pts, &cfg).map_err(|e| e.to_string())?;
-                cleaned.report.record_into(&self.obs);
-                cleaned
-                    .longest()
-                    .map(<[RawPoint]>::to_vec)
-                    .ok_or_else(|| "no usable segment after sanitization".to_owned())
-            }
+    /// The trip encoding named by `?format=`; CSV when absent.
+    fn trip_format(req: &Request) -> Result<TripFormat, Response> {
+        match req.query("format") {
+            None => Ok(TripFormat::Csv),
+            Some(v) => v.parse().map_err(|e: String| Response::error(400, &e)),
         }
     }
 
-    /// Applies the request policy to one trip decoded from an STC1
-    /// container: strict means [`RawTrajectory::try_new`] (the same gate
-    /// the CLI's `.stc` loader uses), lenient means the sanitize +
-    /// longest-surviving-segment pipeline — lockstep with [`Self::parse_points`]
-    /// so the byte-identity contract extends to the binary format.
-    fn finish_stc_run(
-        &self,
-        pts: Vec<RawPoint>,
-        policy: Option<SanitizePolicy>,
-    ) -> Result<Vec<RawPoint>, String> {
-        match policy {
-            None => match RawTrajectory::try_new(pts) {
-                Ok(traj) => Ok(traj.points().to_vec()),
-                Err(e) => Err(e.to_string()),
-            },
-            Some(policy) => {
-                let cfg = SanitizeConfig::with_policy(policy);
-                let cleaned = sanitize(&pts, &cfg).map_err(|e| e.to_string())?;
-                cleaned.report.record_into(&self.obs);
-                cleaned
-                    .longest()
-                    .map(<[RawPoint]>::to_vec)
-                    .ok_or_else(|| "no usable segment after sanitization".to_owned())
-            }
+    /// Records the sanitize reports of decoded trips into the recorder.
+    fn record_reports(&self, trips: &[DecodedTrip]) {
+        for report in trips.iter().filter_map(|d| d.report.as_ref()) {
+            report.record_into(&self.obs);
         }
     }
 
@@ -656,43 +592,24 @@ impl<'w> Server<'w> {
             Ok(p) => p,
             Err(r) => return r,
         };
-        let format = BodyFormat::of(req);
-        let points = if format == BodyFormat::Stc {
-            let mut runs = match read_raw_trips_stc(&req.body) {
-                Ok(r) => r,
-                Err(e) => return Response::error(422, &e.to_string()),
-            };
-            let n = runs.len();
-            let Some(run) = runs.pop().filter(|_| n == 1) else {
-                return Response::error(
-                    422,
-                    &format!(
-                        "STC container holds {n} trips; this endpoint takes exactly one \
-                         (use /summarize_batch)"
-                    ),
-                );
-            };
-            match self.finish_stc_run(run, policy) {
-                Ok(p) => p,
-                Err(e) => return Response::error(422, &e),
-            }
-        } else {
-            let Ok(text) = std::str::from_utf8(&req.body) else {
-                return Response::error(400, "body is not valid UTF-8");
-            };
-            match self.parse_points(text, format == BodyFormat::Jsonl, policy) {
-                Ok(p) => p,
-                Err(e) => return Response::error(422, &e),
-            }
+        let format = match Self::trip_format(req) {
+            Ok(f) => f,
+            Err(r) => return r,
+        };
+        let decoded = match decode_trip(&req.body, format, policy) {
+            Ok(d) => d,
+            Err(e) => return decode_rejected(&e),
+        };
+        self.record_reports(std::slice::from_ref(&decoded));
+        let raw = match decoded.trip {
+            Ok(raw) => raw,
+            Err(e) => return decode_rejected(&e),
         };
         let gen = self.current();
         let result = if k == 0 {
-            gen.summarizer.summarize_points(&points)
+            gen.summarizer.summarize(&raw)
         } else {
-            match RawTrajectory::try_new(points) {
-                Ok(raw) => gen.summarizer.summarize_k(&raw, k),
-                Err(e) => return Response::error(422, &e.to_string()),
-            }
+            gen.summarizer.summarize_k(&raw, k)
         };
         match result {
             // Trailing newline matches `stmaker-cli summarize`'s `println!`
@@ -711,83 +628,57 @@ impl<'w> Server<'w> {
             Ok(p) => p,
             Err(r) => return r,
         };
-        let format = BodyFormat::of(req);
-        // Per-trip parse failures become per-line errors, not a failed
+        let format = match Self::trip_format(req) {
+            Ok(f) => f,
+            Err(r) => return r,
+        };
+        // Per-trip decode failures become per-line errors, not a failed
         // request — index alignment with the input trips is the contract.
         // (Container-level STC corruption still fails the whole request:
         // there is no trip boundary left to align to.)
-        let mut parse_errors: Vec<Option<String>> = Vec::new();
-        let mut trips: Vec<Vec<RawPoint>> = Vec::new();
-        if format == BodyFormat::Stc {
-            let runs = match read_raw_trips_stc(&req.body) {
-                Ok(r) => r,
-                Err(e) => return Response::error(422, &e.to_string()),
-            };
-            if runs.is_empty() {
-                return Response::error(422, "empty batch: STC container holds no trips");
-            }
-            for run in runs {
-                match self.finish_stc_run(run, policy) {
-                    Ok(p) => {
-                        trips.push(p);
-                        parse_errors.push(None);
-                    }
-                    Err(e) => {
-                        trips.push(Vec::new());
-                        parse_errors.push(Some(e));
-                    }
-                }
-            }
-        } else {
-            let Ok(text) = std::str::from_utf8(&req.body) else {
-                return Response::error(400, "body is not valid UTF-8");
-            };
-            let blocks: Vec<&str> = text
-                .split("\n\n")
-                .map(|b| b.trim_matches('\n'))
-                .filter(|b| !b.trim().is_empty())
-                .collect();
-            if blocks.is_empty() {
-                return Response::error(422, "empty batch: trips are separated by blank lines");
-            }
-            for block in &blocks {
-                match self.parse_points(block, format == BodyFormat::Jsonl, policy) {
-                    Ok(p) => {
-                        trips.push(p);
-                        parse_errors.push(None);
-                    }
-                    Err(e) => {
-                        trips.push(Vec::new());
-                        parse_errors.push(Some(e));
-                    }
-                }
-            }
-        }
-        let gen = self.current();
-        let results: Vec<Result<stmaker::Summary, SummarizeError>> = if k == 0 {
-            // The throughput path: fans out through the stmaker-exec pool,
-            // deterministic index-preserving merge.
-            gen.summarizer.summarize_batch_points(&trips)
-        } else {
-            trips
-                .iter()
-                .map(|pts| {
-                    RawTrajectory::try_new(pts.clone())
-                        .map_err(SummarizeError::Input)
-                        .and_then(|raw| gen.summarizer.summarize_k(&raw, k))
-                })
-                .collect()
+        let decoded = match decode_batch(&req.body, format, policy) {
+            Ok(d) => d,
+            Err(e) => return decode_rejected(&e),
         };
-        let mut out = String::new();
-        for (i, result) in results.into_iter().enumerate() {
-            let line = match (&parse_errors[i], result) {
-                (Some(e), _) => format!("error: {e}"),
-                (None, Ok(s)) => s.text,
-                (None, Err(e)) => format!("error: {e}"),
-            };
-            out.push_str(&line);
-            out.push('\n');
+        if decoded.is_empty() {
+            return Response::error(
+                422,
+                "empty batch: no trips in the body (text trips are separated by blank lines)",
+            );
         }
+        self.record_reports(&decoded);
+        let mut lines = Vec::with_capacity(decoded.len());
+        let mut trips = Vec::new();
+        let mut at = Vec::new();
+        for (i, d) in decoded.into_iter().enumerate() {
+            match d.trip {
+                Ok(raw) => {
+                    trips.push(raw);
+                    at.push(i);
+                    lines.push(String::new());
+                }
+                Err(e) => lines.push(format!("error: {e}")),
+            }
+        }
+        // A trip refused at decode never reaches the summarizer; count it
+        // with the trips that failed there.
+        self.obs.add("batch.summaries_failed", (lines.len() - trips.len()) as u64); // cast-ok: trip count
+                                                                                    // The throughput path: fans out through the stmaker-exec pool,
+                                                                                    // deterministic index-preserving merge.
+        let gen = self.current();
+        let results = if k == 0 {
+            gen.summarizer.summarize_batch(&trips)
+        } else {
+            gen.summarizer.summarize_batch_k(&trips, k)
+        };
+        for (i, result) in at.into_iter().zip(results) {
+            lines[i] = match result {
+                Ok(s) => s.text,
+                Err(e) => format!("error: {e}"),
+            };
+        }
+        let mut out = lines.join("\n");
+        out.push('\n');
         Response::text(200, out)
     }
 
@@ -804,16 +695,18 @@ impl<'w> Server<'w> {
             return Response::error(400, "session must be 1-64 chars of [A-Za-z0-9_-]");
         }
         let finish = req.query("finish").is_some_and(|v| v != "0");
-        let Ok(text) = std::str::from_utf8(&req.body) else {
-            return Response::error(400, "body is not valid UTF-8");
+        let format = match Self::trip_format(req) {
+            Ok(TripFormat::Stc) => {
+                return Response::error(400, "ingest takes csv or jsonl bodies, not stc")
+            }
+            Ok(f) => f,
+            Err(r) => return r,
         };
-        let jsonl = req.query("format") == Some("jsonl");
-        // Always the lenient reader: the stream applies its own drop
-        // policy per sample, mirroring `StreamingSummarizer`'s contract.
-        let parsed = if jsonl { read_raw_points_jsonl(text) } else { read_raw_points_csv(text) };
-        let new_points = match parsed {
-            Ok(p) => p,
-            Err(e) => return Response::error(422, &e.to_string()),
+        // Always the lenient read: the stream applies its own drop policy
+        // per sample, mirroring `StreamingSummarizer`'s contract.
+        let new_points: Vec<RawPoint> = match decode_runs(&req.body, format) {
+            Ok(runs) => runs.into_iter().flatten().collect(),
+            Err(e) => return decode_rejected(&e),
         };
 
         let gen = self.current();
@@ -920,6 +813,18 @@ impl<'w> Server<'w> {
                 gen.version,
             ),
         )
+    }
+}
+
+/// A decode failure as a response: a non-UTF-8 body is malformed (400),
+/// anything else is well-formed input the pipeline refuses (422).
+fn decode_rejected(e: &DecodeError) -> Response {
+    match e {
+        DecodeError::NotUtf8 => Response::error(400, &e.to_string()),
+        DecodeError::TripCount { .. } => {
+            Response::error(422, &format!("{e} (use /summarize_batch)"))
+        }
+        _ => Response::error(422, &e.to_string()),
     }
 }
 

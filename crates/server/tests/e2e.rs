@@ -12,7 +12,8 @@ use stmaker::{
 };
 use stmaker_generator::{TripConfig, TripGenerator, World, WorldConfig};
 use stmaker_io::{
-    read_model_stc, read_trajectory_csv, write_model_stc, write_trajectory_csv, write_trips_stc,
+    read_model_stc, read_trajectory_csv, write_model_stc, write_trajectory_csv,
+    write_trajectory_jsonl, write_trips_stc,
 };
 use stmaker_server::{ServeConfig, Server};
 use stmaker_trajectory::RawPoint;
@@ -592,5 +593,100 @@ fn routing_rejects_are_typed() {
         assert_eq!(status, 400);
         let (status, body) = request(addr, "POST", "/model", b"not json");
         assert_eq!(status, 422, "{}", body_text(&body));
+        // `?format=` is typed on every trip endpoint, and ingest streams
+        // text only.
+        for path in
+            ["/summarize?format=gpx", "/summarize_batch?format=gpx", "/ingest?session=s&format=gpx"]
+        {
+            let (status, body) = request(addr, "POST", path, b"x");
+            assert_eq!(status, 400, "{path}");
+            assert!(body_text(&body).contains("csv|jsonl|stc"), "{path}: {}", body_text(&body));
+        }
+        let (status, body) = request(addr, "POST", "/ingest?session=s&format=stc", b"STC1");
+        assert_eq!(status, 400);
+        assert!(body_text(&body).contains("csv or jsonl"), "{}", body_text(&body));
     });
+}
+
+/// The JSON-lines wire path: `?format=jsonl` bodies summarize to the
+/// CLI's bytes, one trip at a time and as a blank-line-separated batch.
+#[test]
+fn jsonl_wire_path_matches_cli_bytes() {
+    let fx = Fixture::new();
+    let reference = {
+        let summarizer = fx.summarizer(fx.train(60, 1001), SummarizerConfig::default());
+        fx.reference_texts(&summarizer)
+    };
+    let jsonl: Vec<String> = fx
+        .trip_csvs
+        .iter()
+        .map(|csv| write_trajectory_jsonl(&read_trajectory_csv(csv).expect("fixture parses")))
+        .collect();
+    let server = Server::bind(
+        &fx.world.net,
+        &fx.world.registry,
+        fx.train(60, 1001),
+        SummarizerConfig::default(),
+        ServeConfig::default(),
+    )
+    .expect("bind");
+    with_running(&server, |addr| {
+        for (body, expect) in jsonl.iter().zip(&reference) {
+            let (status, got) = request(addr, "POST", "/summarize?format=jsonl", body.as_bytes());
+            match expect {
+                Some(text) => assert_eq!((status, body_text(&got)), (200, text.clone())),
+                None => assert_eq!(status, 422),
+            }
+        }
+        let (status, csv_batch) =
+            request(addr, "POST", "/summarize_batch", fx.trip_csvs.join("\n").as_bytes());
+        assert_eq!(status, 200);
+        let (status, jsonl_batch) =
+            request(addr, "POST", "/summarize_batch?format=jsonl", jsonl.join("\n").as_bytes());
+        assert_eq!(status, 200);
+        assert_eq!(body_text(&jsonl_batch), body_text(&csv_batch));
+        for (line, expect) in body_text(&jsonl_batch).lines().zip(&reference) {
+            match expect {
+                Some(text) => assert_eq!(line, text.trim_end()),
+                None => assert!(line.starts_with("error:"), "{line}"),
+            }
+        }
+    });
+}
+
+/// A batch trip refused at decode is an inline error line *and* a
+/// `batch.summaries_failed` count; a multi-trip container on the
+/// single-trip endpoint names the batch endpoint.
+#[test]
+fn batch_decode_failures_are_counted() {
+    let fx = Fixture::new();
+    let obs = Recorder::enabled();
+    let server = Server::bind(
+        &fx.world.net,
+        &fx.world.registry,
+        fx.train(20, 1001),
+        SummarizerConfig::default().with_recorder(obs.clone()),
+        ServeConfig::default(),
+    )
+    .expect("bind");
+    let mut errors = 0;
+    with_running(&server, |addr| {
+        let body = format!("{}\nlat,lon,ts\nnot,a,row\n", fx.trip_csvs[0]);
+        let (status, out) = request(addr, "POST", "/summarize_batch", body.as_bytes());
+        assert_eq!(status, 200);
+        let out = body_text(&out);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert!(lines[1].starts_with("error: line 2"), "{out}");
+        errors = lines.iter().filter(|l| l.starts_with("error:")).count() as u64;
+
+        let trips: Vec<_> =
+            fx.trip_csvs[..2].iter().map(|c| read_trajectory_csv(c).expect("parses")).collect();
+        let (status, body) =
+            request(addr, "POST", "/summarize?format=stc", &write_trips_stc(&trips));
+        assert_eq!(status, 422);
+        assert!(body_text(&body).contains("/summarize_batch"), "{}", body_text(&body));
+    });
+    let failed = obs.report().counters.get("batch.summaries_failed").copied().unwrap_or(0);
+    assert_eq!(failed, errors, "every error line is a counted failure");
 }
