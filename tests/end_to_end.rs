@@ -969,3 +969,39 @@ fn model_hot_swap_never_serves_stale_cache_entries() {
     let err = summarizer.swap_model(bad).unwrap_err();
     assert!(err.to_string().contains("registry"), "{err}");
 }
+
+/// FNV-1a (64-bit) over `bytes`: a dependency-free digest for pinning
+/// encodings across builds.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+#[test]
+fn model_encodings_match_pinned_digests() {
+    // Both model encodings are file formats: a seeded small-world model
+    // must encode to exactly these bytes in every build. Round-trip tests
+    // compare one build against itself; this pins the bytes across
+    // builds, so an in-memory layout change cannot drift either format.
+    use stmaker_io::write_model_stc;
+    let h = Harness::new();
+    let (train, _) = h.corpora(60, 0);
+    let features = standard_features();
+    let weights = FeatureWeights::uniform(&features);
+    let trained = Summarizer::train(
+        &h.world.net,
+        &h.world.registry,
+        &train,
+        features,
+        weights,
+        SummarizerConfig::default(),
+    );
+    let json = trained.model().to_json();
+    let stc = write_model_stc(trained.model());
+    assert_eq!(
+        (fnv1a(json.as_bytes()), json.len(), fnv1a(&stc), stc.len()),
+        (0x386a_771f_90e5_e551, 190_376, 0x4334_d97d_3053_e894, 157_288),
+        "model encoding drifted"
+    );
+}
