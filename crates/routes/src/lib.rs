@@ -17,4 +17,4 @@ pub mod popular;
 pub mod serde_vecmap;
 
 pub use featmap::HistoricalFeatureMap;
-pub use popular::{PopularRouteConfig, PopularRoutes, PopularRoutesParts};
+pub use popular::{PartsError, PopularRouteConfig, PopularRoutes, PopularRoutesParts};
