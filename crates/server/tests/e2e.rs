@@ -265,6 +265,23 @@ fn hot_swap_serves_cold_cache_bytes() {
         let (status, body) = request(addr, "POST", "/model", legacy.as_bytes());
         assert_eq!(status, 422);
         assert!(body_text(&body).contains("winners"), "{}", body_text(&body));
+
+        // So is a model whose popular-route occurrence lies outside its
+        // corpus, in either encoding: it would panic a worker on the
+        // first query that reached the occurrence scan.
+        let good = fx.train(8, 5005);
+        let json = good.to_json();
+        let at = json.find("{\"traj\":").expect("an occurrence") + 8;
+        let end = at + json[at..].find(',').expect("traj value end");
+        let bad_json = format!("{}1000000{}", &json[..at], &json[end..]);
+        let mut bad_stc = stmaker_io::write_model_stc(&good);
+        let occ_traj = stmaker_io::stc::section_range(&bad_stc, 0x35).expect("occ_traj section");
+        bad_stc[occ_traj.start..occ_traj.start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        for body in [bad_json.into_bytes(), bad_stc] {
+            let (status, resp) = request(addr, "POST", "/model", &body);
+            assert_eq!(status, 422);
+            assert!(body_text(&resp).contains("outside the corpus"), "{}", body_text(&resp));
+        }
     });
 }
 
