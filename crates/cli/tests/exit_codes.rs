@@ -239,3 +239,60 @@ fn out_of_corpus_occurrence_exits_one() {
         assert!(stderr.contains("outside the corpus") && stderr.contains(name), "{name}: {stderr}");
     }
 }
+
+/// Patches a trained model in both encodings: `zero` sets the first
+/// numeric feature-map count to 0, `far` moves the last numeric
+/// feature-map key's target to landmark 999999 (past any registry; the
+/// rows stay sorted).
+fn poisoned_models(json: &str, stc: &[u8]) -> [(&'static str, Vec<u8>); 4] {
+    let featmap = json.find("\"featmap\"").expect("feature map");
+    let at = featmap + json[featmap..].find("\"count\":").expect("a count") + 8;
+    let end = at + json[at..].find('}').expect("count value end");
+    let zero_json = format!("{}0{}", &json[..at], &json[end..]);
+    let categorical = featmap + json[featmap..].find("\"categorical\"").expect("categorical");
+    let key = json[..categorical].rfind("[[").expect("a numeric edge key") + 2;
+    let to = key + json[key..].find(',').expect("key separator") + 1;
+    let to_end = to + json[to..].find(']').expect("key end");
+    let far_json = format!("{}999999{}", &json[..to], &json[to_end..]);
+
+    let patch = |tag: u32, from_end: bool, value: &[u8]| {
+        let mut bytes = stc.to_vec();
+        let s = stmaker_io::stc::section_range(&bytes, tag).expect("section present");
+        let at = if from_end { s.end - value.len() } else { s.start };
+        bytes[at..at + value.len()].copy_from_slice(value);
+        bytes
+    };
+    [
+        ("zero_count.json", zero_json.into_bytes()),
+        ("zero_count.stc", patch(0x26, false, &0u64.to_le_bytes())),
+        ("far_landmark.json", far_json.into_bytes()),
+        ("far_landmark.stc", patch(0x23, true, &999_999u32.to_le_bytes())),
+    ]
+}
+
+#[test]
+fn poisoned_feature_rows_and_far_landmarks_exit_one() {
+    // A zero count would make a hop's regular value infinite, and a
+    // landmark past the registry names nothing; both refuse to load.
+    let dir = scratch("poison");
+    let d = dir.to_str().expect("utf8");
+    assert_eq!(run(&["gen", "--dir", d, "--trips", "1", "--seed", "7"]).0, 0);
+    let json_model = dir.join("model.json");
+    let stc_model = dir.join("model.stc");
+    for (path, format) in [(&json_model, "json"), (&stc_model, "stc")] {
+        let p = path.to_str().expect("utf8");
+        let args = ["train", "--dir", d, "--out", p, "--n-train", "20", "--format", format];
+        assert_eq!(run(&args).0, 0);
+    }
+    let json = std::fs::read_to_string(&json_model).expect("read model");
+    let stc = std::fs::read(&stc_model).expect("read model");
+    for (name, body) in poisoned_models(&json, &stc) {
+        let bad = dir.join(name);
+        std::fs::write(&bad, body).expect("write model");
+        let args = ["summarize", "--dir", d, "--trip", "trip_000.csv", "--model"];
+        let (code, _, stderr) = run(&[&args[..], &[bad.to_str().expect("utf8")]].concat());
+        assert_eq!(code, 1, "{name}: {stderr}");
+        let reason = if name.starts_with("zero") { "zero count" } else { "registry" };
+        assert!(stderr.contains(reason) && stderr.contains(name), "{name}: {stderr}");
+    }
+}

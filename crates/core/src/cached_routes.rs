@@ -118,7 +118,7 @@ impl std::fmt::Debug for CachedRoutes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stmaker_routes::PopularRouteConfig;
+    use stmaker_routes::{FeatureMapBuilder, PopularRouteConfig};
     use stmaker_trajectory::{SymbolicPoint, SymbolicTrajectory, Timestamp};
 
     fn l(i: u32) -> LandmarkId {
@@ -154,9 +154,10 @@ mod tests {
 
     #[test]
     fn cached_values_match_uncached() {
-        let mut featmap = HistoricalFeatureMap::new();
+        let mut featmap = FeatureMapBuilder::new();
         featmap.add_observation(l(0), l(1), "speed", 50.0);
         featmap.add_observation(l(1), l(2), "speed", 60.0);
+        let featmap = featmap.finish();
         let route = [l(0), l(1), l(2)];
         let cache = CachedRoutes::new(4);
         let direct = popular_route_values(&featmap, &route, "speed", FeatureScale::Numeric);

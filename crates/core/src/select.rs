@@ -273,6 +273,7 @@ pub fn aggregate(values: &[f64], scale: FeatureScale) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::builtin::{keys, standard_features};
+    use stmaker_routes::FeatureMapBuilder;
 
     fn l(i: u32) -> LandmarkId {
         LandmarkId(i)
@@ -301,7 +302,7 @@ mod tests {
         ];
         let hops = vec![(l(0), l(1)), (l(1), l(2)), (l(2), l(3))];
         let route = vec![l(0), l(4), l(3)]; // popular route goes elsewhere
-        let mut featmap = HistoricalFeatureMap::new();
+        let mut featmap = FeatureMapBuilder::new();
         // History on the popular route's hops: express road, 22 m, two-way.
         for w in route.windows(2) {
             featmap.add_categorical_observation(w[0], w[1], keys::GRADE, 2);
@@ -314,7 +315,7 @@ mod tests {
             featmap.add_observation(*a, *b, keys::STAY_POINTS, 0.1);
             featmap.add_observation(*a, *b, keys::U_TURNS, 0.05);
         }
-        Fixture { features, weights, seg_values, hops, featmap, route }
+        Fixture { features, weights, seg_values, hops, featmap: featmap.finish(), route }
     }
 
     fn run(fx: &Fixture, eta: f64) -> Vec<SelectedFeature> {
@@ -420,10 +421,11 @@ mod tests {
         let features = FeatureSet::new().with(std::sync::Arc::new(SignalState));
         let weights = FeatureWeights::uniform(&features);
         let hops = vec![(l(0), l(1)), (l(1), l(2))];
-        let mut featmap = HistoricalFeatureMap::new();
+        let mut featmap = FeatureMapBuilder::new();
         for (a, b) in &hops {
             featmap.add_categorical_observation(*a, *b, "signal_state", 1);
         }
+        let featmap = featmap.finish();
         // Trip observes code 3 everywhere while history says 1.
         let seg_values = vec![vec![3.0], vec![3.0]];
         let sel = select_features(&SelectionInput {

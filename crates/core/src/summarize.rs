@@ -33,7 +33,7 @@ use stmaker_mapmatch::{MapMatcher, MatchParams};
 use stmaker_obs::{ArgValue, Exemplar, ExemplarReservoir, Recorder, Report, SpanNode};
 use stmaker_poi::{LandmarkId, LandmarkRegistry};
 use stmaker_road::RoadNetwork;
-use stmaker_routes::{HistoricalFeatureMap, PopularRouteConfig, PopularRoutes};
+use stmaker_routes::{FeatureMapBuilder, HistoricalFeatureMap, PopularRouteConfig, PopularRoutes};
 use stmaker_trajectory::{RawPoint, RawTrajectory, RawView, SymbolicTrajectory, TrajectoryError};
 
 /// All tunables of the pipeline. Defaults are the paper's experimental
@@ -162,6 +162,16 @@ pub enum SummarizeError {
         /// Size of the registry the summarizer is bound to.
         registry: usize,
     },
+    /// A model names a landmark id at or past the end of the registry it
+    /// records, so a lookup would reach a landmark that does not exist.
+    LandmarkOutOfRange {
+        /// The model column holding the id.
+        column: &'static str,
+        /// The offending landmark id.
+        id: u32,
+        /// The registry size the model records.
+        registry: usize,
+    },
 }
 
 impl std::fmt::Display for SummarizeError {
@@ -177,6 +187,12 @@ impl std::fmt::Display for SummarizeError {
                     f,
                     "model was trained against a {model}-landmark registry, \
                      got {registry} landmarks"
+                )
+            }
+            SummarizeError::LandmarkOutOfRange { column, id, registry } => {
+                write!(
+                    f,
+                    "model landmark {id} in {column} is outside its {registry}-landmark registry"
                 )
             }
         }
@@ -323,15 +339,39 @@ fn build_route_cache(cfg: &SummarizerConfig) -> Option<Arc<CachedRoutes>> {
     (cfg.route_cache > 0).then(|| Arc::new(CachedRoutes::new(cfg.route_cache)))
 }
 
-/// Checks that `model` was trained against a registry of `registry`'s size.
+/// Checks that `model` was trained against a registry of `registry`'s size
+/// and names no landmark past it, in its feature-map keys or in its
+/// popular-route corpus, pair, support, transfer and winner columns.
 fn check_model(model: &TrainedModel, registry: &LandmarkRegistry) -> Result<(), SummarizeError> {
-    if model.registry_len != registry.len() {
-        return Err(SummarizeError::ModelMismatch {
-            model: model.registry_len,
-            registry: registry.len(),
-        });
+    let n = registry.len();
+    if model.registry_len != n {
+        return Err(SummarizeError::ModelMismatch { model: model.registry_len, registry: n });
     }
-    Ok(())
+    let (f, p) = (model.featmap.parts(), model.popular.parts());
+    check_ids("featmap numeric keys", f.num_from.iter().chain(&f.num_to).copied(), n)?;
+    check_ids("featmap categorical keys", f.cat_from.iter().chain(&f.cat_to).copied(), n)?;
+    check_ids("popular corpus", p.corpus_ids.iter().copied(), n)?;
+    check_ids("popular pairs", pair_ids(&p.pair_keys), n)?;
+    check_ids("popular supports", pair_ids(&p.sup_keys), n)?;
+    check_ids("popular transfers", p.tr_src.iter().chain(&p.tr_dst).copied(), n)?;
+    check_ids("popular winners", pair_ids(&p.win_keys).chain(p.win_ids.iter().copied()), n)
+}
+
+/// Fails with the first id in `ids` at or past a registry of `n` landmarks.
+fn check_ids(
+    column: &'static str,
+    mut ids: impl Iterator<Item = LandmarkId>,
+    n: usize,
+) -> Result<(), SummarizeError> {
+    match ids.find(|l| l.0 as usize >= n) {
+        Some(l) => Err(SummarizeError::LandmarkOutOfRange { column, id: l.0, registry: n }),
+        None => Ok(()),
+    }
+}
+
+/// Both landmarks of every key in a `(from, to)` key column.
+fn pair_ids(keys: &[(LandmarkId, LandmarkId)]) -> impl Iterator<Item = LandmarkId> + '_ {
+    keys.iter().flat_map(|&(a, b)| [a, b])
 }
 
 impl<'a> Summarizer<'a> {
@@ -342,9 +382,10 @@ impl<'a> Summarizer<'a> {
     ///
     /// Training fans out over `cfg.threads` workers: the corpus is split
     /// into fixed shards (a function of corpus size only), each shard
-    /// folds into a partial feature map, and the partials merge via
-    /// [`HistoricalFeatureMap::merge`] in ascending shard order — so the
-    /// trained model is byte-identical for every thread count.
+    /// folds into a partial [`FeatureMapBuilder`], and the partials merge
+    /// via [`FeatureMapBuilder::merge`] in ascending shard order before
+    /// [`FeatureMapBuilder::finish`] freezes them — so the trained model is
+    /// byte-identical for every thread count.
     pub fn train(
         net: &'a RoadNetwork,
         registry: &'a LandmarkRegistry,
@@ -362,7 +403,7 @@ impl<'a> Summarizer<'a> {
 
         /// Per-shard training state; merged in shard order below.
         struct TrainShard {
-            featmap: HistoricalFeatureMap,
+            featmap: FeatureMapBuilder,
             symbolics: Vec<SymbolicTrajectory>,
             skipped: u64,
             elapsed: std::time::Duration,
@@ -371,7 +412,7 @@ impl<'a> Summarizer<'a> {
         let partials = exec.shard_partials(training, |_, _, shard| {
             // lint: wallclock — shard wall time is replayed to obs in shard order; model bytes never see it
             let t0 = Instant::now();
-            let mut featmap = HistoricalFeatureMap::new();
+            let mut featmap = FeatureMapBuilder::new();
             let mut symbolics: Vec<SymbolicTrajectory> = Vec::new();
             let mut skipped = 0u64;
             for raw in shard {
@@ -402,7 +443,7 @@ impl<'a> Summarizer<'a> {
             TrainShard { featmap, symbolics, skipped, elapsed: t0.elapsed() }
         });
 
-        let mut featmap = HistoricalFeatureMap::new();
+        let mut featmap = FeatureMapBuilder::new();
         let mut symbolics: Vec<SymbolicTrajectory> = Vec::new();
         let mut skipped = 0u64;
         for p in partials {
@@ -411,6 +452,7 @@ impl<'a> Summarizer<'a> {
             symbolics.extend(p.symbolics);
             skipped += p.skipped;
         }
+        let featmap = featmap.finish();
 
         let n_trained = symbolics.len();
         obs.add("train.trajectories_ingested", n_trained as u64); // cast-ok: corpus size

@@ -33,17 +33,26 @@
 //! readers deliver them; the strict reader surfaces them as
 //! [`TrajectoryError::OutOfOrderTimestamp`].
 //!
-//! **Models** (`kind = 2`): the [`HistoricalFeatureMap`] is flattened to
-//! key-sorted rows ([`HistoricalFeatureMap::numeric_rows`]), with feature
-//! names interned in a sorted string table and referenced by `u32` index.
-//! [`PopularRoutes`] already *is* a set of key-sorted columns
-//! ([`PopularRoutesParts`]): the encoder writes each column borrowed, and
-//! the decoder reads each section straight into the column it came from,
-//! then hands the set to [`PopularRoutes::from_parts`], which validates it
-//! (a failure is [`StcError::InvalidRoutes`]) and adopts it without
-//! copying. Both encodings are pure functions of those columns, so a
-//! decoded model's `to_json` — and therefore every summary — is
-//! byte-identical to the original's (DESIGN.md §16).
+//! **Models** (`kind = 2`): both halves of a [`TrainedModel`] already *are*
+//! key-sorted columns. [`HistoricalFeatureMap`] is [`FeatureMapParts`]: a
+//! sorted, deduplicated feature-name table, numeric rows
+//! `from`/`to`/`feat`/`sum`/`count` sorted strictly by `(from, to, feat)`,
+//! and categorical rows `from`/`to`/`feat`/`code`/`count` sorted strictly
+//! by `(from, to, feat, code)`, with `feat` a `u32` index into the name
+//! table. [`PopularRoutes`] is [`PopularRoutesParts`]. The encoder
+//! computes the section table from the column lengths, then writes every
+//! column borrowed, straight into one buffer sized exactly up front. The
+//! decoder reads each section straight into the column it came from and
+//! hands each set to its `from_parts`, which validates it (a refusal is
+//! [`StcError::InvalidFeatureMap`] or [`StcError::InvalidRoutes`]) and
+//! adopts it without copying. [`read_model_stc`] decodes a byte slice;
+//! [`read_model_file`] streams a file through the same column readers,
+//! checking every section's extent against the file's length before it
+//! allocates anything and then reading each section in bounded chunks, so
+//! it never holds the file's bytes whole. Both encodings are pure
+//! functions of the columns, so a decoded model's `to_json` — and
+//! therefore every summary — is byte-identical to the original's
+//! (DESIGN.md §16).
 //!
 //! Decoding never panics: structural corruption maps to a typed
 //! [`StcError`], and allocation is bounded by actual section byte lengths,
@@ -53,7 +62,8 @@ use stmaker::TrainedModel;
 use stmaker_geo::GeoPoint;
 use stmaker_poi::LandmarkId;
 use stmaker_routes::{
-    HistoricalFeatureMap, PartsError, PopularRouteConfig, PopularRoutes, PopularRoutesParts,
+    FeatureMapError, FeatureMapParts, HistoricalFeatureMap, PartsError, PopularRouteConfig,
+    PopularRoutes, PopularRoutesParts,
 };
 use stmaker_trajectory::{RawPoint, RawTrajectory, Timestamp, TrajectoryError};
 
@@ -169,8 +179,7 @@ pub enum StcError {
         /// Point index within the trip.
         index: usize,
     },
-    /// A string-table entry overruns its section or is not UTF-8, or a
-    /// row references a name index past the table.
+    /// A string-table entry overruns its section or is not UTF-8.
     BadString {
         /// Which section.
         section: &'static str,
@@ -181,6 +190,10 @@ pub enum StcError {
     /// miner: unsorted keys, offsets out of range, an occurrence outside
     /// its corpus trajectory, or a bad transfer weight.
     InvalidRoutes(PartsError),
+    /// The feature-map sections decode but do not form a servable map:
+    /// unsorted names or rows, a name index past the table, a non-finite
+    /// sum, or a zero count.
+    InvalidFeatureMap(FeatureMapError),
 }
 
 impl std::fmt::Display for StcError {
@@ -217,6 +230,7 @@ impl std::fmt::Display for StcError {
                 write!(f, "bad string entry at {section}[{index}]")
             }
             StcError::InvalidRoutes(e) => write!(f, "invalid model: {e}"),
+            StcError::InvalidFeatureMap(e) => write!(f, "invalid model: {e}"),
         }
     }
 }
@@ -311,98 +325,271 @@ pub fn file_kind(path: impl AsRef<std::path::Path>) -> std::io::Result<Option<u1
 
 const HEADER_BYTES: usize = 16;
 const TABLE_ENTRY_BYTES: usize = 24;
+/// A file is read through a buffer of this many bytes. It is a multiple of
+/// every element width, so each chunk holds whole column elements.
+const READ_CHUNK: usize = 64 * 1024;
 
 fn align8(n: usize) -> usize {
     (n + 7) & !7
 }
 
-/// Assembles a container from `(tag, payload)` sections. Payload starts are
-/// 8-byte aligned so a memory-mapped reader can reinterpret `f64`/`u64`
-/// columns in place.
-fn assemble(kind: u16, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let table_bytes = TABLE_ENTRY_BYTES * sections.len();
-    let data_start = align8(HEADER_BYTES + table_bytes);
-    let payload_bytes: usize = sections.iter().map(|(_, p)| align8(p.len())).sum();
-    let mut out = Vec::with_capacity(data_start + payload_bytes);
+/// An ordered landmark pair `(from, to)`.
+type PairKey = (LandmarkId, LandmarkId);
+
+/// One section payload as the writer sees it, borrowed from the column it
+/// encodes.
+enum Col<'a> {
+    Bytes(&'a [u8]),
+    U32s(&'a [u32]),
+    U64s(&'a [u64]),
+    F64s(&'a [f64]),
+    Ids(&'a [LandmarkId]),
+    /// The `from` halves of a key column.
+    KeyFrom(&'a [PairKey]),
+    /// The `to` halves of a key column.
+    KeyTo(&'a [PairKey]),
+    /// A prefix-sum offsets column, stored as `u64`.
+    Offsets(&'a [usize]),
+    /// A string table: a `u64` count, then per entry a `u32` byte length
+    /// and the UTF-8 bytes.
+    Names(&'a [String]),
+}
+
+impl Col<'_> {
+    fn byte_len(&self) -> usize {
+        match self {
+            Col::Bytes(b) => b.len(),
+            Col::U32s(v) => 4 * v.len(),
+            Col::Ids(v) => 4 * v.len(),
+            Col::KeyFrom(v) | Col::KeyTo(v) => 4 * v.len(),
+            Col::U64s(v) => 8 * v.len(),
+            Col::F64s(v) => 8 * v.len(),
+            Col::Offsets(v) => 8 * v.len(),
+            Col::Names(v) => 8 + v.iter().map(|s| 4 + s.len()).sum::<usize>(),
+        }
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        fn put<const N: usize>(out: &mut Vec<u8>, vals: impl Iterator<Item = [u8; N]>) {
+            for v in vals {
+                out.extend_from_slice(&v);
+            }
+        }
+        match *self {
+            Col::Bytes(b) => out.extend_from_slice(b),
+            Col::U32s(v) => put(out, v.iter().map(|x| x.to_le_bytes())),
+            Col::Ids(v) => put(out, v.iter().map(|l| l.0.to_le_bytes())),
+            Col::KeyFrom(v) => put(out, v.iter().map(|k| k.0 .0.to_le_bytes())),
+            Col::KeyTo(v) => put(out, v.iter().map(|k| k.1 .0.to_le_bytes())),
+            Col::U64s(v) => put(out, v.iter().map(|x| x.to_le_bytes())),
+            Col::F64s(v) => put(out, v.iter().map(|x| x.to_bits().to_le_bytes())),
+            Col::Offsets(v) => put(out, v.iter().map(|&o| (o as u64).to_le_bytes())),
+            Col::Names(names) => {
+                out.extend_from_slice(&(names.len() as u64).to_le_bytes());
+                for n in names {
+                    out.extend_from_slice(&(n.len() as u32).to_le_bytes());
+                    out.extend_from_slice(n.as_bytes());
+                }
+            }
+        }
+    }
+}
+
+/// Writes a container from `(tag, column)` sections into one buffer, sized
+/// exactly up front: the section table is computed from the column
+/// lengths, then each payload is written straight from its column. Payload
+/// starts are 8-byte aligned so a memory-mapped reader can reinterpret
+/// `f64`/`u64` columns in place.
+fn assemble(kind: u16, sections: &[(u32, Col)]) -> Vec<u8> {
+    let data_start = align8(HEADER_BYTES + TABLE_ENTRY_BYTES * sections.len());
+    let total = data_start + sections.iter().map(|(_, c)| align8(c.byte_len())).sum::<usize>();
+    let mut out = Vec::with_capacity(total);
     out.extend_from_slice(&STC_MAGIC);
     out.extend_from_slice(&STC_VERSION.to_le_bytes());
     out.extend_from_slice(&kind.to_le_bytes());
     out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
     let mut off = data_start as u64;
-    for (tag, payload) in sections {
+    for (tag, col) in sections {
+        let len = col.byte_len();
         out.extend_from_slice(&tag.to_le_bytes());
         out.extend_from_slice(&0u32.to_le_bytes());
         out.extend_from_slice(&off.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        off += align8(payload.len()) as u64;
+        out.extend_from_slice(&(len as u64).to_le_bytes());
+        off += align8(len) as u64;
     }
     out.resize(data_start, 0);
-    for (_, payload) in sections {
-        out.extend_from_slice(payload);
+    for (_, col) in sections {
+        col.write(&mut out);
         out.resize(align8(out.len()), 0);
     }
+    debug_assert_eq!(out.len(), total, "section table promised {total} bytes");
     out
 }
 
-/// A parsed container: header fields plus borrowed section slices. Bounds
-/// are fully validated at parse time, so section access cannot overrun.
-struct StcView<'a> {
-    kind: u16,
-    sections: Vec<(u32, &'a [u8])>,
+/// Where a container's bytes come from: a slice in memory, or a file read
+/// in bounded chunks. Every model section is read through this, so
+/// [`read_model_stc`] and [`read_model_file`] share one set of column
+/// readers and validations.
+trait Source {
+    /// What a failed read reports; structural faults are [`StcError`]s.
+    type Error: From<StcError>;
+
+    /// Container length in bytes.
+    fn len(&self) -> u64;
+
+    /// Passes the `len` bytes at `off` to `sink` in order, in chunks whose
+    /// lengths are multiples of 8 except the last.
+    fn read(&mut self, off: u64, len: u64, sink: &mut dyn FnMut(&[u8])) -> Result<(), Self::Error>;
 }
 
-impl<'a> StcView<'a> {
-    fn parse(bytes: &'a [u8]) -> Result<Self, StcError> {
-        let have = bytes.len() as u64;
-        if bytes.len() < HEADER_BYTES {
-            return Err(StcError::Truncated { expected: HEADER_BYTES as u64, got: have });
+/// A container held in memory; read as one chunk.
+struct SliceSource<'a>(&'a [u8]);
+
+impl<'a> SliceSource<'a> {
+    /// The `len` bytes at `off`.
+    fn payload(&self, off: u64, len: u64) -> Result<&'a [u8], StcError> {
+        let end = off.saturating_add(len);
+        let range = usize::try_from(off).ok().zip(usize::try_from(end).ok());
+        range
+            .and_then(|(a, b)| self.0.get(a..b))
+            .ok_or(StcError::Truncated { expected: end, got: self.len() })
+    }
+}
+
+impl Source for SliceSource<'_> {
+    type Error = StcError;
+
+    fn len(&self) -> u64 {
+        self.0.len() as u64
+    }
+
+    fn read(&mut self, off: u64, len: u64, sink: &mut dyn FnMut(&[u8])) -> Result<(), StcError> {
+        sink(self.payload(off, len)?);
+        Ok(())
+    }
+}
+
+/// A container file, read section by section through one
+/// [`READ_CHUNK`]-byte buffer — never the whole file at once.
+struct FileSource {
+    file: std::fs::File,
+    len: u64,
+    buf: Vec<u8>,
+}
+
+/// A failed file decode: a structural fault, or the read itself failed.
+enum FileError {
+    Stc(StcError),
+    Io(std::io::Error),
+}
+
+impl From<StcError> for FileError {
+    fn from(e: StcError) -> Self {
+        FileError::Stc(e)
+    }
+}
+
+impl From<FileError> for std::io::Error {
+    fn from(e: FileError) -> Self {
+        match e {
+            FileError::Stc(e) => invalid_data(e),
+            FileError::Io(e) => e,
         }
-        let magic = [bytes[0], bytes[1], bytes[2], bytes[3]];
+    }
+}
+
+impl FileSource {
+    fn new(file: std::fs::File) -> std::io::Result<Self> {
+        let len = file.metadata()?.len();
+        Ok(Self { file, len, buf: vec![0; READ_CHUNK] })
+    }
+}
+
+impl Source for FileSource {
+    type Error = FileError;
+
+    fn len(&self) -> u64 {
+        self.len
+    }
+
+    fn read(&mut self, off: u64, len: u64, sink: &mut dyn FnMut(&[u8])) -> Result<(), FileError> {
+        use std::io::{Read, Seek, SeekFrom};
+        self.file.seek(SeekFrom::Start(off)).map_err(FileError::Io)?;
+        let mut left = len;
+        while left > 0 {
+            let chunk = &mut self.buf[..left.min(READ_CHUNK as u64) as usize];
+            self.file.read_exact(chunk).map_err(FileError::Io)?;
+            sink(chunk);
+            left -= chunk.len() as u64;
+        }
+        Ok(())
+    }
+}
+
+/// A section's place in the container.
+#[derive(Debug, Clone, Copy)]
+struct Section {
+    tag: u32,
+    off: u64,
+    len: u64,
+}
+
+/// A parsed header and section table. Every section's extent is checked
+/// against the container's length before any payload is read, so no read
+/// overruns and no column allocates more than the container holds.
+struct Container {
+    kind: u16,
+    sections: Vec<Section>,
+}
+
+fn le_u16(b: &[u8]) -> u16 {
+    u16::from_le_bytes(b.try_into().expect("2-byte field"))
+}
+
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("4-byte field"))
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8-byte field"))
+}
+
+impl Container {
+    fn parse<S: Source>(src: &mut S) -> Result<Self, S::Error> {
+        let have = src.len();
+        if have < HEADER_BYTES as u64 {
+            return Err(StcError::Truncated { expected: HEADER_BYTES as u64, got: have }.into());
+        }
+        let mut head = Vec::with_capacity(HEADER_BYTES);
+        src.read(0, HEADER_BYTES as u64, &mut |c| head.extend_from_slice(c))?;
+        let magic = [head[0], head[1], head[2], head[3]];
         if magic != STC_MAGIC {
-            return Err(StcError::BadMagic { got: magic });
+            return Err(StcError::BadMagic { got: magic }.into());
         }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+        let version = le_u16(&head[4..6]);
         if version != STC_VERSION {
-            return Err(StcError::UnsupportedVersion { got: version });
+            return Err(StcError::UnsupportedVersion { got: version }.into());
         }
-        let kind = u16::from_le_bytes([bytes[6], bytes[7]]);
-        let n = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-        let table_end = (HEADER_BYTES as u64) + (TABLE_ENTRY_BYTES as u64) * (n as u64);
+        let kind = le_u16(&head[6..8]);
+        let n = u64::from(le_u32(&head[8..12]));
+        let table_bytes = TABLE_ENTRY_BYTES as u64 * n;
+        let table_end = HEADER_BYTES as u64 + table_bytes;
         if table_end > have {
-            return Err(StcError::Truncated { expected: table_end, got: have });
+            return Err(StcError::Truncated { expected: table_end, got: have }.into());
         }
-        let mut sections = Vec::with_capacity(n);
-        for i in 0..n {
-            let e = HEADER_BYTES + TABLE_ENTRY_BYTES * i;
-            let tag = u32::from_le_bytes([bytes[e], bytes[e + 1], bytes[e + 2], bytes[e + 3]]);
-            let off = u64::from_le_bytes([
-                bytes[e + 8],
-                bytes[e + 9],
-                bytes[e + 10],
-                bytes[e + 11],
-                bytes[e + 12],
-                bytes[e + 13],
-                bytes[e + 14],
-                bytes[e + 15],
-            ]);
-            let len = u64::from_le_bytes([
-                bytes[e + 16],
-                bytes[e + 17],
-                bytes[e + 18],
-                bytes[e + 19],
-                bytes[e + 20],
-                bytes[e + 21],
-                bytes[e + 22],
-                bytes[e + 23],
-            ]);
+        let mut table = Vec::with_capacity(table_bytes as usize);
+        src.read(HEADER_BYTES as u64, table_bytes, &mut |c| table.extend_from_slice(c))?;
+        let mut sections = Vec::with_capacity(n as usize);
+        for e in table.chunks_exact(TABLE_ENTRY_BYTES) {
+            let (off, len) = (le_u64(&e[8..16]), le_u64(&e[16..24]));
             let end = off
                 .checked_add(len)
                 .ok_or(StcError::Truncated { expected: u64::MAX, got: have })?;
             if end > have {
-                return Err(StcError::Truncated { expected: end, got: have });
+                return Err(StcError::Truncated { expected: end, got: have }.into());
             }
-            sections.push((tag, &bytes[off as usize..end as usize]));
+            sections.push(Section { tag: le_u32(&e[0..4]), off, len });
         }
         Ok(Self { kind, sections })
     }
@@ -415,108 +602,130 @@ impl<'a> StcView<'a> {
         }
     }
 
-    fn section(&self, tag: u32) -> Result<&'a [u8], StcError> {
-        self.sections
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, s)| *s)
-            .ok_or(StcError::MissingSection { tag })
+    fn section(&self, tag: u32) -> Result<Section, StcError> {
+        self.sections.iter().find(|s| s.tag == tag).copied().ok_or(StcError::MissingSection { tag })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Column encoding helpers
+// Column decoding helpers
 // ---------------------------------------------------------------------------
-
-fn col_u32(vals: impl IntoIterator<Item = u32>) -> Vec<u8> {
-    let vals = vals.into_iter();
-    let mut out = Vec::with_capacity(4 * vals.size_hint().0);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn col_u64(vals: impl IntoIterator<Item = u64>) -> Vec<u8> {
-    let vals = vals.into_iter();
-    let mut out = Vec::with_capacity(8 * vals.size_hint().0);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn col_f64(vals: impl IntoIterator<Item = f64>) -> Vec<u8> {
-    col_u64(vals.into_iter().map(f64::to_bits))
-}
-
-fn col_offsets(offsets: &[usize]) -> Vec<u8> {
-    col_u64(offsets.iter().map(|&o| o as u64))
-}
 
 /// A section whose byte length is not a whole number of `width`-byte
 /// elements.
-fn ragged(s: &[u8], width: usize, name: &'static str) -> StcError {
-    StcError::ColumnLengthMismatch {
-        section: name,
-        expected: (s.len() / width * width) as u64,
-        got: s.len() as u64,
-    }
+fn ragged(len: u64, width: usize, name: &'static str) -> StcError {
+    let width = width as u64;
+    StcError::ColumnLengthMismatch { section: name, expected: len / width * width, got: len }
 }
 
-/// Decodes a section of `N`-byte little-endian elements straight into its
-/// column, one allocation sized by the section.
-fn le_col<T, const N: usize>(
-    view: &StcView,
+/// Streams section `s` as `N`-byte little-endian elements into `each`,
+/// after checking it holds a whole number of them.
+fn for_each_le<S: Source, const N: usize>(
+    src: &mut S,
+    s: Section,
+    name: &'static str,
+    mut each: impl FnMut([u8; N]),
+) -> Result<(), S::Error> {
+    if s.len % N as u64 != 0 {
+        return Err(ragged(s.len, N, name).into());
+    }
+    src.read(s.off, s.len, &mut |chunk| {
+        for b in chunk.chunks_exact(N) {
+            each(b.try_into().expect("chunk is N bytes"));
+        }
+    })
+}
+
+/// Decodes section `tag` of `N`-byte little-endian elements straight into
+/// its column, one allocation sized by the section.
+fn le_col<S: Source, T, const N: usize>(
+    src: &mut S,
+    c: &Container,
     tag: u32,
     name: &'static str,
     decode: impl Fn([u8; N]) -> T,
-) -> Result<Vec<T>, StcError> {
-    let s = view.section(tag)?;
-    if s.len() % N != 0 {
-        return Err(ragged(s, N, name));
-    }
-    Ok(s.chunks_exact(N).map(|c| decode(c.try_into().expect("chunk is N bytes"))).collect())
+) -> Result<Vec<T>, S::Error> {
+    let s = c.section(tag)?;
+    let mut out = Vec::with_capacity((s.len / N as u64) as usize);
+    for_each_le(src, s, name, |b| out.push(decode(b)))?;
+    Ok(out)
 }
 
-fn u32_col(view: &StcView, tag: u32, name: &'static str) -> Result<Vec<u32>, StcError> {
-    le_col(view, tag, name, u32::from_le_bytes)
+fn u32_col<S: Source>(
+    src: &mut S,
+    c: &Container,
+    tag: u32,
+    name: &'static str,
+) -> Result<Vec<u32>, S::Error> {
+    le_col(src, c, tag, name, u32::from_le_bytes)
 }
 
-fn u64_col(view: &StcView, tag: u32, name: &'static str) -> Result<Vec<u64>, StcError> {
-    le_col(view, tag, name, u64::from_le_bytes)
+fn u64_col<S: Source>(
+    src: &mut S,
+    c: &Container,
+    tag: u32,
+    name: &'static str,
+) -> Result<Vec<u64>, S::Error> {
+    le_col(src, c, tag, name, u64::from_le_bytes)
 }
 
-fn f64_col(view: &StcView, tag: u32, name: &'static str) -> Result<Vec<f64>, StcError> {
-    le_col(view, tag, name, |b| f64::from_bits(u64::from_le_bytes(b)))
+fn f64_col<S: Source>(
+    src: &mut S,
+    c: &Container,
+    tag: u32,
+    name: &'static str,
+) -> Result<Vec<f64>, S::Error> {
+    le_col(src, c, tag, name, |b| f64::from_bits(u64::from_le_bytes(b)))
 }
 
-fn id_col(view: &StcView, tag: u32, name: &'static str) -> Result<Vec<LandmarkId>, StcError> {
-    le_col(view, tag, name, |b| LandmarkId(u32::from_le_bytes(b)))
+fn id_col<S: Source>(
+    src: &mut S,
+    c: &Container,
+    tag: u32,
+    name: &'static str,
+) -> Result<Vec<LandmarkId>, S::Error> {
+    le_col(src, c, tag, name, |b| LandmarkId(u32::from_le_bytes(b)))
 }
 
 /// An offsets column as `usize`. A value past `usize::MAX` saturates, so
 /// the range check in [`PopularRoutes::from_parts`] rejects it.
-fn offsets_col(view: &StcView, tag: u32, name: &'static str) -> Result<Vec<usize>, StcError> {
-    le_col(view, tag, name, |b| usize::try_from(u64::from_le_bytes(b)).unwrap_or(usize::MAX))
+fn offsets_col<S: Source>(
+    src: &mut S,
+    c: &Container,
+    tag: u32,
+    name: &'static str,
+) -> Result<Vec<usize>, S::Error> {
+    le_col(src, c, tag, name, |b| usize::try_from(u64::from_le_bytes(b)).unwrap_or(usize::MAX))
 }
 
-/// A `(from, to)` key column zipped from its two `u32` sections.
-fn key_col(
-    view: &StcView,
+/// A `(from, to)` key column filled from its two `u32` sections in turn.
+fn key_col<S: Source>(
+    src: &mut S,
+    c: &Container,
     (from_tag, from_name): (u32, &'static str),
     (to_tag, to_name): (u32, &'static str),
-) -> Result<Vec<(LandmarkId, LandmarkId)>, StcError> {
-    let (from, to) = (view.section(from_tag)?, view.section(to_tag)?);
-    if from.len() % 4 != 0 {
-        return Err(ragged(from, 4, from_name));
+) -> Result<Vec<PairKey>, S::Error> {
+    let id = |b| LandmarkId(u32::from_le_bytes(b));
+    let mut keys = le_col(src, c, from_tag, from_name, |b| (id(b), LandmarkId(0)))?;
+    let to = c.section(to_tag)?;
+    if to.len % 4 == 0 {
+        same_len(to_name, keys.len(), (to.len / 4) as usize)?;
     }
-    if to.len() % 4 != 0 {
-        return Err(ragged(to, 4, to_name));
-    }
-    same_len(to_name, from.len() / 4, to.len() / 4)?;
-    let id = |c: &[u8]| LandmarkId(u32::from_le_bytes(c.try_into().expect("chunk is 4 bytes")));
-    Ok(from.chunks_exact(4).zip(to.chunks_exact(4)).map(|(f, t)| (id(f), id(t))).collect())
+    let mut slots = keys.iter_mut();
+    for_each_le(src, to, to_name, |b| {
+        if let Some(key) = slots.next() {
+            key.1 = id(b);
+        }
+    })?;
+    Ok(keys)
+}
+
+/// The feature-name table section.
+fn names_col<S: Source>(src: &mut S, c: &Container) -> Result<Vec<String>, S::Error> {
+    let s = c.section(TAG_FEAT_NAMES)?;
+    let mut buf = Vec::with_capacity(s.len as usize);
+    src.read(s.off, s.len, &mut |chunk| buf.extend_from_slice(chunk))?;
+    Ok(read_names(&buf)?)
 }
 
 fn same_len(name: &'static str, expected: usize, got: usize) -> Result<(), StcError> {
@@ -645,7 +854,12 @@ pub fn write_point_runs_stc<'a>(runs: impl IntoIterator<Item = &'a [RawPoint]>) 
     }
     assemble(
         KIND_TRIPS,
-        &[(TAG_TRIP_OFFSETS, col_u64(offsets)), (TAG_LAT, lat), (TAG_LON, lon), (TAG_TS, ts)],
+        &[
+            (TAG_TRIP_OFFSETS, Col::U64s(&offsets)),
+            (TAG_LAT, Col::Bytes(&lat)),
+            (TAG_LON, Col::Bytes(&lon)),
+            (TAG_TS, Col::Bytes(&ts)),
+        ],
     )
 }
 
@@ -653,14 +867,16 @@ pub fn write_point_runs_stc<'a>(runs: impl IntoIterator<Item = &'a [RawPoint]>) 
 /// but the *content* of each trip is returned as-is — defective runs flow
 /// to the `--sanitize` policies exactly like the lenient text readers.
 pub fn read_raw_trips_stc(bytes: &[u8]) -> Result<Vec<Vec<RawPoint>>, StcError> {
-    let view = StcView::parse(bytes)?;
-    view.expect_kind(KIND_TRIPS)?;
-    let offs_raw = u64_col(&view, TAG_TRIP_OFFSETS, "trip_offsets")?;
-    let lat = f64_col(&view, TAG_LAT, "lat")?;
-    let lon = f64_col(&view, TAG_LON, "lon")?;
+    let src = &mut SliceSource(bytes);
+    let c = Container::parse(src)?;
+    c.expect_kind(KIND_TRIPS)?;
+    let offs_raw = u64_col(src, &c, TAG_TRIP_OFFSETS, "trip_offsets")?;
+    let lat = f64_col(src, &c, TAG_LAT, "lat")?;
+    let lon = f64_col(src, &c, TAG_LON, "lon")?;
     same_len("lon", lat.len(), lon.len())?;
     let offs = check_offsets(&offs_raw, lat.len(), "trip_offsets")?;
-    let ts = view.section(TAG_TS)?;
+    let ts = c.section(TAG_TS)?;
+    let ts = src.payload(ts.off, ts.len)?;
     let mut pos = 0usize;
     let mut trips = Vec::with_capacity(offs.len() - 1);
     for (ti, w) in offs.windows(2).enumerate() {
@@ -707,71 +923,56 @@ pub fn read_trips_stc(bytes: &[u8]) -> Result<Vec<RawTrajectory>, StcReadError> 
 // Models
 // ---------------------------------------------------------------------------
 
-/// Encodes a trained model. Rows come out of the columnar boundaries
-/// key-sorted, so the encoding is a pure function of the model's logical
-/// content — two models with equal `to_json` encode to identical bytes.
+/// Encodes a trained model. Both the feature map and the popular-route
+/// miner already *are* key-sorted columns, so each section is written
+/// straight from the column it stores, into one buffer sized up front: the
+/// encoding is a pure function of the model's logical content — two
+/// models with equal `to_json` encode to identical bytes.
 pub fn write_model_stc(model: &TrainedModel) -> Vec<u8> {
-    let numeric = model.featmap.numeric_rows();
-    let categorical = model.featmap.categorical_rows();
+    let f = model.featmap.parts();
     let p = model.popular.parts();
-
-    let mut names: Vec<&str> = numeric
-        .iter()
-        .map(|r| r.2.as_str())
-        .chain(categorical.iter().map(|r| r.2.as_str()))
-        .collect();
-    names.sort_unstable();
-    names.dedup();
-    let name_idx =
-        |s: &str| -> u32 { names.binary_search(&s).expect("feature name interned above") as u32 };
-    let mut feat_names = Vec::new();
-    feat_names.extend_from_slice(&(names.len() as u64).to_le_bytes());
-    for n in &names {
-        feat_names.extend_from_slice(&(n.len() as u32).to_le_bytes());
-        feat_names.extend_from_slice(n.as_bytes());
-    }
-
-    let meta = col_u64([
+    let meta = [
         model.n_trained as u64,
         model.registry_len as u64,
         p.cfg.min_support as u64,
         p.cfg.max_indexed_span as u64,
-    ]);
-
-    let sections = vec![
-        (TAG_META, meta),
-        (TAG_FEAT_NAMES, feat_names),
-        (TAG_FM_NUM_FROM, col_u32(numeric.iter().map(|r| r.0 .0))),
-        (TAG_FM_NUM_TO, col_u32(numeric.iter().map(|r| r.1 .0))),
-        (TAG_FM_NUM_FEAT, col_u32(numeric.iter().map(|r| name_idx(&r.2)))),
-        (TAG_FM_NUM_SUM, col_f64(numeric.iter().map(|r| r.3))),
-        (TAG_FM_NUM_COUNT, col_u64(numeric.iter().map(|r| r.4))),
-        (TAG_FM_CAT_FROM, col_u32(categorical.iter().map(|r| r.0 .0))),
-        (TAG_FM_CAT_TO, col_u32(categorical.iter().map(|r| r.1 .0))),
-        (TAG_FM_CAT_FEAT, col_u32(categorical.iter().map(|r| name_idx(&r.2)))),
-        (TAG_FM_CAT_CODE, col_u32(categorical.iter().map(|r| r.3))),
-        (TAG_FM_CAT_COUNT, col_u64(categorical.iter().map(|r| r.4))),
-        (TAG_CORPUS_OFFSETS, col_offsets(&p.corpus_offsets)),
-        (TAG_CORPUS_IDS, col_u32(p.corpus_ids.iter().map(|l| l.0))),
-        (TAG_PAIR_FROM, col_u32(p.pair_keys.iter().map(|k| k.0 .0))),
-        (TAG_PAIR_TO, col_u32(p.pair_keys.iter().map(|k| k.1 .0))),
-        (TAG_PAIR_OFFSETS, col_offsets(&p.pair_offsets)),
-        (TAG_OCC_TRAJ, col_u32(p.occ_traj.iter().copied())),
-        (TAG_OCC_START, col_u32(p.occ_start.iter().copied())),
-        (TAG_OCC_END, col_u32(p.occ_end.iter().copied())),
-        (TAG_TR_SRC, col_u32(p.tr_src.iter().map(|l| l.0))),
-        (TAG_TR_OFFSETS, col_offsets(&p.tr_offsets)),
-        (TAG_TR_DST, col_u32(p.tr_dst.iter().map(|l| l.0))),
-        (TAG_TR_W, col_f64(p.tr_w.iter().copied())),
-        (TAG_SUP_FROM, col_u32(p.sup_keys.iter().map(|k| k.0 .0))),
-        (TAG_SUP_TO, col_u32(p.sup_keys.iter().map(|k| k.1 .0))),
-        (TAG_SUP_VAL, col_u32(p.sup_val.iter().copied())),
-        (TAG_WIN_FROM, col_u32(p.win_keys.iter().map(|k| k.0 .0))),
-        (TAG_WIN_TO, col_u32(p.win_keys.iter().map(|k| k.1 .0))),
-        (TAG_WIN_OFFSETS, col_offsets(&p.win_offsets)),
-        (TAG_WIN_IDS, col_u32(p.win_ids.iter().map(|l| l.0))),
     ];
-    assemble(KIND_MODEL, &sections)
+    assemble(
+        KIND_MODEL,
+        &[
+            (TAG_META, Col::U64s(&meta)),
+            (TAG_FEAT_NAMES, Col::Names(&f.names)),
+            (TAG_FM_NUM_FROM, Col::Ids(&f.num_from)),
+            (TAG_FM_NUM_TO, Col::Ids(&f.num_to)),
+            (TAG_FM_NUM_FEAT, Col::U32s(&f.num_feat)),
+            (TAG_FM_NUM_SUM, Col::F64s(&f.num_sum)),
+            (TAG_FM_NUM_COUNT, Col::U64s(&f.num_count)),
+            (TAG_FM_CAT_FROM, Col::Ids(&f.cat_from)),
+            (TAG_FM_CAT_TO, Col::Ids(&f.cat_to)),
+            (TAG_FM_CAT_FEAT, Col::U32s(&f.cat_feat)),
+            (TAG_FM_CAT_CODE, Col::U32s(&f.cat_code)),
+            (TAG_FM_CAT_COUNT, Col::U64s(&f.cat_count)),
+            (TAG_CORPUS_OFFSETS, Col::Offsets(&p.corpus_offsets)),
+            (TAG_CORPUS_IDS, Col::Ids(&p.corpus_ids)),
+            (TAG_PAIR_FROM, Col::KeyFrom(&p.pair_keys)),
+            (TAG_PAIR_TO, Col::KeyTo(&p.pair_keys)),
+            (TAG_PAIR_OFFSETS, Col::Offsets(&p.pair_offsets)),
+            (TAG_OCC_TRAJ, Col::U32s(&p.occ_traj)),
+            (TAG_OCC_START, Col::U32s(&p.occ_start)),
+            (TAG_OCC_END, Col::U32s(&p.occ_end)),
+            (TAG_TR_SRC, Col::Ids(&p.tr_src)),
+            (TAG_TR_OFFSETS, Col::Offsets(&p.tr_offsets)),
+            (TAG_TR_DST, Col::Ids(&p.tr_dst)),
+            (TAG_TR_W, Col::F64s(&p.tr_w)),
+            (TAG_SUP_FROM, Col::KeyFrom(&p.sup_keys)),
+            (TAG_SUP_TO, Col::KeyTo(&p.sup_keys)),
+            (TAG_SUP_VAL, Col::U32s(&p.sup_val)),
+            (TAG_WIN_FROM, Col::KeyFrom(&p.win_keys)),
+            (TAG_WIN_TO, Col::KeyTo(&p.win_keys)),
+            (TAG_WIN_OFFSETS, Col::Offsets(&p.win_offsets)),
+            (TAG_WIN_IDS, Col::Ids(&p.win_ids)),
+        ],
+    )
 }
 
 fn read_names(buf: &[u8]) -> Result<Vec<String>, StcError> {
@@ -806,100 +1007,58 @@ fn read_names(buf: &[u8]) -> Result<Vec<String>, StcError> {
     Ok(names)
 }
 
-/// Resolves a feature-name index column against the string table.
-fn resolve_names<'n>(
-    idxs: &[u32],
-    names: &'n [String],
-    section: &'static str,
-) -> Result<Vec<&'n String>, StcError> {
-    idxs.iter()
-        .enumerate()
-        .map(|(i, &ix)| names.get(ix as usize).ok_or(StcError::BadString { section, index: i }))
-        .collect()
-}
+/// Decodes a trained model from any [`Source`]: each section goes straight
+/// into the column it came from, and each column set is validated by its
+/// `from_parts`.
+fn decode_model<S: Source>(src: &mut S) -> Result<TrainedModel, S::Error> {
+    let c = Container::parse(src)?;
+    c.expect_kind(KIND_MODEL)?;
 
-/// Decodes a trained model. The rebuilt model's `to_json` is byte-identical
-/// to the source model's: the popular-route columns come back exactly as
-/// stored, the feature map's encoder key-sorts (`serde_vecmap`), and every
-/// `f64` travels as exact bits.
-pub fn read_model_stc(bytes: &[u8]) -> Result<TrainedModel, StcError> {
-    let view = StcView::parse(bytes)?;
-    view.expect_kind(KIND_MODEL)?;
-
-    let meta = u64_col(&view, TAG_META, "meta")?;
+    let meta = u64_col(src, &c, TAG_META, "meta")?;
     if meta.len() != 4 {
         return Err(StcError::ColumnLengthMismatch {
             section: "meta",
             expected: 4,
             got: meta.len() as u64,
-        });
+        }
+        .into());
     }
-    let names = read_names(view.section(TAG_FEAT_NAMES)?)?;
-
-    let num_from = u32_col(&view, TAG_FM_NUM_FROM, "fm_num_from")?;
-    let num_to = u32_col(&view, TAG_FM_NUM_TO, "fm_num_to")?;
-    let num_feat = u32_col(&view, TAG_FM_NUM_FEAT, "fm_num_feat")?;
-    let num_sum = f64_col(&view, TAG_FM_NUM_SUM, "fm_num_sum")?;
-    let num_count = u64_col(&view, TAG_FM_NUM_COUNT, "fm_num_count")?;
-    same_len("fm_num_to", num_from.len(), num_to.len())?;
-    same_len("fm_num_feat", num_from.len(), num_feat.len())?;
-    same_len("fm_num_sum", num_from.len(), num_sum.len())?;
-    same_len("fm_num_count", num_from.len(), num_count.len())?;
-    let num_names = resolve_names(&num_feat, &names, "fm_num_feat")?;
-
-    let cat_from = u32_col(&view, TAG_FM_CAT_FROM, "fm_cat_from")?;
-    let cat_to = u32_col(&view, TAG_FM_CAT_TO, "fm_cat_to")?;
-    let cat_feat = u32_col(&view, TAG_FM_CAT_FEAT, "fm_cat_feat")?;
-    let cat_code = u32_col(&view, TAG_FM_CAT_CODE, "fm_cat_code")?;
-    let cat_count = u64_col(&view, TAG_FM_CAT_COUNT, "fm_cat_count")?;
-    same_len("fm_cat_to", cat_from.len(), cat_to.len())?;
-    same_len("fm_cat_feat", cat_from.len(), cat_feat.len())?;
-    same_len("fm_cat_code", cat_from.len(), cat_code.len())?;
-    same_len("fm_cat_count", cat_from.len(), cat_count.len())?;
-    let cat_names = resolve_names(&cat_feat, &names, "fm_cat_feat")?;
-
-    let featmap = HistoricalFeatureMap::from_rows(
-        (0..num_from.len()).map(|i| {
-            (
-                LandmarkId(num_from[i]),
-                LandmarkId(num_to[i]),
-                num_names[i].clone(),
-                num_sum[i],
-                num_count[i],
-            )
-        }),
-        (0..cat_from.len()).map(|i| {
-            (
-                LandmarkId(cat_from[i]),
-                LandmarkId(cat_to[i]),
-                cat_names[i].clone(),
-                cat_code[i],
-                cat_count[i],
-            )
-        }),
-    );
+    let featmap = FeatureMapParts {
+        names: names_col(src, &c)?,
+        num_from: id_col(src, &c, TAG_FM_NUM_FROM, "fm_num_from")?,
+        num_to: id_col(src, &c, TAG_FM_NUM_TO, "fm_num_to")?,
+        num_feat: u32_col(src, &c, TAG_FM_NUM_FEAT, "fm_num_feat")?,
+        num_sum: f64_col(src, &c, TAG_FM_NUM_SUM, "fm_num_sum")?,
+        num_count: u64_col(src, &c, TAG_FM_NUM_COUNT, "fm_num_count")?,
+        cat_from: id_col(src, &c, TAG_FM_CAT_FROM, "fm_cat_from")?,
+        cat_to: id_col(src, &c, TAG_FM_CAT_TO, "fm_cat_to")?,
+        cat_feat: u32_col(src, &c, TAG_FM_CAT_FEAT, "fm_cat_feat")?,
+        cat_code: u32_col(src, &c, TAG_FM_CAT_CODE, "fm_cat_code")?,
+        cat_count: u64_col(src, &c, TAG_FM_CAT_COUNT, "fm_cat_count")?,
+    };
+    let featmap = HistoricalFeatureMap::from_parts(featmap).map_err(StcError::InvalidFeatureMap)?;
 
     let parts = PopularRoutesParts {
         cfg: PopularRouteConfig {
             min_support: meta[2] as usize,
             max_indexed_span: meta[3] as usize,
         },
-        corpus_offsets: offsets_col(&view, TAG_CORPUS_OFFSETS, "corpus_offsets")?,
-        corpus_ids: id_col(&view, TAG_CORPUS_IDS, "corpus_ids")?,
-        pair_keys: key_col(&view, (TAG_PAIR_FROM, "pair_from"), (TAG_PAIR_TO, "pair_to"))?,
-        pair_offsets: offsets_col(&view, TAG_PAIR_OFFSETS, "pair_offsets")?,
-        occ_traj: u32_col(&view, TAG_OCC_TRAJ, "occ_traj")?,
-        occ_start: u32_col(&view, TAG_OCC_START, "occ_start")?,
-        occ_end: u32_col(&view, TAG_OCC_END, "occ_end")?,
-        tr_src: id_col(&view, TAG_TR_SRC, "tr_src")?,
-        tr_offsets: offsets_col(&view, TAG_TR_OFFSETS, "tr_offsets")?,
-        tr_dst: id_col(&view, TAG_TR_DST, "tr_dst")?,
-        tr_w: f64_col(&view, TAG_TR_W, "tr_w")?,
-        sup_keys: key_col(&view, (TAG_SUP_FROM, "sup_from"), (TAG_SUP_TO, "sup_to"))?,
-        sup_val: u32_col(&view, TAG_SUP_VAL, "sup_val")?,
-        win_keys: key_col(&view, (TAG_WIN_FROM, "win_from"), (TAG_WIN_TO, "win_to"))?,
-        win_offsets: offsets_col(&view, TAG_WIN_OFFSETS, "win_offsets")?,
-        win_ids: id_col(&view, TAG_WIN_IDS, "win_ids")?,
+        corpus_offsets: offsets_col(src, &c, TAG_CORPUS_OFFSETS, "corpus_offsets")?,
+        corpus_ids: id_col(src, &c, TAG_CORPUS_IDS, "corpus_ids")?,
+        pair_keys: key_col(src, &c, (TAG_PAIR_FROM, "pair_from"), (TAG_PAIR_TO, "pair_to"))?,
+        pair_offsets: offsets_col(src, &c, TAG_PAIR_OFFSETS, "pair_offsets")?,
+        occ_traj: u32_col(src, &c, TAG_OCC_TRAJ, "occ_traj")?,
+        occ_start: u32_col(src, &c, TAG_OCC_START, "occ_start")?,
+        occ_end: u32_col(src, &c, TAG_OCC_END, "occ_end")?,
+        tr_src: id_col(src, &c, TAG_TR_SRC, "tr_src")?,
+        tr_offsets: offsets_col(src, &c, TAG_TR_OFFSETS, "tr_offsets")?,
+        tr_dst: id_col(src, &c, TAG_TR_DST, "tr_dst")?,
+        tr_w: f64_col(src, &c, TAG_TR_W, "tr_w")?,
+        sup_keys: key_col(src, &c, (TAG_SUP_FROM, "sup_from"), (TAG_SUP_TO, "sup_to"))?,
+        sup_val: u32_col(src, &c, TAG_SUP_VAL, "sup_val")?,
+        win_keys: key_col(src, &c, (TAG_WIN_FROM, "win_from"), (TAG_WIN_TO, "win_to"))?,
+        win_offsets: offsets_col(src, &c, TAG_WIN_OFFSETS, "win_offsets")?,
+        win_ids: id_col(src, &c, TAG_WIN_IDS, "win_ids")?,
     };
     Ok(TrainedModel {
         popular: PopularRoutes::from_parts(parts).map_err(StcError::InvalidRoutes)?,
@@ -907,6 +1066,13 @@ pub fn read_model_stc(bytes: &[u8]) -> Result<TrainedModel, StcError> {
         n_trained: meta[0] as usize,
         registry_len: meta[1] as usize,
     })
+}
+
+/// Decodes a trained model held in memory. Every column comes back exactly
+/// as stored (`f64` as exact bits), so the decoded model's `to_json` is
+/// byte-identical to the source model's.
+pub fn read_model_stc(bytes: &[u8]) -> Result<TrainedModel, StcError> {
+    decode_model(&mut SliceSource(bytes))
 }
 
 // ---------------------------------------------------------------------------
@@ -927,16 +1093,36 @@ pub fn read_model_file(path: impl AsRef<std::path::Path>) -> std::io::Result<Tra
 /// Like [`read_model_file`], but `format` (when given) forces a decoder
 /// instead of sniffing — the CLI's `--format` escape hatch for files whose
 /// leading bytes are untrustworthy.
+///
+/// An STC1 file is streamed: the header and section table are read and
+/// every section's extent is checked against the file's length before any
+/// column is allocated, then each section is read in bounded chunks
+/// straight into its column, through the same readers and validations as
+/// [`read_model_stc`]. The file's bytes are never held whole.
 pub fn read_model_file_as(
     path: impl AsRef<std::path::Path>,
     format: Option<ModelFormat>,
 ) -> std::io::Result<TrainedModel> {
-    let bytes = std::fs::read(path)?;
-    let format =
-        format.unwrap_or(if is_stc(&bytes) { ModelFormat::Stc } else { ModelFormat::Json });
+    use std::io::{Read, Seek, SeekFrom};
+    let mut file = std::fs::File::open(path)?;
+    let format = match format {
+        Some(format) => format,
+        None => {
+            let mut head = Vec::with_capacity(4);
+            (&mut file).take(4).read_to_end(&mut head)?;
+            if is_stc(&head) {
+                ModelFormat::Stc
+            } else {
+                ModelFormat::Json
+            }
+        }
+    };
     match format {
-        ModelFormat::Stc => read_model_stc(&bytes).map_err(invalid_data),
+        ModelFormat::Stc => Ok(decode_model(&mut FileSource::new(file)?)?),
         ModelFormat::Json => {
+            let mut bytes = Vec::with_capacity(file.metadata()?.len() as usize);
+            file.seek(SeekFrom::Start(0))?;
+            file.read_to_end(&mut bytes)?;
             let text = String::from_utf8(bytes).map_err(|e| invalid_data(e.utf8_error()))?;
             TrainedModel::from_json(&text).map_err(invalid_data)
         }
@@ -959,9 +1145,9 @@ pub fn write_model_file(
 /// The byte range of section `tag`'s payload within `bytes`. Exposed for
 /// the fault-injection tests, which patch specific columns in place.
 pub fn section_range(bytes: &[u8], tag: u32) -> Result<std::ops::Range<usize>, StcError> {
-    let s = StcView::parse(bytes)?.section(tag)?;
-    let start = s.as_ptr() as usize - bytes.as_ptr() as usize;
-    Ok(start..start + s.len())
+    let s = Container::parse(&mut SliceSource(bytes))?.section(tag)?;
+    let start = s.off as usize;
+    Ok(start..start + s.len as usize)
 }
 
 #[cfg(test)]
@@ -1056,10 +1242,9 @@ mod tests {
     #[test]
     fn sections_are_aligned() {
         let bytes = write_trips_stc(&two_trips());
-        let view = StcView::parse(&bytes).unwrap();
-        for (_, s) in &view.sections {
-            let off = s.as_ptr() as usize - bytes.as_ptr() as usize;
-            assert_eq!(off % 8, 0, "section payload not 8-byte aligned");
+        let c = Container::parse(&mut SliceSource(&bytes)).unwrap();
+        for s in &c.sections {
+            assert_eq!(s.off % 8, 0, "section payload not 8-byte aligned");
         }
     }
 
@@ -1085,13 +1270,13 @@ mod tests {
 
     #[test]
     fn featmap_rows_round_trip_in_model() {
-        let mut fm = HistoricalFeatureMap::new();
+        let mut fm = stmaker_routes::FeatureMapBuilder::new();
         fm.add_observation(LandmarkId(1), LandmarkId(2), "speed", 33.25);
         fm.add_observation(LandmarkId(1), LandmarkId(2), "speed", 0.1);
         fm.add_categorical_observation(LandmarkId(2), LandmarkId(3), "grade", 4);
         let model = TrainedModel {
             popular: PopularRoutes::from_parts(PopularRoutesParts::default()).unwrap(),
-            featmap: fm,
+            featmap: fm.finish(),
             n_trained: 2,
             registry_len: 9,
         };

@@ -7,11 +7,12 @@
 use stmaker::TrainedModel;
 use stmaker_geo::GeoPoint;
 use stmaker_io::{
-    read_model_stc, read_raw_trips_stc, read_trips_stc, stc::section_range, write_model_stc,
-    write_point_runs_stc, write_trips_stc, StcError, StcReadError,
+    is_stc, read_model_file, read_model_file_as, read_model_stc, read_raw_trips_stc,
+    read_trips_stc, stc::section_range, write_model_stc, write_point_runs_stc, write_trips_stc,
+    ModelFormat, StcError, StcReadError,
 };
 use stmaker_poi::LandmarkId;
-use stmaker_routes::{HistoricalFeatureMap, PopularRoutes, PopularRoutesParts};
+use stmaker_routes::{FeatureMapBuilder, PopularRoutes, PopularRoutesParts};
 use stmaker_trajectory::{RawPoint, RawTrajectory, Timestamp};
 
 /// Deterministic pseudo-random stream (LCG), the `tests/fault_injection.rs`
@@ -57,7 +58,7 @@ fn fixture_trips(seed: u64) -> Vec<RawTrajectory> {
 /// A model fixture exercising every section family: feature rows (numeric
 /// and categorical), corpus, pair occurrences, transfers, supports, winners.
 fn fixture_model() -> TrainedModel {
-    let mut fm = HistoricalFeatureMap::new();
+    let mut fm = FeatureMapBuilder::new();
     fm.add_observation(LandmarkId(1), LandmarkId(2), "speed", 31.5);
     fm.add_observation(LandmarkId(1), LandmarkId(2), "speed", 28.25);
     fm.add_observation(LandmarkId(2), LandmarkId(5), "duration", 120.0);
@@ -88,7 +89,7 @@ fn fixture_model() -> TrainedModel {
     };
     TrainedModel {
         popular: PopularRoutes::from_parts(parts).expect("fixture columns are valid"),
-        featmap: fm,
+        featmap: fm.finish(),
         n_trained: 3,
         registry_len: 11,
     }
@@ -163,13 +164,26 @@ fn bit_flip_sweep_never_panics() {
         let i = rng.below(mutated.len());
         mutated[i] ^= 1 << rng.below(8);
         // A model that loads must also serve: every lookup of every pair
-        // it indexes, both directions, answers without panicking.
+        // it indexes, both directions, answers without panicking, and so
+        // does every feature-map lookup of every row it holds.
         if let Ok(m) = read_model_stc(&mutated) {
             for &(from, to) in &m.popular.parts().pair_keys {
                 for (a, b) in [(from, to), (to, from)] {
                     let _ = m.popular.support(a, b);
                     let _ = m.popular.popular_route(a, b);
                 }
+            }
+            let f = m.featmap.parts();
+            let numeric =
+                (0..f.num_from.len()).map(|i| (f.num_from[i], f.num_to[i], f.num_feat[i]));
+            let categorical =
+                (0..f.cat_from.len()).map(|i| (f.cat_from[i], f.cat_to[i], f.cat_feat[i]));
+            for (from, to, feat) in numeric.chain(categorical) {
+                let name = &f.names[feat as usize];
+                if let Some(v) = m.featmap.regular_value(from, to, name) {
+                    assert!(v.is_finite(), "a loaded model answers a non-finite average");
+                }
+                let _ = m.featmap.regular_category(from, to, name);
             }
         }
     }
@@ -269,4 +283,92 @@ fn fixtures_round_trip_cleanly() {
     let model = fixture_model();
     let back = read_model_stc(&write_model_stc(&model)).unwrap();
     assert_eq!(back.to_json(), model.to_json());
+}
+
+/// Decodes `bytes` the way a model file is loaded: written to `path`, then
+/// streamed back by `read_model_file` (forced to STC1 when the magic
+/// itself is damaged, since sniffing would pick JSON).
+fn decode_via_file(path: &std::path::Path, bytes: &[u8]) -> Result<TrainedModel, StcError> {
+    std::fs::write(path, bytes).expect("write temp model");
+    let read = if is_stc(bytes) {
+        read_model_file(path)
+    } else {
+        read_model_file_as(path, Some(ModelFormat::Stc))
+    };
+    read.map_err(|e| match e.get_ref().and_then(|s| s.downcast_ref::<StcError>()) {
+        Some(stc) => stc.clone(),
+        None => panic!("file decode failed without an StcError: {e}"),
+    })
+}
+
+/// The streamed file decoder and the in-memory decoder agree on every
+/// truncation and every single-bit flip of the fixture: the same model
+/// bytes, or the same typed error.
+#[test]
+fn file_decoder_matches_slice_decoder_on_every_fault() {
+    let bytes = write_model_stc(&fixture_model());
+    let path = std::env::temp_dir()
+        .join(format!("stmaker_stc_faults_{}_differential.stc", std::process::id()));
+    let check = |mutated: &[u8], what: &str| match (
+        read_model_stc(mutated),
+        decode_via_file(&path, mutated),
+    ) {
+        (Ok(a), Ok(b)) => assert_eq!(write_model_stc(&a), write_model_stc(&b), "{what}"),
+        (Err(a), Err(b)) => assert_eq!(a, b, "{what}"),
+        (a, b) => panic!("{what}: slice {:?} vs file {:?}", a.err(), b.err()),
+    };
+    for cut in 0..=bytes.len() {
+        check(&bytes[..cut], &format!("cut {cut}"));
+    }
+    for i in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut mutated = bytes.clone();
+            mutated[i] ^= 1 << bit;
+            check(&mutated, &format!("byte {i} bit {bit}"));
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A feature-map row with a zero count or a non-finite sum would answer
+/// `regular_value` with an infinite or NaN average, so loading refuses it
+/// with a typed error, from either encoding.
+#[test]
+fn poisoned_feature_rows_are_typed_errors() {
+    use stmaker_routes::FeatureMapError;
+    const FM_NUM_SUM: u32 = 0x25;
+    const FM_NUM_COUNT: u32 = 0x26;
+    const FM_CAT_COUNT: u32 = 0x2B;
+    let model = fixture_model();
+    let bytes = write_model_stc(&model);
+    let patched = |tag: u32, at: usize, value: [u8; 8]| {
+        let mut b = bytes.clone();
+        let s = section_range(&b, tag).expect("section present");
+        b[s.start + 8 * at..s.start + 8 * at + 8].copy_from_slice(&value);
+        read_model_stc(&b).err()
+    };
+    let invalid = |e| Some(StcError::InvalidFeatureMap(e));
+    assert_eq!(
+        patched(FM_NUM_COUNT, 1, 0u64.to_le_bytes()),
+        invalid(FeatureMapError::ZeroCount { table: "numeric", index: 1 })
+    );
+    assert_eq!(
+        patched(FM_CAT_COUNT, 0, 0u64.to_le_bytes()),
+        invalid(FeatureMapError::ZeroCount { table: "categorical", index: 0 })
+    );
+    for bad in [f64::INFINITY, f64::NAN] {
+        assert_eq!(
+            patched(FM_NUM_SUM, 0, bad.to_bits().to_le_bytes()),
+            invalid(FeatureMapError::NonFiniteSum { index: 0 })
+        );
+    }
+
+    // JSON cannot spell a non-finite number, but it can spell a zero count.
+    let json = model.to_json();
+    let featmap = json.find("\"featmap\"").expect("feature map");
+    let at = featmap + json[featmap..].find("\"count\":").expect("a count") + 8;
+    let end = at + json[at..].find('}').expect("count value end");
+    let zero = format!("{}0{}", &json[..at], &json[end..]);
+    let err = TrainedModel::from_json(&zero).err().expect("JSON model must not load");
+    assert!(err.to_string().contains("zero count"), "{err}");
 }

@@ -10,11 +10,11 @@
 //!   landmarks where each edge `(lᵢ → lⱼ)` is annotated with the average
 //!   value of every moving feature observed on trajectories travelling that
 //!   hop; [`HistoricalFeatureMap::regular_value`] is the `r_{lᵢ→lⱼ}` of the
-//!   paper's irregular-rate formula.
+//!   paper's irregular-rate formula. Training fills a
+//!   [`FeatureMapBuilder`] and freezes it.
 
 pub mod featmap;
 pub mod popular;
-pub mod serde_vecmap;
 
-pub use featmap::HistoricalFeatureMap;
+pub use featmap::{FeatureMapBuilder, FeatureMapError, FeatureMapParts, HistoricalFeatureMap};
 pub use popular::{PartsError, PopularRouteConfig, PopularRoutes, PopularRoutesParts};

@@ -1,4 +1,4 @@
-//! Property tests for [`HistoricalFeatureMap::merge`] — the property the
+//! Property tests for [`FeatureMapBuilder::merge`] — the property the
 //! parallel trainer leans on: splitting an observation stream into any
 //! consecutive shards, building a partial map per shard, and merging the
 //! partials in shard order must reproduce sequential insertion exactly, and
@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use stmaker_poi::LandmarkId;
-use stmaker_routes::HistoricalFeatureMap;
+use stmaker_routes::{FeatureMapBuilder, HistoricalFeatureMap};
 
 /// One generated observation: (from, to, numeric-or-categorical, feature
 /// index, quantized value).
@@ -19,7 +19,7 @@ type Ob = (u32, u32, u8, u8, u32);
 
 const KEYS: [&str; 3] = ["speed", "stops", "grade"];
 
-fn apply(m: &mut HistoricalFeatureMap, obs: &[Ob]) {
+fn apply(m: &mut FeatureMapBuilder, obs: &[Ob]) {
     for &(from, to, kind, feat, val) in obs {
         let (from, to) = (LandmarkId(from), LandmarkId(to));
         let key = KEYS[feat as usize % KEYS.len()];
@@ -40,13 +40,13 @@ fn build_sharded(obs: &[Ob], cuts: &[usize]) -> HistoricalFeatureMap {
     bounds.push(0);
     bounds.push(obs.len());
     bounds.sort_unstable();
-    let mut merged = HistoricalFeatureMap::new();
+    let mut merged = FeatureMapBuilder::new();
     for w in bounds.windows(2) {
-        let mut partial = HistoricalFeatureMap::new();
+        let mut partial = FeatureMapBuilder::new();
         apply(&mut partial, &obs[w[0]..w[1]]);
         merged.merge(&partial);
     }
-    merged
+    merged.finish()
 }
 
 /// Canonical form for exact comparison (sorted map serialization; exact
@@ -63,8 +63,9 @@ proptest! {
         obs in prop::collection::vec((0u32..4, 0u32..4, 0u8..2, 0u8..3, 0u32..32), 0..60),
         cuts in prop::collection::vec(0usize..61, 0..6),
     ) {
-        let mut sequential = HistoricalFeatureMap::new();
+        let mut sequential = FeatureMapBuilder::new();
         apply(&mut sequential, &obs);
+        let sequential = sequential.finish();
         let sharded = build_sharded(&obs, &cuts);
 
         prop_assert_eq!(canon(&sharded), canon(&sequential));
@@ -89,7 +90,7 @@ proptest! {
         c in prop::collection::vec((0u32..4, 0u32..4, 0u8..2, 0u8..3, 0u32..32), 0..30),
     ) {
         let build = |obs: &[Ob]| {
-            let mut m = HistoricalFeatureMap::new();
+            let mut m = FeatureMapBuilder::new();
             apply(&mut m, obs);
             m
         };
@@ -105,6 +106,6 @@ proptest! {
         let mut right = build(&a);
         right.merge(&bc);
 
-        prop_assert_eq!(canon(&left), canon(&right));
+        prop_assert_eq!(canon(&left.finish()), canon(&right.finish()));
     }
 }

@@ -282,7 +282,51 @@ fn hot_swap_serves_cold_cache_bytes() {
             assert_eq!(status, 422);
             assert!(body_text(&resp).contains("outside the corpus"), "{}", body_text(&resp));
         }
+
+        // So is a feature-map row with a zero count (its regular value
+        // would be infinite), and a feature-map key naming a landmark past
+        // the registry, in either encoding.
+        let stc = stmaker_io::write_model_stc(&good);
+        for (name, body) in poisoned_models(&json, &stc) {
+            let (status, resp) = request(addr, "POST", "/model", &body);
+            assert_eq!(status, 422, "{name}: {}", body_text(&resp));
+            let reason = if name.starts_with("zero") { "zero count" } else { "registry" };
+            assert!(body_text(&resp).contains(reason), "{name}: {}", body_text(&resp));
+        }
+        let (status, body) = request(addr, "GET", "/healthz", b"");
+        assert_eq!(status, 200);
+        assert!(body_text(&body).contains("\"model_version\": 2"), "{}", body_text(&body));
     });
+}
+
+/// Patches a trained model in both encodings: `zero` sets the first
+/// numeric feature-map count to 0, `far` moves the last numeric
+/// feature-map key's target to landmark 999999 (past any registry; the
+/// rows stay sorted).
+fn poisoned_models(json: &str, stc: &[u8]) -> [(&'static str, Vec<u8>); 4] {
+    let featmap = json.find("\"featmap\"").expect("feature map");
+    let at = featmap + json[featmap..].find("\"count\":").expect("a count") + 8;
+    let end = at + json[at..].find('}').expect("count value end");
+    let zero_json = format!("{}0{}", &json[..at], &json[end..]);
+    let categorical = featmap + json[featmap..].find("\"categorical\"").expect("categorical");
+    let key = json[..categorical].rfind("[[").expect("a numeric edge key") + 2;
+    let to = key + json[key..].find(',').expect("key separator") + 1;
+    let to_end = to + json[to..].find(']').expect("key end");
+    let far_json = format!("{}999999{}", &json[..to], &json[to_end..]);
+
+    let patch = |tag: u32, from_end: bool, value: &[u8]| {
+        let mut bytes = stc.to_vec();
+        let s = stmaker_io::stc::section_range(&bytes, tag).expect("section present");
+        let at = if from_end { s.end - value.len() } else { s.start };
+        bytes[at..at + value.len()].copy_from_slice(value);
+        bytes
+    };
+    [
+        ("zero_count.json", zero_json.into_bytes()),
+        ("zero_count.stc", patch(0x26, false, &0u64.to_le_bytes())),
+        ("far_landmark.json", far_json.into_bytes()),
+        ("far_landmark.stc", patch(0x23, true, &999_999u32.to_le_bytes())),
+    ]
 }
 
 /// Admission control: with one worker wedged and the depth-1 queue

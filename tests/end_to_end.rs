@@ -1005,3 +1005,70 @@ fn model_encodings_match_pinned_digests() {
         "model encoding drifted"
     );
 }
+
+#[test]
+fn model_landmarks_past_the_registry_are_rejected() {
+    // Landmark ids index the registry, so a model naming an id at or past
+    // its end must not load, whichever column holds it and whichever
+    // encoding carried it; the unedited model still loads.
+    use stmaker_io::{read_model_stc, write_model_stc};
+    use stmaker_poi::LandmarkId;
+    use stmaker_routes::{
+        FeatureMapParts, HistoricalFeatureMap, PopularRoutes, PopularRoutesParts,
+    };
+    use stmaker_suite::{SummarizeError, TrainedModel};
+
+    let h = Harness::new();
+    let (train, _) = h.corpora(20, 0);
+    let features = standard_features();
+    let weights = FeatureWeights::uniform(&features);
+    let cfg = SummarizerConfig::default();
+    let trained =
+        Summarizer::train(&h.world.net, &h.world.registry, &train, features, weights, cfg);
+    let n = h.world.registry.len();
+    let past = LandmarkId(n as u32);
+    let (fm, pr) = (trained.model().featmap.parts(), trained.model().popular.parts());
+    assert!(!fm.num_to.is_empty() && !fm.cat_to.is_empty() && !pr.win_keys.is_empty());
+
+    type Edit = fn(&mut FeatureMapParts, &mut PopularRoutesParts, LandmarkId);
+    // Each edit keeps the columns' own layout valid: a last key grows, an
+    // unordered id column changes in place.
+    let cases: [(&str, Edit); 8] = [
+        ("featmap numeric keys", |f, _, id| *f.num_to.last_mut().expect("a row") = id),
+        ("featmap categorical keys", |f, _, id| *f.cat_to.last_mut().expect("a row") = id),
+        ("popular corpus", |_, p, id| p.corpus_ids[0] = id),
+        ("popular pairs", |_, p, id| p.pair_keys.last_mut().expect("a pair").1 = id),
+        ("popular supports", |_, p, id| p.sup_keys.last_mut().expect("a support").1 = id),
+        ("popular transfers", |_, p, id| p.tr_dst[0] = id),
+        ("popular winners", |_, p, id| p.win_keys.last_mut().expect("a winner").1 = id),
+        ("popular winners", |_, p, id| p.win_ids[0] = id),
+    ];
+    let load = |model: TrainedModel| {
+        let features = standard_features();
+        let weights = FeatureWeights::uniform(&features);
+        let cfg = SummarizerConfig::default();
+        Summarizer::try_from_model(&h.world.net, &h.world.registry, model, features, weights, cfg)
+            .err()
+    };
+    let model = |f: &FeatureMapParts, p: &PopularRoutesParts| TrainedModel {
+        popular: PopularRoutes::from_parts(p.clone()).expect("edited columns stay valid"),
+        featmap: HistoricalFeatureMap::from_parts(f.clone()).expect("edited columns stay valid"),
+        n_trained: trained.model().n_trained,
+        registry_len: n,
+    };
+    assert!(load(model(fm, pr)).is_none(), "the unedited model loads");
+    for (column, edit) in cases {
+        let (mut f, mut p) = (fm.clone(), pr.clone());
+        edit(&mut f, &mut p, past);
+        let json = TrainedModel::from_json(&model(&f, &p).to_json()).expect("JSON decodes");
+        let stc = read_model_stc(&write_model_stc(&model(&f, &p))).expect("STC decodes");
+        for decoded in [json, stc] {
+            match load(decoded) {
+                Some(SummarizeError::LandmarkOutOfRange { column: c, id, registry }) => {
+                    assert_eq!((c, id, registry), (column, past.0, n));
+                }
+                other => panic!("{column}: expected LandmarkOutOfRange, got {other:?}"),
+            }
+        }
+    }
+}
