@@ -256,16 +256,6 @@ fn time_at_arc(table: &[(f64, Timestamp)], arc_m: f64) -> Timestamp {
     Timestamp(t0.0 + ((t1.0 - t0.0) as f64 * frac).round() as i64)
 }
 
-/// Convenience: calibrate, returning `None` on failure (callers that filter
-/// a corpus and don't care why individual trajectories dropped out).
-pub fn calibrate_opt(
-    raw: &RawTrajectory,
-    registry: &LandmarkRegistry,
-    params: CalibrationParams,
-) -> Option<SymbolicTrajectory> {
-    calibrate(raw, registry, params).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,7 +397,6 @@ mod tests {
             Err(CalibrationError::TooFewLandmarks(n)) => assert_eq!(n, 1),
             other => panic!("expected TooFewLandmarks, got {other:?}"),
         }
-        assert!(calibrate_opt(&raw, &reg, CalibrationParams::default()).is_none());
     }
 
     #[test]

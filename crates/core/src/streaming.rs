@@ -147,24 +147,11 @@ pub struct StreamingSummarizer<'s, 'a> {
 }
 
 impl<'s, 'a> StreamingSummarizer<'s, 'a> {
-    /// Wraps a trained summarizer.
-    ///
-    /// # Panics
-    /// Panics if the refresh thresholds are not positive; prefer
-    /// [`StreamingSummarizer::try_new`].
-    pub fn new(summarizer: &'s Summarizer<'a>, cfg: StreamConfig) -> Self {
-        assert!(cfg.refresh_distance_m > 0.0 && cfg.refresh_interval_s > 0);
-        Self::build(summarizer, cfg)
-    }
-
-    /// Fallible construction: validates `cfg` instead of asserting.
+    /// Wraps a trained summarizer, after checking that `cfg`'s refresh
+    /// thresholds are positive.
     pub fn try_new(summarizer: &'s Summarizer<'a>, cfg: StreamConfig) -> Result<Self, StreamError> {
         cfg.validate()?;
-        Ok(Self::build(summarizer, cfg))
-    }
-
-    fn build(summarizer: &'s Summarizer<'a>, cfg: StreamConfig) -> Self {
-        Self {
+        Ok(Self {
             summarizer,
             cfg,
             buffer: Vec::new(),
@@ -175,7 +162,7 @@ impl<'s, 'a> StreamingSummarizer<'s, 'a> {
             dropped_invalid: 0,
             first_t: None,
             windows: SlidingWindow::new(cfg.window_capacity),
-        }
+        })
     }
 
     /// Number of buffered samples.

@@ -96,7 +96,7 @@ impl<'w> TripGenerator<'w> {
 
     /// Samples a departure hour with realistic taxi activity: rush and day
     /// hours dominate, nights are quiet but present.
-    pub fn sample_depart_hour(&self, rng: &mut StdRng) -> f64 {
+    fn sample_depart_hour(&self, rng: &mut StdRng) -> f64 {
         let x: f64 = rng.random_range(0.0..1.0);
         if x < 0.40 {
             // Rush: morning or evening.

@@ -66,9 +66,6 @@ pub struct World {
     /// generation biases sources/destinations here so that popular corridors
     /// emerge (taxis concentrate at stations and malls).
     pub hot_nodes: Vec<NodeId>,
-    /// The hub cluster landmark each hot node serves — taxi trips anchored
-    /// at a hot node actually begin/end at this landmark's "door".
-    hub_of_node: std::collections::HashMap<NodeId, LandmarkId>,
     /// Every POI-cluster landmark with its nearest junction and sampling
     /// weight (significance-proportional) — the taxi demand distribution.
     cluster_hubs: Vec<(NodeId, LandmarkId)>,
@@ -136,12 +133,9 @@ impl World {
             .collect();
         clusters.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let node_index = net.node_index(300.0);
-        let mut hub_of_node: std::collections::HashMap<NodeId, LandmarkId> = Default::default();
         let mut hot_nodes: Vec<NodeId> = Vec::new();
         for (l, _) in clusters.iter().take(20) {
             if let Some((node, _)) = node_index.nearest(&registry.get(*l).point) {
-                // First (most significant) cluster claims the node.
-                hub_of_node.entry(node).or_insert(*l);
                 hot_nodes.push(node);
             }
         }
@@ -211,7 +205,7 @@ impl World {
         }
         let cluster_cum = cumulative_weights(weights.into_iter());
 
-        Self { net, pois, registry, hot_nodes, hub_of_node, cluster_hubs, cluster_cum, cfg }
+        Self { net, pois, registry, hot_nodes, cluster_hubs, cluster_cum, cfg }
     }
 
     /// Samples a taxi demand endpoint: a cluster landmark (∝ significance)
@@ -227,11 +221,6 @@ impl World {
     /// The generating configuration.
     pub fn config(&self) -> &WorldConfig {
         &self.cfg
-    }
-
-    /// If `node` is a taxi hub, the POI-cluster landmark it serves.
-    pub fn hub_landmark(&self, node: NodeId) -> Option<LandmarkId> {
-        self.hub_of_node.get(&node).copied()
     }
 }
 

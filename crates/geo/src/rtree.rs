@@ -56,9 +56,9 @@ impl std::fmt::Display for SpatialIndexKind {
 
 /// Work counters for spatial-index queries (`spatial.*` obs metrics).
 ///
-/// Threaded by `&mut` through query calls; callers fold them into a
-/// [`Recorder`] as plain counters, which keeps the index `Clone` and the
-/// counts deterministic (no atomics, no cross-thread interleaving).
+/// Threaded by `&mut` through query calls; callers fold them into an
+/// `stmaker-obs` `Recorder` as plain counters, which keeps the index `Clone`
+/// and the counts deterministic (no atomics, no cross-thread interleaving).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SpatialStats {
     /// Tree nodes (internal + leaf) popped during traversal.
@@ -386,25 +386,17 @@ impl<T: Copy + Ord> RTree<T> {
     /// rect), sorted and deduplicated.
     pub fn bbox(&self, b: &BoundingBox) -> Vec<T> {
         let mut out = Vec::new();
-        let mut stats = SpatialStats::default();
-        self.bbox_into(b, &mut out, &mut stats);
-        out
-    }
-
-    /// Zero-alloc variant of [`RTree::bbox`]: clears and fills `out` with
-    /// sorted, deduplicated ids.
-    pub fn bbox_into(&self, b: &BoundingBox, out: &mut Vec<T>, stats: &mut SpatialStats) {
-        out.clear();
         if self.is_empty() {
-            return;
+            return out;
         }
         // to_xy is monotone in lat and lon, so the geographic rect maps to a
         // planar rect spanned by the images of its corners.
         let (min_x, min_y) = self.frame.to_xy(&GeoPoint { lat: b.min_lat, lon: b.min_lon });
         let (max_x, max_y) = self.frame.to_xy(&GeoPoint { lat: b.max_lat, lon: b.max_lon });
-        self.rect_into(min_x, min_y, max_x, max_y, out, stats);
+        self.rect_into(min_x, min_y, max_x, max_y, &mut out, &mut SpatialStats::default());
         out.sort_unstable();
         out.dedup();
+        out
     }
 
     /// Pushes ids of entries whose MBR intersects the planar rect (no clear,
@@ -449,59 +441,24 @@ impl<T: Copy + Ord> RTree<T> {
     /// The entry nearest to `q` (smallest distance; ties broken by smaller
     /// id), or `None` for an empty tree.
     pub fn nearest(&self, q: &GeoPoint) -> Option<(T, f64)> {
-        let mut stats = SpatialStats::default();
-        self.nearest_stats(q, &mut stats)
-    }
-
-    /// [`RTree::nearest`] with traversal counters.
-    pub fn nearest_stats(&self, q: &GeoPoint, stats: &mut SpatialStats) -> Option<(T, f64)> {
-        let mut out: Vec<(T, f64)> = Vec::with_capacity(1);
-        self.k_nearest_within_into(q, 1, f64::INFINITY, &mut out, stats);
-        out.first().copied()
+        self.k_nearest_within(q, 1, f64::INFINITY).first().copied()
     }
 
     /// The `k` entries nearest to `q`, sorted by `(distance, id)`.
     pub fn k_nearest(&self, q: &GeoPoint, k: usize) -> Vec<(T, f64)> {
-        let mut out = Vec::new();
-        let mut stats = SpatialStats::default();
-        self.k_nearest_within_into(q, k, f64::INFINITY, &mut out, &mut stats);
-        out
-    }
-
-    /// Zero-alloc variant of [`RTree::k_nearest`].
-    pub fn k_nearest_into(
-        &self,
-        q: &GeoPoint,
-        k: usize,
-        out: &mut Vec<(T, f64)>,
-        stats: &mut SpatialStats,
-    ) {
-        self.k_nearest_within_into(q, k, f64::INFINITY, out, stats);
+        self.k_nearest_within(q, k, f64::INFINITY)
     }
 
     /// The `k` entries nearest to `q` among those within `radius_m`, sorted
     /// by `(distance, id)` — the bounded-kNN primitive the semantic layer's
     /// nearby-landmark lookup uses.
+    ///
+    /// Best-first traversal with branch-and-bound on the current k-th
+    /// distance.
     pub fn k_nearest_within(&self, q: &GeoPoint, k: usize, radius_m: f64) -> Vec<(T, f64)> {
-        let mut out = Vec::new();
-        let mut stats = SpatialStats::default();
-        self.k_nearest_within_into(q, k, radius_m, &mut out, &mut stats);
-        out
-    }
-
-    /// Zero-alloc bounded kNN: best-first traversal with branch-and-bound on
-    /// the current k-th distance. Clears and fills `out`.
-    pub fn k_nearest_within_into(
-        &self,
-        q: &GeoPoint,
-        k: usize,
-        radius_m: f64,
-        out: &mut Vec<(T, f64)>,
-        stats: &mut SpatialStats,
-    ) {
-        out.clear();
+        let mut out: Vec<(T, f64)> = Vec::new();
         if self.is_empty() || k == 0 {
-            return;
+            return out;
         }
         let (qx, qy) = self.frame.to_xy(q);
         let mut heap = BinaryHeap::new();
@@ -513,12 +470,9 @@ impl<T: Copy + Ord> RTree<T> {
             if dist > bound {
                 break;
             }
-            stats.nodes_visited += 1;
             let node = self.nodes[ni as usize];
             if node.leaf {
-                stats.leaves_scanned += 1;
                 for i in node.first as usize..(node.first + node.count) as usize {
-                    stats.candidates_refined += 1;
                     let d = self.entry_dist(i, qx, qy);
                     if d > radius_m {
                         continue;
@@ -543,6 +497,7 @@ impl<T: Copy + Ord> RTree<T> {
                 }
             }
         }
+        out
     }
 
     /// Corridor candidate query: ids of all entries within `max_dist_m` of at

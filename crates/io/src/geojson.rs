@@ -1,29 +1,10 @@
-//! GeoJSON export: trajectories as `LineString`s, summaries as annotated
-//! per-partition features, ready for any web map (the natural delivery
-//! format for the paper's STMaker demo UI, Fig. 7).
+//! GeoJSON export: summaries as annotated per-partition features, ready for
+//! any web map (the natural delivery format for the paper's STMaker demo UI,
+//! Fig. 7).
 
 use serde_json::{json, Value};
 use stmaker::Summary;
 use stmaker_poi::LandmarkRegistry;
-use stmaker_trajectory::RawTrajectory;
-
-/// One GeoJSON `Feature` with the trajectory as a `LineString` and basic
-/// stats as properties.
-pub fn trajectory_to_geojson(traj: &RawTrajectory) -> Value {
-    let coords: Vec<Value> =
-        traj.points().iter().map(|p| json!([p.point.lon, p.point.lat])).collect();
-    json!({
-        "type": "Feature",
-        "geometry": { "type": "LineString", "coordinates": coords },
-        "properties": {
-            "samples": traj.len(),
-            "length_m": traj.length_m().round(),
-            "duration_s": traj.duration_secs(),
-            "start_t": traj.start().t.0,
-            "end_t": traj.end().t.0,
-        }
-    })
-}
 
 /// A `FeatureCollection`: one `LineString` per partition (straight landmark
 /// chords — the symbolic view), carrying the partition's sentence, endpoint
@@ -79,7 +60,6 @@ mod tests {
     use stmaker::{PartitionSpan, PartitionSummary};
     use stmaker_geo::GeoPoint;
     use stmaker_poi::{Landmark, LandmarkId, LandmarkKind};
-    use stmaker_trajectory::{RawPoint, Timestamp};
 
     fn registry() -> LandmarkRegistry {
         let lms = (0..3)
@@ -110,23 +90,6 @@ mod tests {
             symbolic_len: 3,
             potential: 0.0,
         }
-    }
-
-    #[test]
-    fn trajectory_feature_is_valid_geojson_shape() {
-        let traj = RawTrajectory::new(vec![
-            RawPoint { point: GeoPoint::new(39.9, 116.4), t: Timestamp(0) },
-            RawPoint { point: GeoPoint::new(39.91, 116.41), t: Timestamp(60) },
-        ]);
-        let v = trajectory_to_geojson(&traj);
-        assert_eq!(v["type"], "Feature");
-        assert_eq!(v["geometry"]["type"], "LineString");
-        let coords = v["geometry"]["coordinates"].as_array().unwrap();
-        assert_eq!(coords.len(), 2);
-        // GeoJSON is lon-first.
-        assert_eq!(coords[0][0], 116.4);
-        assert_eq!(coords[0][1], 39.9);
-        assert_eq!(v["properties"]["duration_s"], 60);
     }
 
     #[test]

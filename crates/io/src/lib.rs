@@ -15,9 +15,8 @@
 //!   reader runs for a [`TripFormat`], and whether a trip gets strict
 //!   validation or a [`SanitizePolicy`](stmaker_trajectory::SanitizePolicy)
 //!   plus its longest surviving segment;
-//! * [`geojson`] — export trajectories as `LineString` features and
-//!   summaries as per-partition features with their sentences as
-//!   properties, ready for any web map.
+//! * [`geojson`] — export summaries as per-partition features with their
+//!   sentences as properties, ready for any web map.
 
 pub mod csv;
 pub mod decode;
@@ -31,7 +30,7 @@ pub use csv::{read_trajectory_csv, write_trajectory_csv, write_trajectory_csv_to
 pub use decode::{
     decode_batch, decode_runs, decode_trip, decode_trips, DecodeError, DecodedTrip, TripFormat,
 };
-pub use geojson::{summary_to_geojson, trajectory_to_geojson};
+pub use geojson::summary_to_geojson;
 pub use jsonl::{read_trajectory_jsonl, write_trajectory_jsonl, write_trajectory_jsonl_to};
 pub use stc::{
     is_stc, read_model_file, read_model_file_as, read_model_stc, read_raw_trips_stc,

@@ -34,7 +34,7 @@
 //!   `gauges`, `histograms`, plus `exemplars`/`windows`) shared by
 //!   `stmaker-cli --metrics-json`, `GET /metrics` and the Fig. 12 eval
 //!   binary; the [`stats`] module renders the same
-//!   data as a human table, and [`diff`] compares two snapshots for the
+//!   data as a human table, and [`diff`](mod@diff) compares two snapshots for the
 //!   `stmaker obs diff` regression gate.
 //!
 //! Std-only by design: the workspace builds with no crates.io access, and

@@ -19,6 +19,6 @@ pub mod synth;
 pub mod types;
 
 pub use network::{EdgeId, NodeId, RoadEdge, RoadNetwork, RoadNode};
-pub use pathfind::{shortest_path_astar, PathCost, RoutePath};
+pub use pathfind::{PathCost, RoutePath};
 pub use synth::{build_city, SynthCityConfig};
 pub use types::{Direction, RoadGrade};

@@ -167,12 +167,6 @@ impl RoadNetwork {
         &self.adj[n.0 as usize]
     }
 
-    /// Whether `e` may be traversed from node `from`.
-    pub fn traversable_from(&self, e: EdgeId, from: NodeId) -> bool {
-        let edge = self.edge(e);
-        edge.from == from || (edge.direction == Direction::TwoWay && edge.to == from)
-    }
-
     /// Builds a spatial index of edge geometry samples for nearest-edge
     /// queries (used by map matching). Each edge contributes samples every
     /// `sample_m` metres along its geometry.
@@ -235,15 +229,6 @@ mod tests {
         assert_eq!(net.neighbors(a), &[(e1, b)]);
         assert_eq!(net.neighbors(b), &[(e1, a), (e2, c)]);
         assert!(net.neighbors(c).is_empty(), "one-way edge must not be reversible");
-    }
-
-    #[test]
-    fn traversable_from_checks_direction() {
-        let (net, [a, b, c], [e1, e2]) = tiny_net();
-        assert!(net.traversable_from(e1, a));
-        assert!(net.traversable_from(e1, b));
-        assert!(net.traversable_from(e2, b));
-        assert!(!net.traversable_from(e2, c));
     }
 
     #[test]

@@ -79,33 +79,6 @@ pub fn shortest_path(
     dst: NodeId,
     cost_model: PathCost,
 ) -> Option<RoutePath> {
-    search(net, src, dst, cost_model, false)
-}
-
-/// A\* search from `src` to `dst` — same result as [`shortest_path`], but
-/// goal-directed: the straight-line (haversine) distance to the destination
-/// is an admissible heuristic for [`PathCost::Distance`], and divided by the
-/// best free-flow speed in the network for [`PathCost::TravelTime`]. On
-/// city-sized graphs this typically expands a small fraction of Dijkstra's
-/// nodes for long queries.
-pub fn shortest_path_astar(
-    net: &RoadNetwork,
-    src: NodeId,
-    dst: NodeId,
-    cost_model: PathCost,
-) -> Option<RoutePath> {
-    search(net, src, dst, cost_model, true)
-}
-
-/// The shared label-setting search: plain Dijkstra when `goal_directed` is
-/// false, A\* with an admissible straight-line heuristic when true.
-fn search(
-    net: &RoadNetwork,
-    src: NodeId,
-    dst: NodeId,
-    cost_model: PathCost,
-    goal_directed: bool,
-) -> Option<RoutePath> {
     let n = net.node_count();
     if src.0 as usize >= n || dst.0 as usize >= n {
         return None;
@@ -113,25 +86,13 @@ fn search(
     if src == dst {
         return Some(RoutePath { nodes: vec![src], edges: vec![], cost: 0.0 });
     }
-    let goal = net.node(dst).point;
-    let max_speed_mps = crate::types::RoadGrade::Highway.free_flow_kmh() / 3.6;
-    let h = |node: NodeId| -> f64 {
-        if !goal_directed {
-            return 0.0;
-        }
-        let d = net.node(node).point.haversine_m(&goal);
-        match cost_model {
-            PathCost::Distance => d,
-            PathCost::TravelTime => d / max_speed_mps,
-        }
-    };
 
     let mut g = vec![f64::INFINITY; n];
     let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
     let mut done = vec![false; n];
     g[src.0 as usize] = 0.0;
     let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry { cost: h(src), node: src });
+    heap.push(HeapEntry { cost: 0.0, node: src });
 
     while let Some(HeapEntry { cost: _, node }) = heap.pop() {
         let ni = node.0 as usize;
@@ -151,7 +112,7 @@ fn search(
             if ng < g[nxt] {
                 g[nxt] = ng;
                 prev[nxt] = Some((node, e));
-                heap.push(HeapEntry { cost: ng + h(next), node: next });
+                heap.push(HeapEntry { cost: ng, node: next });
             }
         }
     }
@@ -300,42 +261,6 @@ mod tests {
             let p = shortest_path(&net, ids[0], dst, PathCost::Distance).unwrap();
             assert!((costs[dst.0 as usize] - p.cost).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn astar_matches_dijkstra_costs() {
-        let (net, ids) = grid_net();
-        for model in [PathCost::Distance, PathCost::TravelTime] {
-            for &src in &ids {
-                for &dst in &ids {
-                    let d = shortest_path(&net, src, dst, model);
-                    let a = shortest_path_astar(&net, src, dst, model);
-                    match (d, a) {
-                        (Some(d), Some(a)) => assert!(
-                            (d.cost - a.cost).abs() < 1e-6,
-                            "{src:?}->{dst:?}: dijkstra {} vs astar {}",
-                            d.cost,
-                            a.cost
-                        ),
-                        (None, None) => {}
-                        other => panic!("reachability disagrees: {other:?}"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn astar_handles_one_way_and_trivial_cases() {
-        let mut net = RoadNetwork::new();
-        let a = net.add_node(GeoPoint::new(39.9, 116.40));
-        let b = net.add_node(GeoPoint::new(39.9, 116.41));
-        net.add_edge(a, b, RoadGrade::Feeder, 4.0, Direction::OneWay, "x");
-        assert!(shortest_path_astar(&net, a, b, PathCost::Distance).is_some());
-        assert!(shortest_path_astar(&net, b, a, PathCost::Distance).is_none());
-        let p = shortest_path_astar(&net, a, a, PathCost::Distance).unwrap();
-        assert_eq!(p.cost, 0.0);
-        assert!(shortest_path_astar(&net, a, NodeId(99), PathCost::Distance).is_none());
     }
 
     #[test]

@@ -379,7 +379,7 @@ impl PopularRoutes {
     }
 
     /// Number of indexed historical trajectories.
-    pub fn corpus_len(&self) -> usize {
+    fn corpus_len(&self) -> usize {
         self.cols.corpus_offsets.len() - 1
     }
 

@@ -2,7 +2,7 @@
 //!
 //! This is deliberately not a general HTTP implementation: it parses
 //! exactly the subset the stmaker endpoints need — a request line, a small
-//! header block (only `Content-Length` is consulted), an optional body —
+//! header block (only `Content-Length` frames the body), an optional body —
 //! and always answers `Connection: close`, so a connection carries one
 //! request and one response. Keeping the wire layer this small is what
 //! lets the crate stay std-only (ROADMAP item 1: no framework, no async
@@ -91,9 +91,10 @@ pub(crate) fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Re
         };
         buf.extend_from_slice(&chunk[..n]);
     };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let (method, path, query) = parse_head_line(&head)?;
-    let content_length = parse_content_length(&head)?;
+    let head = std::str::from_utf8(&buf[..head_end])
+        .map_err(|_| HttpError::Malformed("request head is not valid UTF-8".into()))?;
+    let (method, path, query) = parse_head_line(head)?;
+    let content_length = parse_content_length(head)?;
     if content_length > max_body {
         return Err(HttpError::BodyTooLarge { declared: content_length, max: max_body });
     }
@@ -150,19 +151,38 @@ fn parse_head_line(head: &str) -> Result<(String, String, Vec<(String, String)>)
     Ok((method.to_owned(), path.to_owned(), query))
 }
 
-/// Extracts `Content-Length` (0 when absent). A malformed value is a 400:
-/// silently reading zero bytes would desynchronize the connection.
+/// Checks every header line and extracts `Content-Length` (0 when absent).
+///
+/// Anything that makes the body's framing ambiguous is a 400, because
+/// reading the wrong number of bytes would desynchronize the connection:
+/// a malformed or conflicting `Content-Length` (repeats with an equal value
+/// are accepted), any `Transfer-Encoding` (chunked bodies are not read), and
+/// a header line with no colon.
 fn parse_content_length(head: &str) -> Result<usize, HttpError> {
+    let mut length: Option<usize> = None;
     for line in head.lines().skip(1) {
-        let Some((name, value)) = line.split_once(':') else { continue };
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            return value
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(HttpError::Malformed(format!("header line without a colon {line:?}")));
+        };
+        let name = name.trim();
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(HttpError::Malformed(format!(
+                "transfer-encoding {:?} is not supported; send a content-length",
+                value.trim()
+            )));
+        }
+        if name.eq_ignore_ascii_case("content-length") {
+            let n = value
                 .trim()
                 .parse::<usize>()
-                .map_err(|_| HttpError::Malformed(format!("bad content-length {value:?}")));
+                .map_err(|_| HttpError::Malformed(format!("bad content-length {value:?}")))?;
+            if length.is_some_and(|prev| prev != n) {
+                return Err(HttpError::Malformed("conflicting content-length headers".into()));
+            }
+            length = Some(n);
         }
     }
-    Ok(0)
+    Ok(length.unwrap_or(0))
 }
 
 /// An HTTP response; `write_to` serializes it with `Connection: close`.
@@ -279,9 +299,21 @@ mod tests {
 
     #[test]
     fn content_length_is_strict() {
-        assert_eq!(parse_content_length("POST / HTTP/1.1\r\nContent-Length: 12\r\n").unwrap(), 12);
-        assert_eq!(parse_content_length("POST / HTTP/1.1\r\nHost: x\r\n").unwrap(), 0);
-        assert!(parse_content_length("POST / HTTP/1.1\r\nContent-Length: twelve\r\n").is_err());
+        let len = parse_content_length;
+        assert_eq!(len("POST / HTTP/1.1\r\nContent-Length: 12\r\n").unwrap(), 12);
+        assert_eq!(len("POST / HTTP/1.1\r\nHost: x\r\n").unwrap(), 0);
+        assert_eq!(len("POST / HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3").unwrap(), 3);
+        // Ambiguous framing: a bad or conflicting length, any transfer
+        // coding, or a header line that is not `name: value`.
+        for head in [
+            "POST / HTTP/1.1\r\nContent-Length: twelve\r\n",
+            "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4",
+            "POST / HTTP/1.1\r\nTransfer-Encoding: chunked",
+            "POST / HTTP/1.1\r\nContent-Length: 3\r\nTransfer-Encoding: chunked",
+            "POST / HTTP/1.1\r\nHost x",
+        ] {
+            assert!(matches!(len(head), Err(HttpError::Malformed(_))), "{head:?}");
+        }
     }
 
     #[test]

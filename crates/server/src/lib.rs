@@ -31,9 +31,9 @@
 //!
 //! The model slot is `Mutex<Arc<Generation>>` (ArcSwap-style: writers
 //! swap the `Arc`, readers clone it and work lock-free afterwards). Each
-//! [`Generation`] owns its *own* [`Summarizer`] — and therefore its own
+//! `Generation` owns its *own* [`Summarizer`] — and therefore its own
 //! `CachedRoutes`, built fresh by [`Summarizer::try_from_model`]. That is
-//! the fix for the cache-staleness bug this PR headlines: route-cache
+//! the fix for a cache-staleness bug: route-cache
 //! entries are keyed by landmark pair, not model identity (including
 //! memoized *negative* answers), so a swapped-in model must never see the
 //! previous generation's cache. Swapping the whole generation atomically

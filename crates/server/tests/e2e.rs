@@ -101,12 +101,16 @@ fn with_running<'w, F: FnOnce(SocketAddr)>(server: &Server<'w>, f: F) {
 // -- tiny HTTP client -------------------------------------------------------
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
     let head =
         format!("{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n", body.len());
-    s.write_all(head.as_bytes()).expect("write head");
-    s.write_all(body).expect("write body");
+    send_raw(addr, &[head.as_bytes(), body].concat())
+}
+
+/// Writes `bytes` verbatim as one request and returns the status and body.
+fn send_raw(addr: SocketAddr, bytes: &[u8]) -> (u16, Vec<u8>) {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    s.write_all(bytes).expect("write request");
     let mut raw = Vec::new();
     s.read_to_end(&mut raw).expect("read response");
     let text_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("response head");
@@ -666,6 +670,55 @@ fn routing_rejects_are_typed() {
         let (status, body) = request(addr, "POST", "/ingest?session=s&format=stc", b"STC1");
         assert_eq!(status, 400);
         assert!(body_text(&body).contains("csv or jsonl"), "{}", body_text(&body));
+    });
+}
+
+/// Ambiguous body framing is a 400, never a misread body: a conflicting
+/// second `Content-Length`, any `Transfer-Encoding`, a header line with no
+/// colon and a non-UTF-8 head. The pool has one worker, so `/healthz`
+/// answering after each case shows the worker survived it.
+#[test]
+fn ambiguous_framing_is_rejected_and_the_worker_survives() {
+    let fx = Fixture::new();
+    let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let server = Server::bind(
+        &fx.world.net,
+        &fx.world.registry,
+        fx.train(20, 1001),
+        SummarizerConfig::default(),
+        cfg,
+    )
+    .expect("bind");
+    let cases: [(&str, &[u8]); 5] = [
+        (
+            "conflicting content-length",
+            b"POST /summarize HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd",
+        ),
+        (
+            "chunked body",
+            b"POST /summarize HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
+        ),
+        (
+            "chunked body with a content-length",
+            b"POST /summarize HTTP/1.1\r\nContent-Length: 3\r\nTransfer-Encoding: chunked\r\n\r\nabc",
+        ),
+        ("header without a colon", b"POST /summarize HTTP/1.1\r\nContent-Length 3\r\n\r\nabc"),
+        ("non-UTF-8 head", b"POST /summarize HTTP/1.1\r\nX-Name: \xff\xfe\r\nContent-Length: 3\r\n\r\nabc"),
+    ];
+    with_running(&server, |addr| {
+        for (what, bytes) in cases {
+            let (status, body) = send_raw(addr, bytes);
+            assert_eq!(status, 400, "{what}: {}", body_text(&body));
+            assert!(body_text(&body).contains("malformed request"), "{what}: {}", body_text(&body));
+            let (status, body) = request(addr, "GET", "/healthz", b"");
+            assert_eq!(status, 200, "after {what}: {}", body_text(&body));
+        }
+        // Repeating one Content-Length value is not ambiguous.
+        let (status, body) = send_raw(
+            addr,
+            b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\ncontent-length: 0\r\n\r\n",
+        );
+        assert_eq!(status, 200, "{}", body_text(&body));
     });
 }
 

@@ -37,16 +37,6 @@ impl InvertedIndex {
         self.doc_vectors.is_empty()
     }
 
-    /// The fitted vectorizer (exposed for clustering over the same space).
-    pub fn model(&self) -> &TfIdfModel {
-        &self.model
-    }
-
-    /// The precomputed document vectors.
-    pub fn doc_vectors(&self) -> &[SparseVector] {
-        &self.doc_vectors
-    }
-
     /// Documents containing `term` (exact token match).
     pub fn docs_with_term(&self, term: &str) -> &[usize] {
         self.model

@@ -8,19 +8,15 @@
 //! in a certain region at a specific time period, we can have a quick
 //! overview about the traffic condition."
 //!
-//! This crate supplies exactly those three capabilities, self-contained:
+//! This crate supplies the text-indexing half, which is what the CLI's
+//! `search` subcommand uses, self-contained:
 //!
 //! * [`index`] — an inverted index with tf-idf ranked keyword search over a
 //!   summary corpus ("find all trips with U-turns near the station");
-//! * [`vectorize`] — tokenizer + tf-idf document vectors;
-//! * [`cluster`] — seeded spherical k-means over the vectors, giving the
-//!   "quick overview" groupings the paper sketches (congested trips vs
-//!   smooth trips vs detours …).
+//! * [`vectorize`] — tokenizer + tf-idf document vectors.
 
-pub mod cluster;
 pub mod index;
 pub mod vectorize;
 
-pub use cluster::{cluster_texts, kmeans_cosine, KMeansResult};
 pub use index::InvertedIndex;
 pub use vectorize::{tokenize, SparseVector, TfIdfModel};

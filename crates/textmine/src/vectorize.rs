@@ -99,48 +99,34 @@ impl SparseVector {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TfIdfModel {
     vocab: HashMap<String, usize>,
-    terms: Vec<String>,
     idf: Vec<f64>,
-    n_docs: usize,
 }
 
 impl TfIdfModel {
     /// Fits vocabulary and idf over a corpus.
     pub fn fit<S: AsRef<str>>(docs: &[S]) -> Self {
         let mut vocab: HashMap<String, usize> = HashMap::new();
-        let mut terms: Vec<String> = Vec::new();
         let mut df: Vec<usize> = Vec::new();
         for doc in docs {
             let mut toks = tokenize(doc.as_ref());
             toks.sort();
             toks.dedup();
             for t in toks {
-                let id = *vocab.entry(t.clone()).or_insert_with(|| {
-                    terms.push(t);
+                let id = *vocab.entry(t).or_insert_with(|| {
                     df.push(0);
-                    terms.len() - 1
+                    df.len() - 1
                 });
                 df[id] += 1;
             }
         }
         let n = docs.len().max(1);
         let idf = df.iter().map(|d| ((1.0 + n as f64) / (1.0 + *d as f64)).ln() + 1.0).collect();
-        Self { vocab, terms, idf, n_docs: docs.len() }
+        Self { vocab, idf }
     }
 
     /// Vocabulary size.
     pub fn vocab_len(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Documents the model was fitted on.
-    pub fn n_docs(&self) -> usize {
-        self.n_docs
-    }
-
-    /// The term string for a term id.
-    pub fn term(&self, id: usize) -> &str {
-        &self.terms[id]
+        self.idf.len()
     }
 
     /// The id for a term, if in vocabulary.

@@ -1,7 +1,7 @@
 //! Property-based tests for the text-mining layer.
 
 use proptest::prelude::*;
-use stmaker_textmine::{kmeans_cosine, tokenize, InvertedIndex, TfIdfModel};
+use stmaker_textmine::{tokenize, InvertedIndex, TfIdfModel};
 
 fn docs_strategy() -> impl Strategy<Value = Vec<String>> {
     let word = prop::sample::select(vec![
@@ -54,19 +54,5 @@ proptest! {
         // Scores descending and in (0, 1 + ε].
         prop_assert!(hits.windows(2).all(|w| w[0].1 >= w[1].1));
         prop_assert!(hits.iter().all(|(_, s)| *s > 0.0 && *s <= 1.0 + 1e-9));
-    }
-
-    #[test]
-    fn kmeans_assignments_are_complete_and_deterministic(
-        docs in docs_strategy(),
-        k in 1usize..5,
-    ) {
-        let model = TfIdfModel::fit(&docs);
-        let vecs: Vec<_> = docs.iter().map(|d| model.transform(d)).collect();
-        let a = kmeans_cosine(&vecs, model.vocab_len(), k, 30, 42);
-        let b = kmeans_cosine(&vecs, model.vocab_len(), k, 30, 42);
-        prop_assert_eq!(&a.assignments, &b.assignments);
-        prop_assert_eq!(a.assignments.len(), docs.len());
-        prop_assert!(a.assignments.iter().all(|c| *c < a.k()));
     }
 }

@@ -13,13 +13,13 @@
 //! * [`uturn`] — U-turn detection ("a sharp directional change");
 //! * [`speed`] — speed profiles, average speeds, and sharp-speed-change
 //!   counting (the `SpeC` custom feature exercised in Fig. 10);
-//! * [`sanitize`] — ingest hardening for real-world feeds: defect taxonomy,
-//!   Strict/Repair/DropBad policies, and the [`SanitizeReport`] audit trail
-//!   behind the fallible constructors ([`RawTrajectory::try_new`]).
+//! * [`sanitize`](mod@sanitize) — ingest hardening for real-world feeds:
+//!   defect taxonomy, Strict/Repair/DropBad policies, and the
+//!   [`SanitizeReport`] audit trail behind the fallible constructors
+//!   ([`RawTrajectory::try_new`]).
 
 pub mod raw;
 pub mod sanitize;
-pub mod simplify;
 pub mod speed;
 pub mod staypoint;
 pub mod symbolic;
@@ -27,10 +27,8 @@ pub mod uturn;
 
 pub use raw::{RawPoint, RawTrajectory, RawView, Timestamp};
 pub use sanitize::{
-    sanitize, sanitize_to_trajectories, SanitizeConfig, SanitizePolicy, SanitizeReport, Sanitized,
-    TrajectoryError,
+    sanitize, SanitizeConfig, SanitizePolicy, SanitizeReport, Sanitized, TrajectoryError,
 };
-pub use simplify::{max_deviation_m, simplify};
 pub use speed::{average_speed_kmh, sharp_speed_changes, speed_profile_kmh, SpeedChangeParams};
 pub use staypoint::{detect_stay_points, detect_stay_points_in, StayPoint, StayPointParams};
 pub use symbolic::{SymbolicPoint, SymbolicTrajectory, TrajectorySegment};

@@ -6,9 +6,9 @@ use stmaker_geo::{GeoPoint, Polyline};
 
 /// A point in time, in whole seconds since an arbitrary epoch.
 ///
-/// The experiments only ever need durations and time-of-day buckets, so a
-/// plain second counter (with day-wrapping helpers) is sufficient and keeps
-/// the stack free of external datetime dependencies.
+/// The pipeline only ever needs durations and orderings, so a plain second
+/// counter is sufficient and keeps the stack free of external datetime
+/// dependencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Timestamp(pub i64);
 
@@ -16,17 +16,6 @@ impl Timestamp {
     /// Seconds elapsed from `self` to `later` (may be negative).
     pub fn delta_secs(&self, later: &Timestamp) -> i64 {
         later.0 - self.0
-    }
-
-    /// Hour of day in `[0, 24)` (the epoch is taken to be midnight).
-    pub fn hour_of_day(&self) -> f64 {
-        (self.0.rem_euclid(86_400)) as f64 / 3600.0
-    }
-
-    /// The paper's Fig. 8 buckets: 12 two-hour bins, `0` = 00:00–02:00 …
-    /// `11` = 22:00–24:00.
-    pub fn two_hour_bucket(&self) -> usize {
-        (self.hour_of_day() / 2.0) as usize % 12
     }
 
     /// A timestamp at `day` days plus `hour` hours after the epoch.
@@ -120,22 +109,12 @@ impl RawTrajectory {
         self.view().polyline()
     }
 
-    /// The samples with timestamps in `[t0, t1]` (inclusive).
+    /// The half-open index range of samples with timestamps in `[t0, t1]`.
     ///
     /// Used to attribute raw samples to a symbolic segment when extracting
-    /// its moving features. Returns an empty slice if no samples fall inside.
-    pub fn slice_time(&self, t0: Timestamp, t1: Timestamp) -> &[RawPoint] {
-        self.view().slice_time(t0, t1)
-    }
-
-    /// The half-open index range of samples with timestamps in `[t0, t1]`.
+    /// its moving features. The range is empty if no samples fall inside.
     pub fn time_range_indices(&self, t0: Timestamp, t1: Timestamp) -> (usize, usize) {
         self.view().time_range_indices(t0, t1)
-    }
-
-    /// Interpolated position at time `t` (clamped to the trajectory's span).
-    pub fn position_at(&self, t: Timestamp) -> GeoPoint {
-        self.view().position_at(t)
     }
 }
 
@@ -184,7 +163,7 @@ impl<'a> RawView<'a> {
     /// The full construction invariant as a typed verdict: ≥ 2 samples,
     /// every coordinate finite and within `[-90, 90]` × `[-180, 180]`,
     /// timestamps non-decreasing. This is the acceptance test a sanitized
-    /// segment must pass (see [`crate::sanitize`]).
+    /// segment must pass (see [`sanitize`](mod@crate::sanitize)).
     pub fn check(points: &[RawPoint]) -> Result<(), TrajectoryError> {
         if points.len() < 2 {
             return Err(TrajectoryError::TooFewPoints { got: points.len() });
@@ -253,35 +232,11 @@ impl<'a> RawView<'a> {
         Polyline::new(self.points.iter().map(|p| p.point).collect())
     }
 
-    /// The samples with timestamps in `[t0, t1]` (inclusive).
-    pub fn slice_time(&self, t0: Timestamp, t1: Timestamp) -> &'a [RawPoint] {
-        let (lo, hi) = self.time_range_indices(t0, t1);
-        &self.points[lo..hi]
-    }
-
     /// The half-open index range of samples with timestamps in `[t0, t1]`.
     pub fn time_range_indices(&self, t0: Timestamp, t1: Timestamp) -> (usize, usize) {
         let lo = self.points.partition_point(|p| p.t < t0);
         let hi = self.points.partition_point(|p| p.t <= t1);
         (lo, hi)
-    }
-
-    /// Interpolated position at time `t` (clamped to the trajectory's span).
-    pub fn position_at(&self, t: Timestamp) -> GeoPoint {
-        if t <= self.start().t {
-            return self.start().point;
-        }
-        if t >= self.end().t {
-            return self.end().point;
-        }
-        let i = self.points.partition_point(|p| p.t <= t) - 1;
-        let (a, b) = (&self.points[i], &self.points[i + 1]);
-        let span = a.t.delta_secs(&b.t);
-        if span == 0 {
-            return a.point;
-        }
-        let frac = a.t.delta_secs(&t) as f64 / span as f64;
-        a.point.lerp(&b.point, frac)
     }
 }
 
@@ -316,45 +271,11 @@ mod tests {
     }
 
     #[test]
-    fn slice_time_selects_inclusive_window() {
+    fn time_range_indices_select_inclusive_window() {
         let t = east_line(11);
-        let s = t.slice_time(Timestamp(20), Timestamp(50));
-        assert_eq!(s.len(), 4); // t = 20, 30, 40, 50
-        assert_eq!(s[0].t, Timestamp(20));
-        assert_eq!(s[3].t, Timestamp(50));
-        assert!(t.slice_time(Timestamp(101), Timestamp(200)).is_empty());
-    }
-
-    #[test]
-    fn position_at_interpolates() {
-        let t = east_line(11);
-        let p = t.position_at(Timestamp(15));
-        let expect = base().destination(90.0, 150.0);
-        assert!(p.haversine_m(&expect) < 1.0);
-        // Clamped outside the span.
-        assert_eq!(t.position_at(Timestamp(-5)), t.start().point);
-        assert_eq!(t.position_at(Timestamp(1_000)), t.end().point);
-    }
-
-    #[test]
-    fn position_at_handles_repeated_timestamps() {
-        let t = RawTrajectory::new(vec![
-            RawPoint { point: base(), t: Timestamp(0) },
-            RawPoint { point: base().destination(90.0, 50.0), t: Timestamp(10) },
-            RawPoint { point: base().destination(90.0, 50.0), t: Timestamp(10) },
-            RawPoint { point: base().destination(90.0, 100.0), t: Timestamp(20) },
-        ]);
-        let p = t.position_at(Timestamp(10));
-        assert!(p.haversine_m(&base().destination(90.0, 50.0)) < 1.0);
-    }
-
-    #[test]
-    fn hour_and_bucket_helpers() {
-        assert_eq!(Timestamp::at(0, 9.5).hour_of_day(), 9.5);
-        assert_eq!(Timestamp::at(3, 9.5).hour_of_day(), 9.5);
-        assert_eq!(Timestamp::at(0, 0.0).two_hour_bucket(), 0);
-        assert_eq!(Timestamp::at(0, 17.0).two_hour_bucket(), 8); // 16:00–18:00
-        assert_eq!(Timestamp::at(0, 23.9).two_hour_bucket(), 11);
+        assert_eq!(t.time_range_indices(Timestamp(20), Timestamp(50)), (2, 6)); // t = 20 … 50
+        let (lo, hi) = t.time_range_indices(Timestamp(101), Timestamp(200));
+        assert_eq!(lo, hi);
     }
 
     #[test]
@@ -365,10 +286,9 @@ mod tests {
         assert_eq!(v.duration_secs(), t.duration_secs());
         assert_eq!(v.length_m(), t.length_m());
         assert_eq!(
-            v.slice_time(Timestamp(20), Timestamp(50)),
-            t.slice_time(Timestamp(20), Timestamp(50))
+            v.time_range_indices(Timestamp(20), Timestamp(50)),
+            t.time_range_indices(Timestamp(20), Timestamp(50))
         );
-        assert_eq!(v.position_at(Timestamp(15)), t.position_at(Timestamp(15)));
         // Views are Copy: both copies stay usable.
         let v2 = v;
         assert_eq!(v.start().t, v2.start().t);

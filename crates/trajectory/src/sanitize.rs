@@ -6,7 +6,7 @@
 //! out-of-order timestamps (retransmits, clock steps), and teleport spikes
 //! (multipath fixes kilometres off the route). Any of these used to panic
 //! the pipeline or silently poison feature values; this module quarantines
-//! them *before* a [`RawTrajectory`] ever exists.
+//! them *before* a [`RawTrajectory`](crate::RawTrajectory) ever exists.
 //!
 //! The defect taxonomy:
 //!
@@ -26,14 +26,16 @@
 //! every repair, which can be [`SanitizeReport::record_into`] any
 //! `stmaker-obs` recorder for fleet-level telemetry.
 
-use crate::raw::{RawPoint, RawTrajectory};
+use crate::raw::RawPoint;
 use stmaker_obs::Recorder;
 
 /// Why a point buffer is not (or could not be made into) a valid trajectory.
 ///
-/// Returned by the fallible constructors ([`RawTrajectory::try_new`],
-/// [`RawView::try_new`]) for the structural defects, and by [`sanitize`]
-/// under [`SanitizePolicy::Strict`] for the full taxonomy.
+/// Returned by the fallible constructors
+/// ([`RawTrajectory::try_new`](crate::RawTrajectory::try_new),
+/// [`RawView::try_new`](crate::RawView::try_new)) for the structural
+/// defects, and by [`sanitize`] under [`SanitizePolicy::Strict`] for the
+/// full taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrajectoryError {
     /// Fewer than two samples: no segment, no duration, nothing to describe.
@@ -66,7 +68,7 @@ pub enum TrajectoryError {
     },
     /// Two samples share a timestamp (zero-duration hop). Only reported by
     /// [`sanitize`] under [`SanitizePolicy::Strict`]; repeated timestamps
-    /// are otherwise legal in a [`RawTrajectory`].
+    /// are otherwise legal in a [`RawTrajectory`](crate::RawTrajectory).
     DuplicateTimestamp {
         /// Index of the repeating sample.
         index: usize,
@@ -289,18 +291,6 @@ impl Sanitized {
     pub fn longest(&self) -> Option<&[RawPoint]> {
         self.segments.iter().max_by_key(|s| s.len()).map(|s| s.as_slice())
     }
-
-    /// Converts every segment into an owned [`RawTrajectory`].
-    ///
-    /// Segments satisfy the construction invariants by construction; a
-    /// segment that still fails (impossible unless [`Sanitized`] was
-    /// hand-built) is silently skipped.
-    pub fn into_trajectories(self) -> (Vec<RawTrajectory>, SanitizeReport) {
-        let report = self.report;
-        let trajs =
-            self.segments.into_iter().filter_map(|s| RawTrajectory::try_new(s).ok()).collect();
-        (trajs, report)
-    }
 }
 
 /// Audits (and under Repair/DropBad, repairs) a raw point stream.
@@ -310,7 +300,7 @@ impl Sanitized {
 /// the lenient policies the function never errors: defective points are
 /// dropped or reordered, teleports and long gaps split the stream, and
 /// split products with fewer than two samples are discarded — so every
-/// returned segment is accepted by [`RawView::try_new`].
+/// returned segment is accepted by [`RawView::try_new`](crate::RawView::try_new).
 pub fn sanitize(points: &[RawPoint], cfg: &SanitizeConfig) -> Result<Sanitized, TrajectoryError> {
     let strict = cfg.policy == SanitizePolicy::Strict;
     let mut report = SanitizeReport { points_in: points.len(), ..SanitizeReport::default() };
@@ -446,14 +436,6 @@ pub fn sanitize(points: &[RawPoint], cfg: &SanitizeConfig) -> Result<Sanitized, 
     Ok(Sanitized { segments, report })
 }
 
-/// [`sanitize`], returning owned [`RawTrajectory`] values per segment.
-pub fn sanitize_to_trajectories(
-    points: &[RawPoint],
-    cfg: &SanitizeConfig,
-) -> Result<(Vec<RawTrajectory>, SanitizeReport), TrajectoryError> {
-    sanitize(points, cfg).map(Sanitized::into_trajectories)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,6 +527,14 @@ mod tests {
         assert_eq!(out.report.out_of_range, 1);
         assert_eq!(out.report.points_out, 4);
         assert_eq!(out.segments.len(), 1);
+        RawView::try_new(&out.segments[0]).expect("repaired segment is valid");
+        // A single bad point out of eight leaves one 7-sample segment.
+        let mut pts = clean(8);
+        pts[2].point.lat = f64::NAN;
+        let out = sanitize(&pts, &repair()).expect("repairable");
+        assert_eq!(out.segments.len(), 1);
+        assert_eq!(out.segments[0].len(), 7);
+        assert_eq!(out.report.points_out, 7);
         RawView::try_new(&out.segments[0]).expect("repaired segment is valid");
     }
 
@@ -653,16 +643,6 @@ mod tests {
         assert_eq!(report.counters.get("sanitize.non_finite"), Some(&1));
         assert_eq!(report.counters.get("sanitize.duplicate_t"), Some(&1));
         assert_eq!(report.counters.get("sanitize.out_of_range"), None, "zero counts stay absent");
-    }
-
-    #[test]
-    fn into_trajectories_round_trips() {
-        let mut pts = clean(8);
-        pts[2].point.lat = f64::NAN;
-        let (trajs, report) = sanitize_to_trajectories(&pts, &repair()).expect("repairable");
-        assert_eq!(trajs.len(), 1);
-        assert_eq!(trajs[0].len(), 7);
-        assert_eq!(report.points_out, 7);
     }
 
     #[test]

@@ -92,12 +92,6 @@ impl TrajectorySegment {
     pub fn duration_secs(&self) -> i64 {
         self.from.t.delta_secs(&self.to.t)
     }
-
-    /// Whether `other` immediately follows `self`, sharing a landmark
-    /// ("contiguous segments" in the paper's terms).
-    pub fn is_contiguous_with(&self, other: &TrajectorySegment) -> bool {
-        self.to.landmark == other.from.landmark && other.index == self.index + 1
-    }
 }
 
 #[cfg(test)]
@@ -123,16 +117,6 @@ mod tests {
         assert_eq!(segs[0].to.landmark, LandmarkId(3));
         assert_eq!(segs[2].index, 2);
         assert_eq!(t.duration_secs(), 300);
-    }
-
-    #[test]
-    fn contiguity_matches_paper_definition() {
-        let t = sample();
-        let segs = t.segments();
-        assert!(segs[0].is_contiguous_with(&segs[1]));
-        assert!(segs[1].is_contiguous_with(&segs[2]));
-        assert!(!segs[0].is_contiguous_with(&segs[2]));
-        assert!(!segs[1].is_contiguous_with(&segs[0]));
     }
 
     #[test]

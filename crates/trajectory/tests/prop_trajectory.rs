@@ -115,7 +115,7 @@ proptest! {
     }
 
     #[test]
-    fn slice_time_partitions_the_samples(
+    fn time_range_indices_partition_the_samples(
         legs in prop::collection::vec((0u8..8, 100.0f64..800.0, 0i64..60), 1..5),
         cut_frac in 0.1f64..0.9,
     ) {
@@ -123,8 +123,11 @@ proptest! {
         let t0 = traj.start().t;
         let t1 = traj.end().t;
         let cut = Timestamp(t0.0 + ((t1.0 - t0.0) as f64 * cut_frac) as i64);
-        let left = traj.slice_time(t0, cut);
-        let right = traj.slice_time(Timestamp(cut.0 + 1), t1);
-        prop_assert_eq!(left.len() + right.len(), traj.len());
+        let (l_lo, l_hi) = traj.time_range_indices(t0, cut);
+        let (r_lo, r_hi) = traj.time_range_indices(Timestamp(cut.0 + 1), t1);
+        // The two ranges are adjacent and together cover every sample.
+        prop_assert_eq!(l_lo, 0);
+        prop_assert_eq!(l_hi, r_lo);
+        prop_assert_eq!(r_hi, traj.len());
     }
 }

@@ -1,18 +1,16 @@
 //! Summary mining — Sec. VI-C end to end with the `stmaker-textmine` crate.
 //!
-//! "Applying the text clustering method on summaries of all the trajectories
-//! in a certain region at a specific time period, we can have a quick
-//! overview about the traffic condition." This example summarizes a fleet,
-//! clusters the summary texts with spherical k-means, labels each cluster by
-//! its top tf-idf terms, and then answers a dispatcher's keyword query with
-//! the inverted index.
+//! Once trajectories are summarized as text, "many text processing
+//! techniques, e.g., text indexing, … can be directly applied on the
+//! summaries." This example summarizes a fleet and then answers a
+//! dispatcher's keyword queries with the tf-idf inverted index.
 //!
 //! Run with: `cargo run --example summary_mining`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stmaker_suite::generator::{TripConfig, TripGenerator, World, WorldConfig};
-use stmaker_suite::textmine::{cluster_texts, InvertedIndex};
+use stmaker_suite::textmine::InvertedIndex;
 use stmaker_suite::{standard_features, FeatureWeights, Summarizer, SummarizerConfig};
 
 fn main() {
@@ -45,20 +43,9 @@ fn main() {
     }
     println!("{} summaries collected\n", texts.len());
 
-    // 1. Cluster for the traffic overview.
-    let (result, topics) = cluster_texts(&texts, 4, 99);
-    println!("## Traffic overview ({} clusters)", result.k());
-    for (c, topic) in topics.iter().enumerate() {
-        let members = result.members(c);
-        println!("cluster {c}: {:>3} trips — topic: {}", members.len(), topic.join(", "));
-        if let Some(first) = members.first() {
-            println!("    e.g. {}", texts[*first]);
-        }
-    }
-
-    // 2. Semantic-ish keyword queries over the same corpus.
+    // Keyword queries over the corpus.
     let index = InvertedIndex::build(&texts);
-    println!("\n## Dispatcher queries");
+    println!("## Dispatcher queries");
     for query in ["u-turn", "staying points", "slower than usual highway"] {
         let hits = index.search(query, 2);
         println!("query {query:?}: {} match(es)", hits.len());

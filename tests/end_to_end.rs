@@ -350,7 +350,8 @@ fn streaming_summarizer_converges_to_batch() {
     let mut rng = StdRng::seed_from_u64(9009);
     let trip = (0..60).find_map(|_| gen.generate_at(2, 8.5, &mut rng)).expect("rush trip");
 
-    let mut stream = StreamingSummarizer::new(&summarizer, StreamConfig::default());
+    let mut stream =
+        StreamingSummarizer::try_new(&summarizer, StreamConfig::default()).expect("valid config");
     let mut refreshes = 0;
     let mut lengths = Vec::new();
     for p in trip.raw.points() {
