@@ -2,10 +2,16 @@
 //!
 //! The paper's first application (Sec. I) embeds summarization "in GPS
 //! modules of cars" — which receive points one at a time, not as a finished
-//! trajectory. [`StreamingSummarizer`] wraps a trained [`Summarizer`] with a
-//! sample buffer and refresh policy: push points as they arrive, and a fresh
-//! summary of the trip-so-far is produced whenever enough new travel has
-//! accumulated.
+//! trajectory. [`StreamingSummarizer`] is a sample buffer and refresh
+//! policy over a trained [`Summarizer`]: push points as they arrive, and a
+//! fresh summary of the trip-so-far is produced whenever enough new travel
+//! has accumulated.
+//!
+//! The stream does not borrow its summarizer; each [`StreamingSummarizer::
+//! try_push`] and [`StreamingSummarizer::finish`] takes the one to use. A
+//! long-lived owner (the server's `/ingest` session table) can therefore
+//! keep a stream across model hot-swaps: the buffer and refresh bookkeeping
+//! carry over, and the next refresh runs under whichever model is passed.
 //!
 //! Each refresh re-runs the full pipeline over the buffered prefix. That is
 //! the honest cost model — calibration and partitioning are global
@@ -131,8 +137,7 @@ impl std::fmt::Display for StreamError {
 impl std::error::Error for StreamError {}
 
 /// Incremental summarization over an arriving point stream.
-pub struct StreamingSummarizer<'s, 'a> {
-    summarizer: &'s Summarizer<'a>,
+pub struct StreamingSummarizer {
     cfg: StreamConfig,
     buffer: Vec<RawPoint>,
     current: Option<Summary>,
@@ -146,13 +151,12 @@ pub struct StreamingSummarizer<'s, 'a> {
     windows: SlidingWindow,
 }
 
-impl<'s, 'a> StreamingSummarizer<'s, 'a> {
-    /// Wraps a trained summarizer, after checking that `cfg`'s refresh
-    /// thresholds are positive.
-    pub fn try_new(summarizer: &'s Summarizer<'a>, cfg: StreamConfig) -> Result<Self, StreamError> {
+impl StreamingSummarizer {
+    /// An empty stream, after checking that `cfg`'s refresh thresholds are
+    /// positive.
+    pub fn try_new(cfg: StreamConfig) -> Result<Self, StreamError> {
         cfg.validate()?;
         Ok(Self {
-            summarizer,
             cfg,
             buffer: Vec::new(),
             current: None,
@@ -201,22 +205,28 @@ impl<'s, 'a> StreamingSummarizer<'s, 'a> {
     }
 
     /// Publishes the retained windows and the current window index into
-    /// the shared recorder.
-    fn publish_windows(&self, w: u64) {
-        let obs = self.summarizer.recorder();
+    /// `summarizer`'s recorder.
+    fn publish_windows(&self, summarizer: &Summarizer<'_>, w: u64) {
+        let obs = summarizer.recorder();
         obs.gauge("stream.window.index", w as f64); // cast-ok: window index
         obs.set_windows(self.windows.summaries());
     }
 
     /// Feeds one sample. Returns `Ok(Some)` with a *fresh* summary when the
-    /// refresh policy fired and the prefix was summarizable.
+    /// refresh policy fired and the prefix was summarizable; the refresh
+    /// runs under `summarizer`, and the drop counters and refresh events go
+    /// to its recorder.
     ///
     /// Never panics: an out-of-order or defective sample is dropped and
     /// counted under [`OutOfOrderPolicy::Drop`] (returning `Ok(None)`), or
     /// reported as a [`StreamError`] under [`OutOfOrderPolicy::Reject`] —
     /// in both cases the buffered prefix stays intact and the stream
     /// remains usable.
-    pub fn try_push(&mut self, point: RawPoint) -> Result<Option<&Summary>, StreamError> {
+    pub fn try_push(
+        &mut self,
+        summarizer: &Summarizer<'_>,
+        point: RawPoint,
+    ) -> Result<Option<&Summary>, StreamError> {
         let (lat, lon) = (point.point.lat, point.point.lon);
         let defect = if !lat.is_finite() || !lon.is_finite() {
             Some(TrajectoryError::NonFiniteCoordinate { index: self.buffer.len() })
@@ -231,7 +241,7 @@ impl<'s, 'a> StreamingSummarizer<'s, 'a> {
             return match self.cfg.out_of_order {
                 OutOfOrderPolicy::Drop => {
                     self.dropped_invalid += 1;
-                    self.summarizer.recorder().add("stream.invalid_dropped", 1);
+                    summarizer.recorder().add("stream.invalid_dropped", 1);
                     let w = self.window_index(point.t.0);
                     self.windows.add(w, "stream.window.dropped", 1);
                     Ok(None)
@@ -244,7 +254,7 @@ impl<'s, 'a> StreamingSummarizer<'s, 'a> {
                 return match self.cfg.out_of_order {
                     OutOfOrderPolicy::Drop => {
                         self.dropped_out_of_order += 1;
-                        self.summarizer.recorder().add("stream.out_of_order_dropped", 1);
+                        summarizer.recorder().add("stream.out_of_order_dropped", 1);
                         let w = self.window_index(point.t.0);
                         self.windows.add(w, "stream.window.dropped", 1);
                         Ok(None)
@@ -271,13 +281,13 @@ impl<'s, 'a> StreamingSummarizer<'s, 'a> {
         }
         // lint: wallclock — refresh cost feeds the window metrics only, never the summary
         let t0 = std::time::Instant::now();
-        let refreshed = self.refresh();
+        let refreshed = self.refresh(summarizer);
         let refresh_ms = t0.elapsed().as_secs_f64() * 1e3;
         if refreshed {
             self.windows.add(w, "stream.window.refreshes", 1);
             self.windows.observe_ms(w, "stream.window.refresh_ms", refresh_ms);
-            self.summarizer.recorder().instant("stream.refresh", &[("window", ArgValue::U64(w))]);
-            self.publish_windows(w);
+            summarizer.recorder().instant("stream.refresh", &[("window", ArgValue::U64(w))]);
+            self.publish_windows(summarizer, w);
             self.dist_since_refresh = 0.0;
             self.last_refresh_t = Some(t);
             Ok(self.current.as_ref())
@@ -293,8 +303,8 @@ impl<'s, 'a> StreamingSummarizer<'s, 'a> {
     /// was produced. Summarizes the buffer in place ([`Summarizer::
     /// summarize_points`]) — cloning it here would cost O(n²) allocation
     /// over a trip's worth of refreshes.
-    fn refresh(&mut self) -> bool {
-        match self.summarizer.summarize_points(&self.buffer) {
+    fn refresh(&mut self, summarizer: &Summarizer<'_>) -> bool {
+        match summarizer.summarize_points(&self.buffer) {
             Ok(summary) => {
                 self.current = Some(summary);
                 true
@@ -304,19 +314,20 @@ impl<'s, 'a> StreamingSummarizer<'s, 'a> {
     }
 
     /// Finalizes the trip: summarizes everything buffered, regardless of the
-    /// refresh policy. Equivalent to batch-summarizing the same samples.
-    pub fn finish(self) -> Result<Summary, SummarizeError> {
+    /// refresh policy. Equivalent to `summarizer` batch-summarizing the
+    /// same samples, whichever summarizers the earlier refreshes used.
+    pub fn finish(self, summarizer: &Summarizer<'_>) -> Result<Summary, SummarizeError> {
         if let Some(last) = self.buffer.last() {
             // Final publication, so the report carries the windows even
             // when the trip ended between refreshes.
-            self.publish_windows(self.window_index(last.t.0));
+            self.publish_windows(summarizer, self.window_index(last.t.0));
         }
         if self.buffer.len() < 2 {
             return Err(SummarizeError::Input(TrajectoryError::TooFewPoints {
                 got: self.buffer.len(),
             }));
         }
-        self.summarizer.summarize_points(&self.buffer)
+        summarizer.summarize_points(&self.buffer)
     }
 }
 

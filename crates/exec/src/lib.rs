@@ -15,16 +15,16 @@
 //!   chunks until the queue drains (work stealing), so an expensive item
 //!   cannot strand the other workers. Results are reassembled in input
 //!   order, so the output is identical to `items.iter().map(f)`.
-//! * [`Executor::shard_partials`] / [`Executor::shard_reduce`] — sharded
-//!   map-reduce for building aggregate state (feature maps, route
-//!   indexes). The input is split into [`shard_count`]`(n)` contiguous
-//!   shards — a function of the input length only, **never** of the
-//!   thread count — each shard folds into a partial on whichever worker
-//!   claims it, and partials merge in ascending shard order on the caller
-//!   thread. Because the shard boundaries and the merge order are fixed,
-//!   the reduction tree is identical for 1 thread and N threads, making
-//!   even floating-point accumulations bit-identical across thread
-//!   counts. See DESIGN.md §10 for the full contract.
+//! * [`Executor::shard_partials`] — sharded partials for building
+//!   aggregate state (feature maps, route indexes). The input is split
+//!   into [`shard_count`]`(n)` contiguous shards — a function of the input
+//!   length only, **never** of the thread count — each shard folds into a
+//!   partial on whichever worker claims it, and the partials come back in
+//!   ascending shard order for the caller to merge on its own thread.
+//!   Because the shard boundaries and the merge order are fixed, the
+//!   reduction tree is identical for 1 thread and N threads, making even
+//!   floating-point accumulations bit-identical across thread counts.
+//!   See DESIGN.md §10 for the full contract.
 //!
 //! Telemetry: an executor carrying a recorder (via
 //! [`Executor::with_recorder`]) reports an `exec.threads` gauge per
@@ -255,26 +255,6 @@ impl Executor {
         partials.sort_unstable_by_key(|(s, _)| *s);
         partials.into_iter().map(|(_, p)| p).collect()
     }
-
-    /// Sharded map-reduce: [`Self::shard_partials`] followed by a
-    /// sequential merge of the partials in ascending shard order. Returns
-    /// `None` for empty input. Because the merge runs on the caller thread
-    /// in fixed order over fixed shard boundaries, the result is
-    /// bit-identical for every thread count.
-    pub fn shard_reduce<T, S, F, M>(&self, items: &[T], build: F, mut merge: M) -> Option<S>
-    where
-        T: Sync,
-        S: Send,
-        F: Fn(usize, usize, &[T]) -> S + Sync,
-        M: FnMut(&mut S, S),
-    {
-        let mut partials = self.shard_partials(items, build).into_iter();
-        let mut acc = partials.next()?;
-        for p in partials {
-            merge(&mut acc, p);
-        }
-        Some(acc)
-    }
 }
 
 /// Joins a worker, re-raising its panic (if any) on the caller thread.
@@ -348,29 +328,6 @@ mod tests {
             covered += len;
         }
         assert_eq!(covered, 200);
-    }
-
-    #[test]
-    fn shard_reduce_is_bit_identical_across_thread_counts() {
-        // Floating-point sums whose grouping matters: identical results
-        // across thread counts prove the reduction tree is fixed.
-        let items: Vec<f64> = (0..1000).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let reduce = |threads: usize| {
-            Executor::new(threads)
-                .shard_reduce(&items, |_, _, slice| slice.iter().sum::<f64>(), |acc, p| *acc += p)
-                .unwrap_or(0.0)
-        };
-        let reference = reduce(1);
-        for threads in [2, 3, 4, 8, 16] {
-            assert_eq!(reduce(threads).to_bits(), reference.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn shard_reduce_empty_input_is_none() {
-        let exec = Executor::new(4);
-        let empty: Vec<u32> = Vec::new();
-        assert!(exec.shard_reduce(&empty, |_, _, s| s.len(), |a, b| *a += b).is_none());
     }
 
     #[test]

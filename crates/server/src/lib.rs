@@ -42,6 +42,15 @@
 //! model with a cold cache. See `cached_routes` ("one cache, one model")
 //! and DESIGN.md §15.
 //!
+//! # Ingest sessions
+//!
+//! Each `/ingest` session owns one [`StreamingSummarizer`], kept across
+//! requests; a request pushes only its own samples, under the generation
+//! current for that request. A hot-swap therefore keeps a session's
+//! buffer and refresh bookkeeping, and its next refresh and `finish=1`
+//! use the new model. The stream's `try_push` alone decides which samples
+//! are accepted.
+//!
 //! # Backpressure
 //!
 //! Admission control is a bounded handoff queue: the accept loop answers
@@ -94,7 +103,9 @@ pub struct ServeConfig {
     pub sanitize: Option<SanitizePolicy>,
     /// Bound on concurrently open `/ingest` sessions.
     pub max_sessions: usize,
-    /// Bound on buffered points per `/ingest` session.
+    /// Bound on buffered points per `/ingest` session. A request is `413`
+    /// when the buffered points plus all of its samples, counted before
+    /// the stream drops any, would pass it.
     pub max_session_points: usize,
 }
 
@@ -144,18 +155,6 @@ struct Generation<'w> {
     /// Monotonic model version; generation 1 is the model served at bind.
     version: u64,
     summarizer: Summarizer<'w>,
-}
-
-/// An open `/ingest` session: the accepted points so far plus drop
-/// counters. Points are replayed through a fresh [`StreamingSummarizer`]
-/// on every request — sessions survive model hot-swaps that way (the
-/// replay always runs against the *current* generation), at a per-request
-/// cost linear in session length, which `max_session_points` bounds.
-#[derive(Default)]
-struct Session {
-    points: Vec<RawPoint>,
-    dropped_invalid: u64,
-    dropped_out_of_order: u64,
 }
 
 /// Writes `resp` and closes `stream` without losing the response to a TCP
@@ -213,7 +212,8 @@ pub struct Server<'w> {
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
     stop: AtomicBool,
-    sessions: Mutex<BTreeMap<String, Session>>,
+    /// Open `/ingest` sessions, each the stream its requests push into.
+    sessions: Mutex<BTreeMap<String, StreamingSummarizer>>,
     obs: Recorder,
 }
 
@@ -702,89 +702,60 @@ impl<'w> Server<'w> {
             Ok(f) => f,
             Err(r) => return r,
         };
-        // Always the lenient read: the stream applies its own drop policy
-        // per sample, mirroring `StreamingSummarizer`'s contract.
+        // Always the lenient read: the session's stream decides per sample
+        // which ones it accepts (`StreamingSummarizer::try_push`).
         let new_points: Vec<RawPoint> = match decode_runs(&req.body, format) {
             Ok(runs) => runs.into_iter().flatten().collect(),
             Err(e) => return decode_rejected(&e),
         };
 
         let gen = self.current();
-        // The session table lock is held across the replay below, which
-        // serializes /ingest requests against each other (only — the
-        // batch endpoints never touch this lock). Sessions are the
-        // convenience surface; bounded by max_session_points, the replay
-        // is short.
+        // The session table lock is held while this request's samples are
+        // pushed, which serializes /ingest requests against each other
+        // (only — the batch endpoints never touch this lock). The work
+        // under it is this request's pushes and the refreshes they fire.
         let mut sessions = lock(&self.sessions);
-        if !sessions.contains_key(session_id) {
-            if finish && new_points.is_empty() {
-                return Response::error(404, "unknown session");
-            }
-            if sessions.len() >= self.cfg.max_sessions {
-                return Response::error(429, "session table is full");
-            }
-            sessions.insert(session_id.to_owned(), Session::default());
-            self.obs.add("serve.sessions_opened", 1);
-        }
-        let Some(session) = sessions.get_mut(session_id) else {
-            return Response::error(500, "session vanished");
-        };
-
-        // Pre-filter with try_push's own acceptance rules (finite,
-        // in-range, time-ordered) so the session buffer holds exactly the
-        // accepted stream — the replay below then never drops, and drop
-        // counters are not inflated replay after replay.
-        let mut accepted: Vec<RawPoint> = Vec::with_capacity(new_points.len());
-        let mut last_t = session.points.last().map(|p| p.t.0);
-        for p in new_points {
-            let (lat, lon) = (p.point.lat, p.point.lon);
-            if !lat.is_finite()
-                || !lon.is_finite()
-                || !(-90.0..=90.0).contains(&lat)
-                || !(-180.0..=180.0).contains(&lon)
-            {
-                session.dropped_invalid += 1;
-                self.obs.add("stream.invalid_dropped", 1);
-                continue;
-            }
-            if last_t.is_some_and(|t| p.t.0 < t) {
-                session.dropped_out_of_order += 1;
-                self.obs.add("stream.out_of_order_dropped", 1);
-                continue;
-            }
-            last_t = Some(p.t.0);
-            accepted.push(p);
-        }
-        if session.points.len() + accepted.len() > self.cfg.max_session_points {
+        // Nothing is created or changed before the request is accepted.
+        // The bound counts the request's samples before the stream drops
+        // any of them.
+        let buffered = sessions.get(session_id).map_or(0, StreamingSummarizer::len);
+        if buffered + new_points.len() > self.cfg.max_session_points {
             return Response::error(
                 413,
                 &format!("session exceeds {} buffered points", self.cfg.max_session_points),
             );
         }
-        let replay_from = session.points.len();
-        session.points.extend(accepted);
-
-        let mut stream =
-            match StreamingSummarizer::try_new(&gen.summarizer, StreamConfig::default()) {
-                Ok(s) => s,
-                Err(e) => return Response::error(500, &e.to_string()),
-            };
-        let mut refreshed = false;
-        for (i, p) in session.points.iter().enumerate() {
-            if let Ok(Some(_)) = stream.try_push(*p) {
-                if i >= replay_from {
-                    refreshed = true;
+        // The stream is out of the table while this request pushes into
+        // it, and goes back unless the request finishes the session.
+        let mut stream = match sessions.remove(session_id) {
+            Some(stream) => stream,
+            None => {
+                if finish && new_points.is_empty() {
+                    return Response::error(404, "unknown session");
+                }
+                if sessions.len() >= self.cfg.max_sessions {
+                    return Response::error(429, "session table is full");
+                }
+                self.obs.add("serve.sessions_opened", 1);
+                match StreamingSummarizer::try_new(StreamConfig::default()) {
+                    Ok(s) => s,
+                    Err(e) => return Response::error(500, &e.to_string()),
                 }
             }
+        };
+        // A hot-swap between requests only changes which model the next
+        // refresh (and `finish`) runs under; the buffer and refresh
+        // bookkeeping carry over.
+        let mut refreshed = false;
+        for p in new_points {
+            refreshed |= matches!(stream.try_push(&gen.summarizer, p), Ok(Some(_)));
         }
-        let n_points = session.points.len();
-        let dropped_invalid = session.dropped_invalid;
-        let dropped_out_of_order = session.dropped_out_of_order;
+        let n_points = stream.len();
+        let (dropped_out_of_order, dropped_invalid) = stream.dropped();
 
         let (summary, finished) = if finish {
-            sessions.remove(session_id);
             self.obs.add("serve.sessions_finished", 1);
-            match stream.finish() {
+            match stream.finish(&gen.summarizer) {
                 Ok(s) => (Some(s.text), true),
                 Err(e) => {
                     return Response::error(
@@ -794,7 +765,9 @@ impl<'w> Server<'w> {
                 }
             }
         } else {
-            (stream.current().map(|s| s.text.clone()), false)
+            let summary = stream.current().map(|s| s.text.clone());
+            sessions.insert(session_id.to_owned(), stream);
+            (summary, false)
         };
 
         let summary_json = match &summary {

@@ -8,13 +8,15 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use stmaker::{
-    standard_features, FeatureWeights, Recorder, Summarizer, SummarizerConfig, TrainedModel,
+    standard_features, FeatureWeights, Recorder, StreamConfig, StreamingSummarizer, Summarizer,
+    SummarizerConfig, TrainedModel,
 };
 use stmaker_generator::{TripConfig, TripGenerator, World, WorldConfig};
 use stmaker_io::{
-    read_model_stc, read_trajectory_csv, write_model_stc, write_trajectory_csv,
-    write_trajectory_jsonl, write_trips_stc,
+    decode_runs, read_model_stc, read_trajectory_csv, write_model_stc, write_trajectory_csv,
+    write_trajectory_jsonl, write_trips_stc, TripFormat,
 };
+use stmaker_obs::SpanNode;
 use stmaker_server::{ServeConfig, Server};
 use stmaker_trajectory::RawPoint;
 
@@ -412,7 +414,7 @@ fn shutdown_endpoint_drains_cleanly() {
     }
 }
 
-/// `/ingest` sessions: chunked pushes replay deterministically, defective
+/// `/ingest` sessions: chunked pushes accumulate in one session, defective
 /// samples are dropped and counted, and `finish=1` returns the same text
 /// as a one-shot summarize of the accepted points.
 #[test]
@@ -464,6 +466,251 @@ fn ingest_session_replays_and_finishes() {
         let (status, _) = request(addr, "POST", "/ingest?session=..%2Fetc", b"");
         assert_eq!(status, 400);
     });
+}
+
+// -- ingest sessions against a local stream ----------------------------------
+
+/// Total calls of every span named `name`, at any depth.
+fn span_calls(nodes: &[SpanNode], name: &str) -> u64 {
+    nodes
+        .iter()
+        .map(|n| if n.name == name { n.calls } else { 0 } + span_calls(&n.children, name))
+        .sum()
+}
+
+/// The CSV body of one `/ingest` request carrying `rows`.
+fn csv_body(header: &str, rows: &[String]) -> String {
+    format!("{header}\n{}\n", rows.join("\n"))
+}
+
+/// Pushes `body`'s samples into `stream` the way the server decodes them;
+/// returns whether any push produced a fresh summary.
+fn push_body(stream: &mut StreamingSummarizer, summarizer: &Summarizer<'_>, body: &str) -> bool {
+    let runs = decode_runs(body.as_bytes(), TripFormat::Csv).expect("body parses");
+    let mut refreshed = false;
+    for p in runs.into_iter().flatten() {
+        refreshed |= matches!(stream.try_push(summarizer, p), Ok(Some(_)));
+    }
+    refreshed
+}
+
+/// The `/ingest` response for a session whose stream holds `points`
+/// samples and has dropped `(out_of_order, invalid)` so far.
+fn ingest_body(
+    session: &str,
+    version: u64,
+    (points, (out_of_order, invalid)): (usize, (u64, u64)),
+    refreshed: bool,
+    finished: bool,
+    summary: Option<&str>,
+) -> String {
+    let summary = match summary {
+        Some(text) => format!("\"{}\"", text.replace('\\', "\\\\").replace('"', "\\\"")),
+        None => "null".to_owned(),
+    };
+    format!(
+        "{{\"session\": \"{session}\", \"model_version\": {version}, \"points\": {points}, \
+         \"dropped_invalid\": {invalid}, \"dropped_out_of_order\": {out_of_order}, \
+         \"refreshed\": {refreshed}, \"finished\": {finished}, \"summary\": {summary}}}\n"
+    )
+}
+
+/// A session is one stream kept across requests: pushing a trip one
+/// sample per request, or in 10-sample chunks, answers every request with
+/// the state of one local `StreamingSummarizer` fed the same chunks, and
+/// runs exactly as many `summarize` spans as that stream, so a request
+/// costs its own samples, not the session's length.
+#[test]
+fn ingest_session_matches_one_local_stream() {
+    let fx = Fixture::new();
+    let obs = Recorder::enabled();
+    let server = Server::bind(
+        &fx.world.net,
+        &fx.world.registry,
+        fx.train(60, 1001),
+        SummarizerConfig::default().with_recorder(obs.clone()),
+        ServeConfig::default(),
+    )
+    .expect("bind");
+    let local_obs = Recorder::enabled();
+    let local = fx.summarizer(
+        fx.train(60, 1001),
+        SummarizerConfig::default().with_recorder(local_obs.clone()),
+    );
+    with_running(&server, |addr| {
+        for (trip, csv) in fx.trip_csvs.iter().enumerate() {
+            let lines: Vec<&str> = csv.lines().collect();
+            let (header, rows) = (lines[0], &lines[1..]);
+            let mut samples: Vec<String> = rows.iter().map(|r| (*r).to_owned()).collect();
+            // One defective and one late sample, which the stream drops.
+            samples.insert(3, "999.0,0.0,12".to_owned());
+            samples.insert(6, rows[0].to_owned());
+            let one_shot = {
+                let points = read_trajectory_csv(csv).expect("parses").points().to_vec();
+                local.summarize_points(&points).expect("summarizes").text
+            };
+            for chunk in [1, 10] {
+                let session = format!("trip{trip}-chunk{chunk}");
+                let spans_before = (
+                    span_calls(&obs.report().spans, "summarize"),
+                    span_calls(&local_obs.report().spans, "summarize"),
+                );
+                let mut stream =
+                    StreamingSummarizer::try_new(StreamConfig::default()).expect("valid config");
+                let chunks: Vec<&[String]> = samples.chunks(chunk).collect();
+                let (last, init) = chunks.split_last().expect("non-empty trip");
+                for rows in init {
+                    let body = csv_body(header, rows);
+                    let path = format!("/ingest?session={session}");
+                    let (status, resp) = request(addr, "POST", &path, body.as_bytes());
+                    let refreshed = push_body(&mut stream, &local, &body);
+                    let expected = ingest_body(
+                        &session,
+                        1,
+                        (stream.len(), stream.dropped()),
+                        refreshed,
+                        false,
+                        stream.current().map(|s| s.text.as_str()),
+                    );
+                    assert_eq!((status, body_text(&resp)), (200, expected));
+                }
+                let body = csv_body(header, last);
+                let path = format!("/ingest?session={session}&finish=1");
+                let (status, resp) = request(addr, "POST", &path, body.as_bytes());
+                let refreshed = push_body(&mut stream, &local, &body);
+                let state = (stream.len(), stream.dropped());
+                assert_eq!(state, (rows.len(), (1, 1)), "{session}: the two defects are dropped");
+                let text = stream.finish(&local).expect("summarizes").text;
+                let expected = ingest_body(&session, 1, state, refreshed, true, Some(&text));
+                assert_eq!((status, body_text(&resp)), (200, expected));
+                assert_eq!(text, one_shot, "{session}: finish is the one-shot summary");
+                let server_spans = span_calls(&obs.report().spans, "summarize") - spans_before.0;
+                let local_spans =
+                    span_calls(&local_obs.report().spans, "summarize") - spans_before.1;
+                assert_eq!(server_spans, local_spans, "{session}: summarize spans");
+            }
+        }
+    });
+}
+
+/// A session keeps its stream across `POST /model`: the rest of the trip
+/// refreshes under the new model, and `finish=1` is the new model's
+/// one-shot summary of the accepted samples.
+#[test]
+fn ingest_session_survives_model_swap() {
+    let fx = Fixture::new();
+    let summarizer_a = fx.summarizer(fx.train(60, 1001), SummarizerConfig::default());
+    let summarizer_b = fx.summarizer(fx.train(8, 5005), SummarizerConfig::default());
+    // A trip the two models summarize differently, so the test has teeth.
+    let (csv, one_shot_b) = fx
+        .trip_csvs
+        .iter()
+        .find_map(|csv| {
+            let points = read_trajectory_csv(csv).expect("parses").points().to_vec();
+            let a = summarizer_a.summarize_points(&points).ok()?.text;
+            let b = summarizer_b.summarize_points(&points).ok()?.text;
+            (a != b).then_some((csv, b))
+        })
+        .expect("a trip the models disagree on");
+    let server = Server::bind(
+        &fx.world.net,
+        &fx.world.registry,
+        fx.train(60, 1001),
+        SummarizerConfig::default(),
+        ServeConfig::default(),
+    )
+    .expect("bind");
+    with_running(&server, |addr| {
+        let lines: Vec<&str> = csv.lines().collect();
+        let (header, rows) = (lines[0], &lines[1..]);
+        let rows: Vec<String> = rows.iter().map(|r| (*r).to_owned()).collect();
+        let (first, rest) = rows.split_at(rows.len() / 2);
+        let mut stream = StreamingSummarizer::try_new(StreamConfig::default()).expect("valid");
+
+        let body = csv_body(header, first);
+        let (status, resp) = request(addr, "POST", "/ingest?session=swap", body.as_bytes());
+        let refreshed = push_body(&mut stream, &summarizer_a, &body);
+        let expected = ingest_body(
+            "swap",
+            1,
+            (stream.len(), stream.dropped()),
+            refreshed,
+            false,
+            stream.current().map(|s| s.text.as_str()),
+        );
+        assert_eq!((status, body_text(&resp)), (200, expected));
+
+        let (status, resp) =
+            request(addr, "POST", "/model", fx.train(8, 5005).to_json().as_bytes());
+        assert_eq!(status, 200, "{}", body_text(&resp));
+
+        let body = csv_body(header, rest);
+        let (status, resp) =
+            request(addr, "POST", "/ingest?session=swap&finish=1", body.as_bytes());
+        let refreshed = push_body(&mut stream, &summarizer_b, &body);
+        let state = (stream.len(), stream.dropped());
+        assert_eq!(state, (rows.len(), (0, 0)));
+        let text = stream.finish(&summarizer_b).expect("summarizes").text;
+        assert_eq!(text, one_shot_b);
+        let expected = ingest_body("swap", 2, state, refreshed, true, Some(&text));
+        assert_eq!((status, body_text(&resp)), (200, expected));
+    });
+}
+
+/// The session bounds refuse a request before touching the table: an
+/// oversized first push is a 413 and leaves no empty session behind, a
+/// full table is a 429, and the point bound counts every sample of the
+/// request, defective ones included.
+#[test]
+fn ingest_bounds_refuse_without_leaving_sessions() {
+    let fx = Fixture::new();
+    let obs = Recorder::enabled();
+    let server = Server::bind(
+        &fx.world.net,
+        &fx.world.registry,
+        fx.train(20, 1001),
+        SummarizerConfig::default().with_recorder(obs.clone()),
+        ServeConfig { max_sessions: 2, max_session_points: 3, ..ServeConfig::default() },
+    )
+    .expect("bind");
+    with_running(&server, |addr| {
+        let lines: Vec<&str> = fx.trip_csvs[0].lines().collect();
+        let (header, rows) = (lines[0], &lines[1..]);
+        let rows: Vec<String> = rows.iter().map(|r| (*r).to_owned()).collect();
+        let push = |session: &str, rows: &[String]| {
+            let path = format!("/ingest?session={session}");
+            let (status, resp) = request(addr, "POST", &path, csv_body(header, rows).as_bytes());
+            (status, body_text(&resp))
+        };
+
+        for session in ["a", "b"] {
+            let (status, text) = push(session, &rows[..4]);
+            assert_eq!(status, 413, "{text}");
+            assert!(text.contains("session exceeds 3 buffered points"), "{text}");
+        }
+        // The 413s left the table empty, so two sessions still open.
+        for session in ["c", "d"] {
+            let (status, text) = push(session, &rows[..1]);
+            assert_eq!(status, 200, "{session}: {text}");
+            assert!(text.contains("\"points\": 1"), "{text}");
+        }
+        let (status, text) = push("e", &rows[..1]);
+        assert_eq!(status, 429, "{text}");
+        assert!(text.contains("session table is full"), "{text}");
+
+        // An overflowing push leaves the session as it was.
+        let (status, text) = push("c", &rows[1..4]);
+        assert_eq!(status, 413, "{text}");
+        let (status, text) = push("c", &rows[1..3]);
+        assert_eq!(status, 200, "{text}");
+        assert!(text.contains("\"points\": 3"), "{text}");
+        // Three samples on one buffered: 413 even though the stream would
+        // have dropped the defective one.
+        let defective = [rows[1].clone(), "999.0,0.0,12".to_owned(), rows[2].clone()];
+        let (status, text) = push("d", &defective);
+        assert_eq!(status, 413, "{text}");
+    });
+    assert_eq!(obs.report().counters.get("serve.sessions_opened").copied(), Some(2));
 }
 
 /// `/metrics` serves the obs report: valid JSON under the schema

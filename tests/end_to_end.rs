@@ -350,12 +350,11 @@ fn streaming_summarizer_converges_to_batch() {
     let mut rng = StdRng::seed_from_u64(9009);
     let trip = (0..60).find_map(|_| gen.generate_at(2, 8.5, &mut rng)).expect("rush trip");
 
-    let mut stream =
-        StreamingSummarizer::try_new(&summarizer, StreamConfig::default()).expect("valid config");
+    let mut stream = StreamingSummarizer::try_new(StreamConfig::default()).expect("valid config");
     let mut refreshes = 0;
     let mut lengths = Vec::new();
     for p in trip.raw.points() {
-        if let Ok(Some(summary)) = stream.try_push(*p) {
+        if let Ok(Some(summary)) = stream.try_push(&summarizer, *p) {
             refreshes += 1;
             lengths.push(summary.symbolic_len);
         }
@@ -367,7 +366,7 @@ fn streaming_summarizer_converges_to_batch() {
     assert_eq!(stream.len(), trip.raw.len());
 
     // Finalizing equals batch summarization of the same samples.
-    let live = stream.finish().expect("summarizable");
+    let live = stream.finish(&summarizer).expect("summarizable");
     let batch = summarizer.summarize(&trip.raw).expect("summarizable");
     assert_eq!(live.text, batch.text);
 }
@@ -795,17 +794,17 @@ fn streaming_windows_key_on_stream_time_and_surface_in_report() {
         out_of_order: OutOfOrderPolicy::Drop,
         ..StreamConfig::default()
     };
-    let mut stream = StreamingSummarizer::try_new(&summarizer, cfg).expect("valid config");
+    let mut stream = StreamingSummarizer::try_new(cfg).expect("valid config");
     let trip = &test[0];
     let mut late = None;
     for p in trip.points() {
-        let _ = stream.try_push(*p).expect("drop policy never errors");
+        let _ = stream.try_push(&summarizer, *p).expect("drop policy never errors");
         late = Some(*p);
     }
     // An out-of-order sample lands in the dropped counter of its window.
     if let Some(mut p) = late {
         p.t.0 -= 10_000;
-        let _ = stream.try_push(p).expect("dropped, not an error");
+        let _ = stream.try_push(&summarizer, p).expect("dropped, not an error");
     }
     let windows = stream.windows();
     assert!(!windows.is_empty() && windows.len() <= 4, "{windows:?}");
@@ -815,7 +814,7 @@ fn streaming_windows_key_on_stream_time_and_surface_in_report() {
     for pair in windows.windows(2) {
         assert!(pair[0].index < pair[1].index, "{windows:?}");
     }
-    let _ = stream.finish();
+    let _ = stream.finish(&summarizer);
     let report = obs.report();
     assert_eq!(report.windows, windows, "finish publishes the retained windows");
     assert!(report.gauges.contains_key("stream.window.index"));

@@ -222,32 +222,31 @@ fn streaming_try_push_never_panics_and_counts_drops() {
 
     // Drop policy: every defective sample is shed and counted, the stream
     // survives to a finishable state.
-    let mut stream = StreamingSummarizer::try_new(&summarizer, StreamConfig::default())
-        .expect("default config validates");
+    let mut stream =
+        StreamingSummarizer::try_new(StreamConfig::default()).expect("default config validates");
     for p in &pts {
-        let _ = stream.try_push(*p).expect("drop policy never errors");
+        let _ = stream.try_push(&summarizer, *p).expect("drop policy never errors");
     }
     let (late, invalid) = stream.dropped();
     assert!(invalid >= 1, "the injected NaN must be counted, got {invalid}");
     assert!(late >= 1, "the shuffled window must shed a late sample, got {late}");
     assert!(stream.len() < pts.len(), "defective samples must not be buffered");
-    stream.finish().expect("the surviving prefix must summarize");
+    stream.finish(&summarizer).expect("the surviving prefix must summarize");
 
     // Reject policy: defects surface as typed errors and the stream remains
     // usable afterwards.
     let reject_cfg =
         StreamConfig { out_of_order: OutOfOrderPolicy::Reject, ..StreamConfig::default() };
-    let mut stream =
-        StreamingSummarizer::try_new(&summarizer, reject_cfg).expect("config validates");
+    let mut stream = StreamingSummarizer::try_new(reject_cfg).expect("config validates");
     let mut errors = 0;
     for p in &pts {
-        if stream.try_push(*p).is_err() {
+        if stream.try_push(&summarizer, *p).is_err() {
             errors += 1;
         }
     }
     assert!(errors >= 2, "reject policy must surface the defects, got {errors}");
     assert_eq!(stream.dropped(), (0, 0), "reject mode reports, it does not silently drop");
-    stream.finish().expect("the stream must stay usable after rejections");
+    stream.finish(&summarizer).expect("the stream must stay usable after rejections");
 }
 
 #[test]
