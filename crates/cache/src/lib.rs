@@ -17,8 +17,7 @@
 //!   over the transfer graph) never blocks readers of other keys in the
 //!   same shard longer than a probe.
 //! * **[`CacheStats`]** — hit/miss/eviction counters kept in relaxed
-//!   atomics beside the shards, snapshot on demand and recordable into a
-//!   `stmaker-obs` [`Recorder`] (the shared report schema).
+//!   atomics beside the shards, snapshot on demand.
 //!
 //! ## Determinism
 //!
@@ -37,8 +36,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-
-use stmaker_obs::Recorder;
 
 /// Upper bound on the shard count (a power of two). Small capacities use
 /// fewer shards so `capacity()` never balloons past the request.
@@ -116,33 +113,6 @@ impl CacheStats {
             len: self.len,
             capacity: self.capacity,
         }
-    }
-
-    /// Sums two snapshots (e.g. the route cache and the hop-value cache of
-    /// one `CachedRoutes`) into a combined view.
-    #[must_use]
-    pub fn combined(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_add(other.hits),
-            misses: self.misses.saturating_add(other.misses),
-            evictions: self.evictions.saturating_add(other.evictions),
-            len: self.len.saturating_add(other.len),
-            capacity: self.capacity.saturating_add(other.capacity),
-        }
-    }
-
-    /// Emits the snapshot into a recorder under `prefix`: counters
-    /// `{prefix}.hits` / `{prefix}.misses` / `{prefix}.evictions` plus
-    /// `{prefix}.capacity` and `{prefix}.len` gauges — the obs-compatible
-    /// form every report consumer (CLI `--metrics-json`, benches,
-    /// `xtask obs-schema`) already understands.
-    pub fn record_into(&self, obs: &Recorder, prefix: &str) {
-        obs.add(&format!("{prefix}.hits"), self.hits);
-        obs.add(&format!("{prefix}.misses"), self.misses);
-        obs.add(&format!("{prefix}.evictions"), self.evictions);
-        // cast-ok: entry counts, exact well below 2^53
-        obs.gauge(&format!("{prefix}.capacity"), self.capacity as f64);
-        obs.gauge(&format!("{prefix}.len"), self.len as f64); // cast-ok: entry count
     }
 }
 
@@ -441,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_since_and_combined() {
+    fn stats_since() {
         let c: ShardedCache<u32, u32> = ShardedCache::new(4);
         let _ = c.get_or_insert_with(&1, || 1);
         let before = c.stats();
@@ -449,24 +419,7 @@ mod tests {
         let _ = c.get_or_insert_with(&2, || 2);
         let d = c.stats().since(&before);
         assert_eq!((d.hits, d.misses), (1, 1));
-        let both = d.combined(&d);
-        assert_eq!((both.hits, both.misses), (2, 2));
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn stats_record_into_emits_the_shared_schema() {
-        let obs = Recorder::enabled();
-        let c: ShardedCache<u32, u32> = ShardedCache::new(4);
-        let _ = c.get_or_insert_with(&1, || 1);
-        let _ = c.get_or_insert_with(&1, || 1);
-        c.stats().record_into(&obs, "cache");
-        let report = obs.report();
-        assert_eq!(report.counters.get("cache.hits"), Some(&1));
-        assert_eq!(report.counters.get("cache.misses"), Some(&1));
-        assert_eq!(report.counters.get("cache.evictions"), Some(&0));
-        assert_eq!(report.gauges.get("cache.capacity"), Some(&4.0));
-        assert_eq!(report.gauges.get("cache.len"), Some(&1.0));
     }
 
     #[test]

@@ -14,7 +14,8 @@ fn base() -> GeoPoint {
 
 /// A random Manhattan-style route: axis-aligned legs of 300–1500 m.
 fn route(legs: &[(u8, f64)]) -> Polyline {
-    let mut pts = vec![base()];
+    let mut last = base();
+    let mut pts = vec![last];
     for (dir, len) in legs {
         let bearing = match dir % 4 {
             0 => 0.0,
@@ -22,8 +23,8 @@ fn route(legs: &[(u8, f64)]) -> Polyline {
             2 => 90.0, // bias east/north so the route rarely self-crosses
             _ => 0.0,
         };
-        let last = *pts.last().unwrap();
-        pts.push(last.destination(bearing, *len));
+        last = last.destination(bearing, *len);
+        pts.push(last);
     }
     Polyline::new(pts)
 }

@@ -467,7 +467,7 @@ fn decode_failed(path: &Path, e: &DecodeError) -> String {
 fn accept(decoded: DecodedTrip, what: &str, obs: &Obs) -> Result<RawTrajectory, String> {
     if let Some(report) = &decoded.report {
         eprintln!("{report}");
-        report.record_into(&obs.recorder);
+        report.record(&obs.recorder);
     }
     decoded.trip.map_err(|e| format!("{what}: {e}"))
 }
@@ -618,7 +618,7 @@ fn cmd_sanitize(args: &[String], obs: &Obs) -> Result<(), String> {
         max_gap_secs: max_gap,
     };
     let cleaned = sanitize(pts, &cfg).map_err(|e| format!("{}: {e}", file.display()))?;
-    cleaned.report.record_into(&obs.recorder);
+    cleaned.report.record(&obs.recorder);
     println!("{}", cleaned.report);
     for (i, seg) in cleaned.segments.iter().enumerate() {
         println!(

@@ -63,7 +63,6 @@
 //! `stmaker-obs` crate.
 
 pub mod builtin;
-pub mod cached_routes;
 pub mod context;
 pub mod feature;
 pub mod group;
@@ -77,7 +76,6 @@ pub mod summarize;
 pub mod template;
 
 pub use builtin::{extended_features, keys, standard_features};
-pub use cached_routes::CachedRoutes;
 pub use context::{ExtractionParams, SegmentContext};
 pub use feature::{Feature, FeatureKind, FeatureScale, FeatureSet, FeatureWeights, PhraseInfo};
 pub use group::{GroupError, GroupFeatureStat, GroupSummary};

@@ -1,8 +1,7 @@
 //! Feature selection (Sec. V): compute every feature's irregular rate on a
 //! partition and keep those above the threshold η.
 
-use crate::cached_routes::CachedRoutes;
-use crate::feature::{FeatureKind, FeatureScale, FeatureSet, FeatureWeights};
+use crate::feature::{Feature, FeatureKind, FeatureScale, FeatureSet, FeatureWeights};
 use crate::irregular::{moving_irregular_rate, routing_irregular_rate_with, EditScratch};
 use stmaker_poi::LandmarkId;
 use stmaker_routes::HistoricalFeatureMap;
@@ -41,9 +40,6 @@ pub struct SelectionInput<'a> {
     pub popular_route: Option<&'a [LandmarkId]>,
     /// Historical per-hop feature statistics.
     pub featmap: &'a HistoricalFeatureMap,
-    /// Optional read-through memo for the popular route's per-hop value
-    /// sequences (shared across batch workers); `None` computes per call.
-    pub route_cache: Option<&'a CachedRoutes>,
 }
 
 /// Reusable buffers for [`select_features_with`]: the per-feature value
@@ -55,6 +51,7 @@ pub struct SelectionInput<'a> {
 pub struct SelectScratch {
     pub(crate) edit: EditScratch,
     pub(crate) tp_values: Vec<f64>,
+    pub(crate) pr_values: Vec<f64>,
     pub(crate) regulars: Vec<Option<f64>>,
     pub(crate) known: Vec<f64>,
     pub(crate) deviating: Vec<f64>,
@@ -80,52 +77,27 @@ pub fn select_features_with(
         scratch.tp_values.clear();
         scratch.tp_values.extend(input.seg_values.iter().map(|v| v[idx]));
 
-        // The popular-route value sequence lives either in the shared memo
-        // (an `Arc` slice, no copy) or in a per-call vector; both borrows
-        // must outlive `pr_values` below, hence the two deferred locals.
-        let cached_vals;
-        let computed_vals;
         let (gamma, regular) = match f.kind() {
             FeatureKind::Routing => {
                 let Some(pr) = input.popular_route else { continue };
-                let pr_values: &[f64] = match input.route_cache {
-                    Some(cache) => {
-                        cached_vals = cache.route_values(
-                            input.featmap,
-                            pr,
-                            f.key(),
-                            f.scale(),
-                            idx as u32, // cast-ok: feature index, tiny
-                        );
-                        match &cached_vals {
-                            Some(v) => v,
-                            // Some PR hop has no history for this feature
-                            // (possible when a custom feature was added
-                            // after training): comparing against a
-                            // truncated sequence would read as a spurious
-                            // length mismatch, so skip the feature instead.
-                            None => continue,
-                        }
-                    }
-                    None => {
-                        computed_vals = popular_route_values(input.featmap, pr, f.key(), f.scale());
-                        match &computed_vals {
-                            Some(v) => v,
-                            None => continue,
-                        }
-                    }
-                };
-                if pr_values.is_empty() {
+                // Some PR hop has no history for this feature (possible when
+                // a custom feature was added after training): comparing
+                // against a truncated sequence would read as a spurious
+                // length mismatch, so skip the feature instead.
+                if !fill_pr_values(input.featmap, pr, &**f, &mut scratch.pr_values) {
+                    continue;
+                }
+                if scratch.pr_values.is_empty() {
                     continue; // single-landmark popular route: nothing to compare
                 }
                 let gamma = routing_irregular_rate_with(
                     &scratch.tp_values,
-                    pr_values,
+                    &scratch.pr_values,
                     f.scale(),
                     w,
                     &mut scratch.edit,
                 );
-                (gamma, aggregate(pr_values, f.scale()))
+                (gamma, aggregate(&scratch.pr_values, f.scale()))
             }
             FeatureKind::Moving => {
                 scratch.regulars.clear();
@@ -226,25 +198,31 @@ pub fn desc_nan_last(a: f64, b: f64) -> std::cmp::Ordering {
     }
 }
 
-/// Per-hop values of a routing feature along the popular route, read from
-/// history. Returns `None` when any hop lacks history for the feature —
-/// every hop of a mined route was observed during training, so a gap means
-/// the feature key post-dates the model and the comparison is meaningless.
-pub fn popular_route_values(
+/// Fills `out` with the per-hop regular values of routing feature `f`
+/// along the popular route, read from history. Returns `false` (stopping
+/// at the first gap) when any hop lacks history for the feature — every
+/// hop of a mined route was observed during training, so a gap means the
+/// feature key post-dates the model and the comparison is meaningless.
+fn fill_pr_values(
     featmap: &HistoricalFeatureMap,
     route: &[LandmarkId],
-    key: &str,
-    scale: FeatureScale,
-) -> Option<Vec<f64>> {
-    route
-        .windows(2)
-        .map(|w| match scale {
-            FeatureScale::Numeric => featmap.regular_value(w[0], w[1], key),
+    f: &dyn Feature,
+    out: &mut Vec<f64>,
+) -> bool {
+    out.clear();
+    for w in route.windows(2) {
+        let v = match f.scale() {
+            FeatureScale::Numeric => featmap.regular_value(w[0], w[1], f.key()),
             FeatureScale::Categorical => {
-                featmap.regular_category(w[0], w[1], key).map(|c| c as f64) // cast-ok: small category code
+                featmap.regular_category(w[0], w[1], f.key()).map(|c| c as f64) // cast-ok: small category code
             }
-        })
-        .collect()
+        };
+        match v {
+            Some(v) => out.push(v),
+            None => return false,
+        }
+    }
+    true
 }
 
 /// Partition-level aggregate: mean for numeric values, mode for categorical
@@ -327,7 +305,6 @@ mod tests {
             hops: &fx.hops,
             popular_route: Some(&fx.route),
             featmap: &fx.featmap,
-            route_cache: None,
         })
     }
 
@@ -381,7 +358,6 @@ mod tests {
             hops: &fx.hops,
             popular_route: None,
             featmap: &fx.featmap,
-            route_cache: None,
         });
         assert!(sel.iter().all(|s| s.kind == FeatureKind::Moving));
     }
@@ -436,7 +412,6 @@ mod tests {
             hops: &hops,
             popular_route: None,
             featmap: &featmap,
-            route_cache: None,
         });
         assert_eq!(sel.len(), 1, "{sel:?}");
         assert_eq!(sel[0].key, "signal_state");

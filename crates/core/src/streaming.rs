@@ -227,17 +227,9 @@ impl StreamingSummarizer {
         summarizer: &Summarizer<'_>,
         point: RawPoint,
     ) -> Result<Option<&Summary>, StreamError> {
-        let (lat, lon) = (point.point.lat, point.point.lon);
-        let defect = if !lat.is_finite() || !lon.is_finite() {
-            Some(TrajectoryError::NonFiniteCoordinate { index: self.buffer.len() })
-        } else if !(-90.0..=90.0).contains(&lat) || !(-180.0..=180.0).contains(&lon) {
-            // A defective-but-finite coordinate must not enter the buffer
-            // either, or `finish` would reject the whole otherwise-good trip.
-            Some(TrajectoryError::OutOfRangeCoordinate { index: self.buffer.len(), lat, lon })
-        } else {
-            None
-        };
-        if let Some(e) = defect {
+        // A defective sample must not enter the buffer, or `finish` would
+        // reject the whole otherwise-good trip.
+        if let Err(e) = point.check(self.buffer.len()) {
             return match self.cfg.out_of_order {
                 OutOfOrderPolicy::Drop => {
                     self.dropped_invalid += 1;

@@ -10,7 +10,6 @@
 //! training split; [`Summarizer::summarize`] / [`Summarizer::summarize_k`]
 //! then summarize unseen trajectories.
 
-use crate::cached_routes::CachedRoutes;
 use crate::context::{
     extract_segment_data, nearest_landmark_name, segment_context, ExtractionParams, SegmentData,
 };
@@ -23,7 +22,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use stmaker_cache::CacheStats;
+use stmaker_cache::{CacheStats, ShardedCache};
 use stmaker_calibration::{
     calibrate_view, calibrate_view_traced, CalibrationError, CalibrationParams,
 };
@@ -58,10 +57,9 @@ pub struct SummarizerConfig {
     /// results: see `stmaker-exec`'s determinism contract.
     pub threads: usize,
     /// Capacity (in routes) of the read-through serving cache memoizing
-    /// `PR(from, to)` and the per-hop regular value sequences; `0` (the
-    /// default) disables it — a disabled cache costs one branch on the
-    /// query path. Lookups are pure, so the cache never changes output
-    /// bytes, only latency (DESIGN.md §12).
+    /// `PR(from, to)`; `0` (the default) disables it — a disabled cache
+    /// costs one branch on the query path. Lookups are pure, so the cache
+    /// never changes output bytes, only latency (DESIGN.md §12).
     pub route_cache: usize,
     /// Spatial index backend for the map-matching candidate pre-filter
     /// (R-tree by default; the grid is the `--spatial-index grid` escape
@@ -310,11 +308,23 @@ pub struct Summarizer<'a> {
     weights: FeatureWeights,
     cfg: SummarizerConfig,
     model: TrainedModel,
-    /// Read-through memo for `PR(from, to)` and per-hop value sequences,
+    /// Read-through memo for `PR(from, to)` (negative answers included),
     /// shared across batch workers; `None` unless
     /// [`SummarizerConfig::with_route_cache`] enabled it.
-    route_cache: Option<Arc<CachedRoutes>>,
+    ///
+    /// **One cache, one model.** Entries are keyed by landmark pair, not by
+    /// model, so they are pure only against the model they were filled
+    /// from: every path that installs a model ([`Self::swap_model`], the
+    /// constructors) installs a fresh cache in the same step, and a
+    /// swapped-in model is never answered from the previous model's
+    /// entries (DESIGN.md §12, §15).
+    route_cache: Option<Arc<RouteCache>>,
 }
+
+/// `(from, to) → PR(from, to)`, with `None` for pairs the corpus gives no
+/// basis for. Routes are `Arc` slices so a hit is a probe and a refcount
+/// bump.
+type RouteCache = ShardedCache<(LandmarkId, LandmarkId), Option<Arc<[LandmarkId]>>>;
 
 /// A trip the batch worker loop accepts: valid by construction, or a raw
 /// buffer validated inside its worker.
@@ -335,8 +345,8 @@ impl BatchTrip for Vec<RawPoint> {
 }
 
 /// The route cache a config asks for (`None` when disabled).
-fn build_route_cache(cfg: &SummarizerConfig) -> Option<Arc<CachedRoutes>> {
-    (cfg.route_cache > 0).then(|| Arc::new(CachedRoutes::new(cfg.route_cache)))
+fn build_route_cache(cfg: &SummarizerConfig) -> Option<Arc<RouteCache>> {
+    (cfg.route_cache > 0).then(|| Arc::new(ShardedCache::new(cfg.route_cache)))
 }
 
 /// Checks that `model` was trained against a registry of `registry`'s size
@@ -542,14 +552,6 @@ impl<'a> Summarizer<'a> {
         self.weights = weights;
     }
 
-    /// Replaces the selection threshold / partition constants. Rebuilds
-    /// the route cache to match the new capacity (memoized answers are
-    /// pure, so dropping them is always safe).
-    pub fn set_config(&mut self, cfg: SummarizerConfig) {
-        self.route_cache = build_route_cache(&cfg);
-        self.cfg = cfg;
-    }
-
     /// Counter snapshot of the route cache (`None` when the cache is
     /// disabled) — what `demo --repeat` prints its hit rate from.
     pub fn route_cache_stats(&self) -> Option<CacheStats> {
@@ -704,7 +706,7 @@ impl<'a> Summarizer<'a> {
         obs.add("cache.hits", delta.hits);
         obs.add("cache.misses", delta.misses);
         obs.add("cache.evictions", delta.evictions);
-        obs.gauge("route_cache.capacity", cache.route_capacity() as f64); // cast-ok: entry count
+        obs.gauge("route_cache.capacity", cache.capacity() as f64); // cast-ok: entry count
     }
 
     /// Replays per-trip wall times into the shared recorder in input order
@@ -840,7 +842,12 @@ impl<'a> Summarizer<'a> {
             let (pr_owned, pr_cached): (Option<Vec<LandmarkId>>, Option<Arc<[LandmarkId]>>) =
                 match &self.route_cache {
                     None => (self.model.popular.popular_route(from, to), None),
-                    Some(cache) => (None, cache.popular_route(&self.model.popular, from, to)),
+                    Some(cache) => (
+                        None,
+                        cache.get_or_insert_with(&(from, to), || {
+                            self.model.popular.popular_route(from, to).map(Arc::from)
+                        }),
+                    ),
                 };
             let pr: Option<&[LandmarkId]> = pr_owned.as_deref().or(pr_cached.as_deref());
             obs.add(if pr.is_some() { "popular_route.hits" } else { "popular_route.misses" }, 1);
@@ -857,7 +864,6 @@ impl<'a> Summarizer<'a> {
                     hops: &hops,
                     popular_route: pr,
                     featmap: &self.model.featmap,
-                    route_cache: self.route_cache.as_deref(),
                 };
                 let selected =
                     SELECT_SCRATCH.with(|s| select_features_with(&input, &mut s.borrow_mut()));

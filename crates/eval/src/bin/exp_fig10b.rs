@@ -84,7 +84,7 @@ fn main() {
     for key in &keys7 {
         let first = results[0][*key];
         let last = results[6][*key];
-        let kind = feats.get(feats.index_of(key).unwrap()).kind();
+        let kind = feats.get(feats.index_of(key).expect("keys7 are extended-feature keys")).kind();
         let expect_fall = kind == FeatureKind::Routing;
         let ok = if expect_fall { last <= first + 0.02 } else { last >= first - 0.02 };
         println!(

@@ -24,7 +24,7 @@ pub mod geojson;
 pub mod jsonl;
 pub mod stc;
 
-use stmaker_trajectory::{RawPoint, RawTrajectory};
+use stmaker_trajectory::{RawPoint, RawTrajectory, TrajectoryError};
 
 pub use csv::{read_trajectory_csv, write_trajectory_csv, write_trajectory_csv_to};
 pub use decode::{
@@ -71,17 +71,13 @@ pub(crate) fn validate_rows(
     total_lines: usize,
 ) -> Result<(), FormatError> {
     for (line_no, p) in rows {
-        if !p.point.lat.is_finite() || !p.point.lon.is_finite() {
-            return Err(FormatError::new(
-                *line_no,
-                format!("non-finite coordinates: {}, {}", p.point.lat, p.point.lon),
-            ));
-        }
-        if !(-90.0..=90.0).contains(&p.point.lat) || !(-180.0..=180.0).contains(&p.point.lon) {
-            return Err(FormatError::new(
-                *line_no,
-                format!("coordinates out of range: {}, {}", p.point.lat, p.point.lon),
-            ));
+        if let Err(e) = p.check(*line_no) {
+            let what = match e {
+                TrajectoryError::NonFiniteCoordinate { .. } => "non-finite coordinates",
+                _ => "coordinates out of range",
+            };
+            let message = format!("{what}: {}, {}", p.point.lat, p.point.lon);
+            return Err(FormatError::new(*line_no, message));
         }
     }
     if rows.len() < 2 {

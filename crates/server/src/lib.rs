@@ -32,15 +32,15 @@
 //! The model slot is `Mutex<Arc<Generation>>` (ArcSwap-style: writers
 //! swap the `Arc`, readers clone it and work lock-free afterwards). Each
 //! `Generation` owns its *own* [`Summarizer`] — and therefore its own
-//! `CachedRoutes`, built fresh by [`Summarizer::try_from_model`]. That is
+//! route cache, built fresh by [`Summarizer::try_from_model`]. That is
 //! the fix for a cache-staleness bug: route-cache
 //! entries are keyed by landmark pair, not model identity (including
 //! memoized *negative* answers), so a swapped-in model must never see the
 //! previous generation's cache. Swapping the whole generation atomically
 //! makes stale reuse structurally impossible: in-flight requests finish
 //! against the generation they started with, new requests see the new
-//! model with a cold cache. See `cached_routes` ("one cache, one model")
-//! and DESIGN.md §15.
+//! model with a cold cache. See the "one cache, one model" note on the
+//! summarizer's route cache and DESIGN.md §15.
 //!
 //! # Ingest sessions
 //!
@@ -570,7 +570,7 @@ impl<'w> Server<'w> {
     /// Records the sanitize reports of decoded trips into the recorder.
     fn record_reports(&self, trips: &[DecodedTrip]) {
         for report in trips.iter().filter_map(|d| d.report.as_ref()) {
-            report.record_into(&self.obs);
+            report.record(&self.obs);
         }
     }
 

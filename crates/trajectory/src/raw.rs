@@ -31,6 +31,23 @@ pub struct RawPoint {
     pub t: Timestamp,
 }
 
+impl RawPoint {
+    /// The per-sample validity rule every reader, sanitizer and stream
+    /// shares: both coordinates finite and within `[-90, 90]` ×
+    /// `[-180, 180]`. `index` is the sample's position, reported in the
+    /// error.
+    pub fn check(&self, index: usize) -> Result<(), TrajectoryError> {
+        let GeoPoint { lat, lon } = self.point;
+        if !lat.is_finite() || !lon.is_finite() {
+            return Err(TrajectoryError::NonFiniteCoordinate { index });
+        }
+        if !(-90.0..=90.0).contains(&lat) || !(-180.0..=180.0).contains(&lon) {
+            return Err(TrajectoryError::OutOfRangeCoordinate { index, lat, lon });
+        }
+        Ok(())
+    }
+}
+
 /// Definition 1: "A trajectory T is a finite sequence of locations sampled
 /// from the original route of a moving object and their associated
 /// time-stamps."
@@ -40,7 +57,8 @@ pub struct RawTrajectory {
 }
 
 impl RawTrajectory {
-    /// Creates a trajectory, validating temporal ordering.
+    /// Creates a trajectory, validating it as [`RawTrajectory::try_new`]
+    /// does.
     ///
     /// Prefer [`RawTrajectory::try_new`] for untrusted input — this
     /// constructor is for data whose validity is already established (test
@@ -48,7 +66,7 @@ impl RawTrajectory {
     ///
     /// # Panics
     /// Panics if fewer than two samples are supplied, timestamps decrease,
-    /// or a coordinate is non-finite.
+    /// or a coordinate is non-finite or out of range.
     pub fn new(points: Vec<RawPoint>) -> Self {
         RawView::validate(&points);
         Self { points }
@@ -130,13 +148,13 @@ pub struct RawView<'a> {
 }
 
 impl<'a> RawView<'a> {
-    /// Creates a view, validating temporal ordering.
+    /// Creates a view, validating it as [`RawView::try_new`] does.
     ///
     /// Prefer [`RawView::try_new`] for untrusted input.
     ///
     /// # Panics
     /// Panics if fewer than two samples are supplied, timestamps decrease,
-    /// or a coordinate is non-finite.
+    /// or a coordinate is non-finite or out of range.
     pub fn new(points: &'a [RawPoint]) -> Self {
         Self::validate(points);
         Self { points }
@@ -149,15 +167,11 @@ impl<'a> RawView<'a> {
         Ok(Self { points })
     }
 
-    /// Shared invariant check for owned and borrowed construction
-    /// (panicking form, kept for the trusted constructors).
+    /// [`RawView::check`] in panicking form, for the trusted constructors.
     fn validate(points: &[RawPoint]) {
-        assert!(points.len() >= 2, "a trajectory needs at least two samples");
-        assert!(points.windows(2).all(|w| w[0].t <= w[1].t), "timestamps must be non-decreasing");
-        assert!(
-            points.iter().all(|p| p.point.lat.is_finite() && p.point.lon.is_finite()),
-            "coordinates must be finite"
-        );
+        if let Err(e) = Self::check(points) {
+            panic!("invalid trajectory: {e}");
+        }
     }
 
     /// The full construction invariant as a typed verdict: ≥ 2 samples,
@@ -169,16 +183,7 @@ impl<'a> RawView<'a> {
             return Err(TrajectoryError::TooFewPoints { got: points.len() });
         }
         for (index, p) in points.iter().enumerate() {
-            if !p.point.lat.is_finite() || !p.point.lon.is_finite() {
-                return Err(TrajectoryError::NonFiniteCoordinate { index });
-            }
-            if !(-90.0..=90.0).contains(&p.point.lat) || !(-180.0..=180.0).contains(&p.point.lon) {
-                return Err(TrajectoryError::OutOfRangeCoordinate {
-                    index,
-                    lat: p.point.lat,
-                    lon: p.point.lon,
-                });
-            }
+            p.check(index)?;
         }
         for (i, w) in points.windows(2).enumerate() {
             if w[1].t < w[0].t {
@@ -346,6 +351,17 @@ mod tests {
         // serde deserialization and direct field writes bypass it.
         RawTrajectory::new(vec![
             RawPoint { point: GeoPoint { lat: f64::NAN, lon: 116.4 }, t: Timestamp(0) },
+            RawPoint { point: base(), t: Timestamp(5) },
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn new_panics_on_out_of_range_coordinates() {
+        // A struct literal bypasses GeoPoint::new's range assert; the
+        // trusted constructor must still refuse what `try_new` refuses.
+        RawTrajectory::new(vec![
+            RawPoint { point: GeoPoint { lat: 99.0, lon: 116.4 }, t: Timestamp(0) },
             RawPoint { point: base(), t: Timestamp(5) },
         ]);
     }

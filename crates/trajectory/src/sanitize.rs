@@ -23,7 +23,7 @@
 //! [`sanitize`] returns the surviving point runs as separate segments
 //! (splitting is how a teleport spike or a multi-hour parking gap is
 //! neutralised without inventing data) plus a [`SanitizeReport`] counting
-//! every repair, which can be [`SanitizeReport::record_into`] any
+//! every repair, which [`SanitizeReport::record`] adds to any
 //! `stmaker-obs` recorder for fleet-level telemetry.
 
 use crate::raw::RawPoint;
@@ -231,7 +231,7 @@ impl SanitizeReport {
 
     /// Accumulates the counts into `obs` under the `sanitize.*` namespace,
     /// so fleet ingest dashboards see per-defect-class rates.
-    pub fn record_into(&self, obs: &Recorder) {
+    pub fn record(&self, obs: &Recorder) {
         // cast-ok below: sample counts.
         obs.add("sanitize.points_in", self.points_in as u64);
         obs.add("sanitize.points_out", self.points_out as u64);
@@ -313,25 +313,12 @@ pub fn sanitize(points: &[RawPoint], cfg: &SanitizeConfig) -> Result<Sanitized, 
     // reporting.
     let mut kept: Vec<(usize, RawPoint)> = Vec::with_capacity(points.len());
     for (i, p) in points.iter().enumerate() {
-        if !p.point.lat.is_finite() || !p.point.lon.is_finite() {
-            if strict {
-                return Err(TrajectoryError::NonFiniteCoordinate { index: i });
-            }
-            report.non_finite += 1;
-            continue;
+        match p.check(i) {
+            Ok(()) => kept.push((i, *p)),
+            Err(e) if strict => return Err(e),
+            Err(TrajectoryError::NonFiniteCoordinate { .. }) => report.non_finite += 1,
+            Err(_) => report.out_of_range += 1,
         }
-        if !(-90.0..=90.0).contains(&p.point.lat) || !(-180.0..=180.0).contains(&p.point.lon) {
-            if strict {
-                return Err(TrajectoryError::OutOfRangeCoordinate {
-                    index: i,
-                    lat: p.point.lat,
-                    lon: p.point.lon,
-                });
-            }
-            report.out_of_range += 1;
-            continue;
-        }
-        kept.push((i, *p));
     }
 
     // Pass 2 — temporal ordering. Count samples observed behind the running
@@ -637,7 +624,7 @@ mod tests {
         assert!(line.contains("duplicate-t 1"), "{line}");
 
         let obs = Recorder::enabled();
-        out.report.record_into(&obs);
+        out.report.record(&obs);
         let report = obs.report();
         assert_eq!(report.counters.get("sanitize.points_in"), Some(&6));
         assert_eq!(report.counters.get("sanitize.non_finite"), Some(&1));

@@ -582,14 +582,23 @@ fn summaries_identical_with_and_without_cache() {
     for threads in [1, 2, 4] {
         for capacity in [256, 2] {
             let s = make(threads, capacity);
+            let results = s.summarize_batch(&test);
+            // Each partition makes exactly one `PR` lookup, and the cache
+            // memoizes nothing else.
+            let lookups: usize = results.iter().flatten().map(|s| s.partitions.len()).sum();
             let got: Vec<Option<String>> =
-                s.summarize_batch(&test).into_iter().map(|r| r.ok().map(|s| s.text)).collect();
+                results.into_iter().map(|r| r.ok().map(|s| s.text)).collect();
             assert_eq!(
                 got, reference,
                 "cache (cap {capacity}) at {threads} thread(s) changed summary bytes"
             );
             let stats = s.route_cache_stats().expect("cache enabled");
             assert!(stats.hits + stats.misses > 0, "batch must exercise the cache");
+            assert_eq!(
+                stats.hits + stats.misses,
+                lookups as u64, // cast-ok: partition count
+                "cache (cap {capacity}) at {threads} thread(s) counted non-route lookups"
+            );
             if capacity == 2 {
                 assert!(stats.evictions > 0, "a 2-route cache must evict on this corpus");
             } else {
@@ -894,9 +903,8 @@ fn stc_model_round_trip_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn model_hot_swap_never_serves_stale_cache_entries() {
-    // The serving-layer staleness bug this PR headlines: `CachedRoutes`
-    // memoizes popular routes / regular values (negative answers included)
-    // as pure functions of ONE model. `swap_model` must install a fresh
+    // The serving-layer staleness bug: the route cache memoizes popular
+    // routes (negative answers included) as pure functions of ONE model. `swap_model` must install a fresh
     // cache in the same step, or post-swap summaries replay generation-A
     // answers. Byte-compare the post-swap batch against a cold-cache run
     // of the new model.
