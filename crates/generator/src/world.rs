@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use stmaker_poi::{DbscanParams, LandmarkId, LandmarkRegistry, Poi, PoiCategory, PoiId};
-use stmaker_road::{build_city, NodeId, PathCost, RoadNetwork, SynthCityConfig};
+use stmaker_road::{build_city, NodeId, PathCost, PathSearch, RoadNetwork, SynthCityConfig};
 use stmaker_significance::{compute_significance, HitsConfig, Visit};
 
 /// Configuration for [`World::generate`].
@@ -97,7 +97,7 @@ impl World {
             pois.push(Poi {
                 id: PoiId(i as u32),
                 point,
-                name: format!("{} {}", synth_place_name(&mut rng), category.noun()),
+                name: synth_poi_name(&mut rng, category.noun()),
                 category,
                 popularity: category.base_attractiveness() * site_factor,
             });
@@ -169,15 +169,14 @@ impl World {
                 nodes[rng.random_range(0..n_nodes)].id
             }
         };
+        let mut search = PathSearch::new(&net, PathCost::TravelTime);
         for r in 0..cfg.n_visit_routes {
             let src = pick_node(&mut rng);
             let dst = pick_node(&mut rng);
             if src == dst {
                 continue;
             }
-            if let Some(path) =
-                stmaker_road::pathfind::shortest_path(&net, src, dst, PathCost::TravelTime)
-            {
+            if let Some(path) = search.shortest_path(src, dst) {
                 let user = stmaker_significance::UserId((cfg.n_users + r) as u32);
                 for node in &path.nodes {
                     for lm in &node_visible[node.0 as usize] {
@@ -242,8 +241,10 @@ fn sample_cumulative(cum: &[f64], rng: &mut StdRng) -> usize {
     cum.partition_point(|c| *c <= x).min(cum.len() - 1)
 }
 
-/// A deterministic two-token place name ("Golden Lotus", "West Harbor", …).
-fn synth_place_name(rng: &mut StdRng) -> String {
+/// A deterministic POI name: a two-token place name and the category
+/// noun ("Golden Lotus Hotel", "West Harbor Restaurant", …), built in one
+/// exactly sized allocation.
+fn synth_poi_name(rng: &mut StdRng, noun: &str) -> String {
     const FIRST: [&str; 16] = [
         "Golden", "Jade", "West", "East", "North", "South", "Grand", "Silver", "Lucky", "Royal",
         "Spring", "Autumn", "Harmony", "Dragon", "Phoenix", "Lotus",
@@ -252,11 +253,15 @@ fn synth_place_name(rng: &mut StdRng) -> String {
         "Garden", "Plaza", "Gate", "Bridge", "Harbor", "Hill", "Lake", "Court", "Square", "Palace",
         "Valley", "Crossing", "View", "Grove", "Spring", "Terrace",
     ];
-    format!(
-        "{} {}",
-        FIRST[rng.random_range(0..FIRST.len())],
-        SECOND[rng.random_range(0..SECOND.len())]
-    )
+    let first = FIRST[rng.random_range(0..FIRST.len())];
+    let second = SECOND[rng.random_range(0..SECOND.len())];
+    let mut name = String::with_capacity(first.len() + second.len() + noun.len() + 2);
+    name.push_str(first);
+    name.push(' ');
+    name.push_str(second);
+    name.push(' ');
+    name.push_str(noun);
+    name
 }
 
 #[cfg(test)]

@@ -105,5 +105,8 @@ fn default_world_digest_is_pinned() {
 
 #[test]
 fn default_world_seed_99_digest_is_pinned() {
-    assert_eq!(world_digest(WorldConfig { seed: 99, ..WorldConfig::default() }), 8_834_913_670_199_275_732);
+    assert_eq!(
+        world_digest(WorldConfig { seed: 99, ..WorldConfig::default() }),
+        8_834_913_670_199_275_732
+    );
 }

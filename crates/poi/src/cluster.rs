@@ -2,10 +2,20 @@
 //!
 //! A faithful implementation of Ester et al. (KDD'96), the algorithm the
 //! paper uses to collapse ~510k raw POIs into ~17k landmark clusters
-//! (Sec. VII-A). Neighbourhood queries run against a uniform grid index, so
-//! the expected complexity is O(n · points-per-ε-ball).
+//! (Sec. VII-A). Neighbourhood queries run against a flat uniform grid with
+//! ε-sized cells, so the expected complexity is O(n · points-per-ε-ball).
+//!
+//! The grid is built once per call: every point is projected into a local
+//! planar frame a single time, and the point indices are counting-sorted by
+//! cell into one array, so the cells of a grid row are one contiguous run
+//! and a query scans five runs with no allocation. Frame, cell arithmetic
+//! and the `sqrt(dx² + dy²) <= ε` test are those of
+//! [`stmaker_geo::GridIndex`], so the ε-neighbourhoods are exactly the
+//! ones a `GridIndex` query returns. Labels depend only on which points
+//! are neighbours and on the outer scan order over points, never on the
+//! order neighbours are visited within one cluster expansion.
 
-use stmaker_geo::{GeoPoint, GridIndex};
+use stmaker_geo::{BoundingBox, GeoPoint, LocalFrame};
 
 /// DBSCAN parameters.
 #[derive(Debug, Clone, Copy)]
@@ -37,26 +47,28 @@ pub fn dbscan(points: &[GeoPoint], params: DbscanParams) -> (Vec<Assignment>, us
         return (Vec::new(), 0);
     }
 
-    let index = GridIndex::build(points.iter().copied().enumerate(), params.eps_m);
+    let grid = FlatGrid::build(points, params.eps_m);
 
     const UNVISITED: usize = usize::MAX;
     const NOISE: usize = usize::MAX - 1;
     let mut label = vec![UNVISITED; n];
     let mut cluster = 0usize;
+    let mut nbrs: Vec<usize> = Vec::new();
+    let mut queue: Vec<usize> = Vec::new();
 
     for i in 0..n {
         if label[i] != UNVISITED {
             continue;
         }
-        let neighbours: Vec<usize> =
-            index.within_radius(&points[i], params.eps_m).into_iter().map(|(id, _)| id).collect();
-        if neighbours.len() < params.min_pts {
+        grid.neighbours(i, &mut nbrs);
+        if nbrs.len() < params.min_pts {
             label[i] = NOISE;
             continue;
         }
         // i is a core point: start a new cluster and expand it.
         label[i] = cluster;
-        let mut queue: Vec<usize> = neighbours;
+        queue.clear();
+        queue.extend_from_slice(&nbrs);
         let mut qi = 0;
         while qi < queue.len() {
             let j = queue[qi];
@@ -68,13 +80,9 @@ pub fn dbscan(points: &[GeoPoint], params: DbscanParams) -> (Vec<Assignment>, us
                 continue;
             }
             label[j] = cluster;
-            let nbrs: Vec<usize> = index
-                .within_radius(&points[j], params.eps_m)
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect();
+            grid.neighbours(j, &mut nbrs);
             if nbrs.len() >= params.min_pts {
-                queue.extend(nbrs);
+                queue.extend_from_slice(&nbrs);
             }
         }
         cluster += 1;
@@ -85,6 +93,79 @@ pub fn dbscan(points: &[GeoPoint], params: DbscanParams) -> (Vec<Assignment>, us
         .map(|l| if l == NOISE || l == UNVISITED { None } else { Some(l) })
         .collect();
     (assignments, cluster)
+}
+
+/// Points bucketed into square ε cells over their enclosing box, stored
+/// flat: `order[start[c]..start[c + 1]]` are the indices of the points in
+/// cell `c = row * cols + col`, ascending.
+struct FlatGrid {
+    eps: f64,
+    cols: usize,
+    rows: usize,
+    /// Each point's planar position in the grid's frame.
+    xy: Vec<(f64, f64)>,
+    /// Each point's `(col, row)`.
+    cell: Vec<(usize, usize)>,
+    start: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl FlatGrid {
+    fn build(points: &[GeoPoint], eps: f64) -> Self {
+        let bbox = BoundingBox::enclosing(points)
+            .unwrap_or(BoundingBox::new(GeoPoint::new(0.0, 0.0), GeoPoint::new(0.0, 0.0)))
+            .inflate(1e-4);
+        let frame = LocalFrame::new(bbox.center());
+        let (min_x, min_y) = frame.to_xy(&GeoPoint { lat: bbox.min_lat, lon: bbox.min_lon });
+        let (max_x, max_y) = frame.to_xy(&GeoPoint { lat: bbox.max_lat, lon: bbox.max_lon });
+        let cols = (((max_x - min_x) / eps).ceil() as usize).max(1);
+        let rows = (((max_y - min_y) / eps).ceil() as usize).max(1);
+
+        let xy: Vec<(f64, f64)> = points.iter().map(|p| frame.to_xy(p)).collect();
+        let cell: Vec<(usize, usize)> = xy
+            .iter()
+            .map(|&(x, y)| {
+                let cx = (((x - min_x) / eps).floor() as i64).clamp(0, cols as i64 - 1);
+                let cy = (((y - min_y) / eps).floor() as i64).clamp(0, rows as i64 - 1);
+                (cx as usize, cy as usize)
+            })
+            .collect();
+        let mut start = vec![0usize; cols * rows + 1];
+        for &(cx, cy) in &cell {
+            start[cy * cols + cx + 1] += 1;
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let mut next = start.clone();
+        let mut order = vec![0usize; points.len()];
+        for (i, &(cx, cy)) in cell.iter().enumerate() {
+            order[next[cy * cols + cx]] = i;
+            next[cy * cols + cx] += 1;
+        }
+        Self { eps, cols, rows, xy, cell, start, order }
+    }
+
+    /// Clears `out` and fills it with every point within ε of point `i`,
+    /// `i` included.
+    fn neighbours(&self, i: usize, out: &mut Vec<usize>) {
+        out.clear();
+        let (cx, cy) = self.cell[i];
+        let (qx, qy) = self.xy[i];
+        // Cells of ε reach ε in one step; `GridIndex` scans one ring more.
+        let reach = 2;
+        let x0 = cx.saturating_sub(reach);
+        let x1 = (cx + reach).min(self.cols - 1);
+        for yy in cy.saturating_sub(reach)..=(cy + reach).min(self.rows - 1) {
+            let run = self.start[yy * self.cols + x0]..self.start[yy * self.cols + x1 + 1];
+            for &j in &self.order[run] {
+                let (px, py) = self.xy[j];
+                if ((qx - px).powi(2) + (qy - py).powi(2)).sqrt() <= self.eps {
+                    out.push(j);
+                }
+            }
+        }
+    }
 }
 
 /// Geometric centroid of each cluster (index = cluster id).

@@ -6,7 +6,7 @@
 //!   what synthetic drivers use, which makes high-grade roads attract traffic
 //!   and *popular routes* emerge exactly as on a real map.
 
-use crate::network::{EdgeId, NodeId, RoadNetwork};
+use crate::network::{EdgeId, NodeId, RoadEdge, RoadNetwork};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -20,8 +20,7 @@ pub enum PathCost {
 }
 
 impl PathCost {
-    fn edge_cost(self, net: &RoadNetwork, e: EdgeId) -> f64 {
-        let edge = net.edge(e);
+    fn edge_cost(self, edge: &RoadEdge) -> f64 {
         match self {
             PathCost::Distance => edge.length_m,
             PathCost::TravelTime => edge.free_flow_secs(),
@@ -47,7 +46,7 @@ impl RoutePath {
     }
 }
 
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 struct HeapEntry {
     cost: f64,
     node: NodeId,
@@ -73,93 +72,116 @@ impl PartialOrd for HeapEntry {
 /// Dijkstra search from `src` to `dst` under the given cost model.
 ///
 /// Returns `None` when `dst` is unreachable (possible with one-way roads).
+/// A one-shot [`PathSearch`]; callers running many searches on one network
+/// should keep a `PathSearch` instead.
 pub fn shortest_path(
     net: &RoadNetwork,
     src: NodeId,
     dst: NodeId,
     cost_model: PathCost,
 ) -> Option<RoutePath> {
-    let n = net.node_count();
-    if src.0 as usize >= n || dst.0 as usize >= n {
-        return None;
-    }
-    if src == dst {
-        return Some(RoutePath { nodes: vec![src], edges: vec![], cost: 0.0 });
-    }
-
-    let mut g = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-    let mut done = vec![false; n];
-    g[src.0 as usize] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry { cost: 0.0, node: src });
-
-    while let Some(HeapEntry { cost: _, node }) = heap.pop() {
-        let ni = node.0 as usize;
-        if done[ni] {
-            continue;
-        }
-        done[ni] = true;
-        if node == dst {
-            break;
-        }
-        for &(e, next) in net.neighbors(node) {
-            let nxt = next.0 as usize;
-            if done[nxt] {
-                continue;
-            }
-            let ng = g[ni] + cost_model.edge_cost(net, e);
-            if ng < g[nxt] {
-                g[nxt] = ng;
-                prev[nxt] = Some((node, e));
-                heap.push(HeapEntry { cost: ng, node: next });
-            }
-        }
-    }
-
-    if g[dst.0 as usize].is_infinite() {
-        return None;
-    }
-    let mut nodes = vec![dst];
-    let mut edges = Vec::new();
-    let mut cur = dst;
-    while let Some((p, e)) = prev[cur.0 as usize] {
-        edges.push(e);
-        nodes.push(p);
-        cur = p;
-        if cur == src {
-            break;
-        }
-    }
-    nodes.reverse();
-    edges.reverse();
-    Some(RoutePath { nodes, edges, cost: g[dst.0 as usize] })
+    PathSearch::new(net, cost_model).shortest_path(src, dst)
 }
 
-/// Single-source Dijkstra; returns per-node cost (`INFINITY` = unreachable).
-pub fn all_costs_from(net: &RoadNetwork, src: NodeId, cost_model: PathCost) -> Vec<f64> {
-    let n = net.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut done = vec![false; n];
-    dist[src.0 as usize] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry { cost: 0.0, node: src });
-    while let Some(HeapEntry { cost: _, node }) = heap.pop() {
-        let ni = node.0 as usize;
-        if done[ni] {
-            continue;
-        }
-        done[ni] = true;
-        for &(e, next) in net.neighbors(node) {
-            let nxt = next.0 as usize;
-            let nd = dist[ni] + cost_model.edge_cost(net, e);
-            if nd < dist[nxt] {
-                dist[nxt] = nd;
-                heap.push(HeapEntry { cost: nd, node: next });
-            }
+/// Reusable Dijkstra over one network under one cost model.
+///
+/// Edge costs are computed once, into a column indexed by [`EdgeId`]. The
+/// per-node labels and the heap are kept between searches; each search
+/// resets only the nodes the previous one touched, so a search costs what
+/// it explores rather than the size of the network.
+#[derive(Debug)]
+pub struct PathSearch<'a> {
+    net: &'a RoadNetwork,
+    edge_cost: Vec<f64>,
+    g: Vec<f64>,
+    prev: Vec<Option<(NodeId, EdgeId)>>,
+    done: Vec<bool>,
+    /// Nodes whose labels the last search set.
+    touched: Vec<usize>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl<'a> PathSearch<'a> {
+    /// Prepares searches over `net` under `cost_model`.
+    pub fn new(net: &'a RoadNetwork, cost_model: PathCost) -> Self {
+        let n = net.node_count();
+        Self {
+            net,
+            edge_cost: net.edges().iter().map(|e| cost_model.edge_cost(e)).collect(),
+            g: vec![f64::INFINITY; n],
+            prev: vec![None; n],
+            done: vec![false; n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
         }
     }
-    dist
+
+    /// Cheapest path from `src` to `dst`; `None` when `dst` is unreachable
+    /// or either node is outside the network. Ties resolve the same way in
+    /// every search: the heap pops `(cost, node)` in ascending order and a
+    /// label only improves on a strictly lower cost.
+    pub fn shortest_path(&mut self, src: NodeId, dst: NodeId) -> Option<RoutePath> {
+        let n = self.g.len();
+        if src.0 as usize >= n || dst.0 as usize >= n {
+            return None;
+        }
+        if src == dst {
+            return Some(RoutePath { nodes: vec![src], edges: vec![], cost: 0.0 });
+        }
+        for i in self.touched.drain(..) {
+            self.g[i] = f64::INFINITY;
+            self.prev[i] = None;
+            self.done[i] = false;
+        }
+        self.heap.clear();
+
+        self.g[src.0 as usize] = 0.0;
+        self.touched.push(src.0 as usize);
+        self.heap.push(HeapEntry { cost: 0.0, node: src });
+        while let Some(HeapEntry { cost: _, node }) = self.heap.pop() {
+            let ni = node.0 as usize;
+            if self.done[ni] {
+                continue;
+            }
+            self.done[ni] = true;
+            if node == dst {
+                break;
+            }
+            for &(e, next) in self.net.neighbors(node) {
+                let nxt = next.0 as usize;
+                if self.done[nxt] {
+                    continue;
+                }
+                let ng = self.g[ni] + self.edge_cost[e.0 as usize];
+                if ng < self.g[nxt] {
+                    if self.g[nxt].is_infinite() {
+                        self.touched.push(nxt);
+                    }
+                    self.g[nxt] = ng;
+                    self.prev[nxt] = Some((node, e));
+                    self.heap.push(HeapEntry { cost: ng, node: next });
+                }
+            }
+        }
+
+        if self.g[dst.0 as usize].is_infinite() {
+            return None;
+        }
+        let mut nodes = vec![dst];
+        let mut edges = Vec::new();
+        let mut cur = dst;
+        while let Some((p, e)) = self.prev[cur.0 as usize] {
+            edges.push(e);
+            nodes.push(p);
+            cur = p;
+            if cur == src {
+                break;
+            }
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some(RoutePath { nodes, edges, cost: self.g[dst.0 as usize] })
+    }
 }
 
 #[cfg(test)]
@@ -254,12 +276,18 @@ mod tests {
     }
 
     #[test]
-    fn all_costs_match_point_queries() {
+    fn reused_search_matches_one_shot_searches() {
         let (net, ids) = grid_net();
-        let costs = all_costs_from(&net, ids[0], PathCost::Distance);
-        for &dst in &ids {
-            let p = shortest_path(&net, ids[0], dst, PathCost::Distance).unwrap();
-            assert!((costs[dst.0 as usize] - p.cost).abs() < 1e-6);
+        for model in [PathCost::Distance, PathCost::TravelTime] {
+            let mut search = PathSearch::new(&net, model);
+            for &src in &ids {
+                for &dst in ids.iter().rev() {
+                    assert_eq!(
+                        search.shortest_path(src, dst),
+                        shortest_path(&net, src, dst, model)
+                    );
+                }
+            }
         }
     }
 

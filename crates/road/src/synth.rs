@@ -194,7 +194,7 @@ pub fn build_city(cfg: &SynthCityConfig) -> RoadNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pathfind::{all_costs_from, PathCost};
+    use crate::pathfind::{PathCost, PathSearch};
 
     #[test]
     fn city_has_expected_topology() {
@@ -274,8 +274,10 @@ mod tests {
         // One-way minor roads may strand a handful of nodes, but the bulk of
         // the city must be mutually reachable or the generator cannot route.
         let net = build_city(&SynthCityConfig::small(123));
-        let costs = all_costs_from(&net, net.nodes()[0].id, PathCost::Distance);
-        let reachable = costs.iter().filter(|c| c.is_finite()).count();
+        let mut search = PathSearch::new(&net, PathCost::Distance);
+        let src = net.nodes()[0].id;
+        let reachable =
+            net.nodes().iter().filter(|n| search.shortest_path(src, n.id).is_some()).count();
         assert!(
             reachable as f64 >= 0.95 * net.node_count() as f64,
             "only {reachable}/{} reachable",

@@ -1,7 +1,7 @@
 //! Weighted HITS power iteration on the visit graph.
 
 use crate::visits::Visit;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Convergence controls for the power iteration.
 #[derive(Debug, Clone, Copy)]
@@ -39,19 +39,8 @@ pub struct HitsResult {
 /// link (edge weights are visit counts). The returned significance vector is
 /// indexed by `LandmarkId` and normalized to `[0, 1]`.
 pub fn compute_significance(n_landmarks: usize, visits: &[Visit], cfg: HitsConfig) -> HitsResult {
-    // Aggregate multi-edges into weights and compact user ids.
-    // `weights` is a BTreeMap so adjacency construction (and therefore
-    // floating-point summation order) is deterministic across runs.
-    let mut user_index: HashMap<u32, usize> = HashMap::new();
-    let mut weights: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-    for v in visits {
-        let lm = v.landmark.0 as usize;
-        assert!(lm < n_landmarks, "visit references landmark {} out of range", lm);
-        let next = user_index.len();
-        let u = *user_index.entry(v.user.0).or_insert(next);
-        *weights.entry((u, lm)).or_insert(0.0) += 1.0;
-    }
-    let n_users = user_index.len();
+    let graph = VisitGraph::build(n_landmarks, visits);
+    let n_users = graph.user_off.len() - 1;
 
     if n_users == 0 || n_landmarks == 0 {
         return HitsResult {
@@ -61,48 +50,41 @@ pub fn compute_significance(n_landmarks: usize, visits: &[Visit], cfg: HitsConfi
         };
     }
 
-    // Adjacency in both directions for fast sweeps.
-    let mut by_user: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_users];
-    let mut by_landmark: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_landmarks];
-    for (&(u, l), &w) in &weights {
-        by_user[u].push((l, w));
-        by_landmark[l].push((u, w));
-    }
-
     let mut auth = vec![1.0f64; n_users];
     let mut hub = vec![1.0f64; n_landmarks];
+    let mut next_hub = vec![0.0f64; n_landmarks];
     let mut iterations = 0;
 
     for it in 0..cfg.max_iters {
         iterations = it + 1;
         // a(u) = Σ_l h(l) · w(u,l)
-        for (u, links) in by_user.iter().enumerate() {
-            auth[u] = links.iter().map(|(l, w)| hub[*l] * w).sum();
+        for (u, a) in auth.iter_mut().enumerate() {
+            *a = graph.links_of_user(u).iter().map(|(l, w)| hub[*l] * w).sum();
         }
         l2_normalize(&mut auth);
         // h(l) = Σ_u a(u) · w(u,l)
-        let mut new_hub = vec![0.0f64; n_landmarks];
-        for (l, links) in by_landmark.iter().enumerate() {
-            new_hub[l] = links.iter().map(|(u, w)| auth[*u] * w).sum();
+        for (l, h) in next_hub.iter_mut().enumerate() {
+            *h = graph.links_of_landmark(l).iter().map(|(u, w)| auth[*u] * w).sum();
         }
-        l2_normalize(&mut new_hub);
-        let delta: f64 = new_hub.iter().zip(&hub).map(|(a, b)| (a - b).powi(2)).sum::<f64>().sqrt();
-        hub = new_hub;
+        l2_normalize(&mut next_hub);
+        let delta: f64 =
+            next_hub.iter().zip(&hub).map(|(a, b)| (a - b).powi(2)).sum::<f64>().sqrt();
+        std::mem::swap(&mut hub, &mut next_hub);
         if delta < cfg.tolerance {
             break;
         }
     }
 
     // Min–max normalize over visited landmarks; unvisited stay at exactly 0.
-    let visited_scores: Vec<f64> =
-        (0..n_landmarks).filter(|l| !by_landmark[*l].is_empty()).map(|l| hub[l]).collect();
-    let (lo, hi) = visited_scores
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+    let visited = |l: usize| !graph.links_of_landmark(l).is_empty();
+    let (lo, hi) = (0..n_landmarks)
+        .filter(|l| visited(*l))
+        .map(|l| hub[l])
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), s| (lo.min(s), hi.max(s)));
     let span = (hi - lo).max(f64::MIN_POSITIVE);
     let significance = (0..n_landmarks)
         .map(|l| {
-            if by_landmark[l].is_empty() {
+            if !visited(l) {
                 0.0
             } else if hi == lo {
                 1.0 // every visited landmark equally significant
@@ -113,6 +95,87 @@ pub fn compute_significance(n_landmarks: usize, visits: &[Visit], cfg: HitsConfi
         .collect();
 
     HitsResult { significance, hub_scores: hub, iterations }
+}
+
+/// The weighted traveller–landmark graph in compressed sparse row form,
+/// one copy per sweep direction.
+///
+/// Users are compacted to `0..n_users` in order of first appearance. Each
+/// user's links are sorted by landmark and each landmark's links by user,
+/// so both sweeps add their terms in `(user, landmark)` order — the order
+/// that fixes every floating-point sum, and with it the significance bits.
+struct VisitGraph {
+    /// User `u`'s links are `user_links[user_off[u]..user_off[u + 1]]`.
+    user_off: Vec<usize>,
+    /// `(landmark, visit count)`, landmarks ascending within a user.
+    user_links: Vec<(usize, f64)>,
+    /// Landmark `l`'s links are `lm_links[lm_off[l]..lm_off[l + 1]]`.
+    lm_off: Vec<usize>,
+    /// `(user, visit count)`, users ascending within a landmark.
+    lm_links: Vec<(usize, f64)>,
+}
+
+impl VisitGraph {
+    fn build(n_landmarks: usize, visits: &[Visit]) -> Self {
+        // One `(user, landmark)` key per visit, sorted once; a run of equal
+        // keys is one link weighted by its length.
+        let mut user_index: HashMap<u32, u64> = HashMap::new();
+        let mut keys: Vec<u64> = Vec::with_capacity(visits.len());
+        for v in visits {
+            let lm = v.landmark.0;
+            assert!((lm as usize) < n_landmarks, "visit references landmark {} out of range", lm);
+            let next = user_index.len() as u64;
+            let u = *user_index.entry(v.user.0).or_insert(next);
+            keys.push(u << 32 | u64::from(lm));
+        }
+        keys.sort_unstable();
+
+        // Offsets start as per-row link counts and become prefix sums.
+        let n_users = user_index.len();
+        let mut user_off = vec![0usize; n_users + 1];
+        let mut lm_off = vec![0usize; n_landmarks + 1];
+        let mut user_links: Vec<(usize, f64)> = Vec::new();
+        let mut run_start = 0;
+        for (i, key) in keys.iter().enumerate() {
+            if keys.get(i + 1) == Some(key) {
+                continue;
+            }
+            let (u, l) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
+            user_links.push((l, (i + 1 - run_start) as f64));
+            user_off[u + 1] += 1;
+            lm_off[l + 1] += 1;
+            run_start = i + 1;
+        }
+        prefix_sum(&mut user_off);
+        prefix_sum(&mut lm_off);
+
+        // Counting sort by landmark; scanning users in ascending order keeps
+        // each landmark's users ascending.
+        let mut cursor = lm_off.clone();
+        let mut lm_links = vec![(0usize, 0.0f64); user_links.len()];
+        for u in 0..n_users {
+            for &(l, w) in &user_links[user_off[u]..user_off[u + 1]] {
+                lm_links[cursor[l]] = (u, w);
+                cursor[l] += 1;
+            }
+        }
+        Self { user_off, user_links, lm_off, lm_links }
+    }
+
+    fn links_of_user(&self, u: usize) -> &[(usize, f64)] {
+        &self.user_links[self.user_off[u]..self.user_off[u + 1]]
+    }
+
+    fn links_of_landmark(&self, l: usize) -> &[(usize, f64)] {
+        &self.lm_links[self.lm_off[l]..self.lm_off[l + 1]]
+    }
+}
+
+/// Turns per-row counts in `off[1..]` into CSR offsets.
+fn prefix_sum(off: &mut [usize]) {
+    for i in 1..off.len() {
+        off[i] += off[i - 1];
+    }
 }
 
 fn l2_normalize(v: &mut [f64]) {
