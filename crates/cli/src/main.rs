@@ -428,7 +428,10 @@ fn load_world_config(dir: &Path) -> Result<WorldConfig, String> {
     let path = dir.join("world.json");
     let body = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e} (run `gen` first)", path.display()))?;
-    serde_json::from_str(&body).map_err(|e| format!("bad world.json: {e}"))
+    let cfg: WorldConfig =
+        serde_json::from_str(&body).map_err(|e| format!("bad world.json: {e}"))?;
+    cfg.validate().map_err(|e| format!("bad world.json: {e}"))?;
+    Ok(cfg)
 }
 
 fn trip_files(dir: &Path) -> Result<Vec<PathBuf>, String> {

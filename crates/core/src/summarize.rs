@@ -670,7 +670,7 @@ impl<'a> Summarizer<'a> {
     ) -> Vec<Result<Summary, SummarizeError>> {
         let obs = &self.cfg.recorder;
         let _root = obs.span("summarize_batch");
-        let cache_before = self.route_cache.as_ref().map(|c| c.stats());
+        let cache_before = self.cache_snapshot();
         let exec = Executor::new(self.cfg.threads).with_recorder(obs.clone());
         // Workers run the pipeline against a private recorder (cross-thread
         // span opens would interleave nondeterministically in the shared
@@ -695,10 +695,20 @@ impl<'a> Summarizer<'a> {
         out
     }
 
-    /// Emits the route cache's counter deltas for one batch —
+    /// The route cache's counters before a call that reports their delta
+    /// through [`Self::record_cache_delta`]; `None` (and no shard locks
+    /// taken) when the cache or the recorder is off.
+    fn cache_snapshot(&self) -> Option<CacheStats> {
+        let cache = self.route_cache.as_ref().filter(|_| self.cfg.recorder.is_enabled())?;
+        Some(cache.stats())
+    }
+
+    /// Emits the route cache's counter deltas since `before` —
     /// `cache.hits`/`cache.misses`/`cache.evictions` plus the
-    /// `route_cache.capacity` gauge — into the shared recorder. A no-op
-    /// when the cache is disabled.
+    /// `route_cache.capacity` gauge — into the shared recorder, once per
+    /// batch or single-trip summary. A no-op without a snapshot. Lookups
+    /// that other threads make on the same summarizer inside the window
+    /// land in this delta too.
     fn record_cache_delta(&self, before: Option<CacheStats>) {
         let (Some(cache), Some(before)) = (&self.route_cache, before) else { return };
         let obs = &self.cfg.recorder;
@@ -788,7 +798,10 @@ impl<'a> Summarizer<'a> {
         prepared: &Prepared,
         k: Option<usize>,
     ) -> Result<Summary, SummarizeError> {
-        self.summarize_prepared_obs(prepared, k, &self.cfg.recorder)
+        let cache_before = self.cache_snapshot();
+        let out = self.summarize_prepared_obs(prepared, k, &self.cfg.recorder);
+        self.record_cache_delta(cache_before);
+        out
     }
 
     /// [`Self::summarize_prepared`] reporting into `obs` instead of the

@@ -25,4 +25,4 @@ pub mod world;
 
 pub use traffic::TrafficModel;
 pub use trips::{GeneratedTrip, GroundTruth, TripConfig, TripGenerator};
-pub use world::{World, WorldConfig};
+pub use world::{World, WorldConfig, WorldConfigError, MAX_GRID_NODES};

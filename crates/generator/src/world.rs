@@ -57,6 +57,89 @@ impl WorldConfig {
     }
 }
 
+/// Largest city grid [`WorldConfig::validate`] accepts, in intersections
+/// (`cols × rows`): a 1000 × 1000 grid, 500 km across at the default block
+/// size. Every grid-sized buffer stays well inside memory, and the product
+/// cannot overflow.
+pub const MAX_GRID_NODES: usize = 1_000_000;
+
+/// Why a [`WorldConfig`] cannot generate a world.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorldConfigError {
+    /// The city grid is smaller than 2 × 2 or has more than
+    /// [`MAX_GRID_NODES`] intersections.
+    GridSize { cols: usize, rows: usize },
+    /// `block_m` is not a finite number of metres above zero.
+    BlockSize(f64),
+    /// `one_way_fraction` lies outside `[0, 1]`.
+    OneWayFraction(f64),
+    /// `arterial_every` is 0.
+    ArterialEvery,
+    /// Check-ins are requested but there are no POIs to check in at.
+    NoPois { n_users: usize, checkins_per_user: usize },
+    /// The city origin is not a finite latitude/longitude in range.
+    Origin { lat: f64, lon: f64 },
+}
+
+impl std::fmt::Display for WorldConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::GridSize { cols, rows } => write!(
+                f,
+                "city grid {cols} x {rows} must be at least 2 x 2 \
+                 with at most {MAX_GRID_NODES} intersections"
+            ),
+            Self::BlockSize(b) => write!(f, "block_m {b} must be a finite length above 0"),
+            Self::OneWayFraction(x) => write!(f, "one_way_fraction {x} must lie in [0, 1]"),
+            Self::ArterialEvery => write!(f, "arterial_every must be at least 1"),
+            Self::NoPois { n_users, checkins_per_user } => write!(
+                f,
+                "n_pois is 0 but {n_users} users x {checkins_per_user} check-ins are requested"
+            ),
+            Self::Origin { lat, lon } => write!(
+                f,
+                "origin ({lat}, {lon}) must be a finite latitude in [-90, 90] \
+                 and longitude in [-180, 180]"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for WorldConfigError {}
+
+impl WorldConfig {
+    /// Checks that [`World::generate`] can build a world from this
+    /// configuration — the checks a hand-edited `world.json` needs before
+    /// it reaches the generator's panicking preconditions.
+    pub fn validate(&self) -> Result<(), WorldConfigError> {
+        let c = &self.city;
+        let nodes = c.cols.checked_mul(c.rows);
+        if c.cols < 2 || c.rows < 2 || nodes.is_none_or(|n| n > MAX_GRID_NODES) {
+            return Err(WorldConfigError::GridSize { cols: c.cols, rows: c.rows });
+        }
+        if !(c.block_m.is_finite() && c.block_m > 0.0) {
+            return Err(WorldConfigError::BlockSize(c.block_m));
+        }
+        if !(0.0..=1.0).contains(&c.one_way_fraction) {
+            return Err(WorldConfigError::OneWayFraction(c.one_way_fraction));
+        }
+        if c.arterial_every == 0 {
+            return Err(WorldConfigError::ArterialEvery);
+        }
+        if self.n_pois == 0 && self.n_users > 0 && self.checkins_per_user > 0 {
+            return Err(WorldConfigError::NoPois {
+                n_users: self.n_users,
+                checkins_per_user: self.checkins_per_user,
+            });
+        }
+        let (lat, lon) = (c.origin.lat, c.origin.lon);
+        if !((-90.0..=90.0).contains(&lat) && (-180.0..=180.0).contains(&lon)) {
+            return Err(WorldConfigError::Origin { lat, lon });
+        }
+        Ok(())
+    }
+}
+
 /// A fully assembled synthetic world.
 pub struct World {
     pub net: RoadNetwork,
@@ -76,7 +159,14 @@ pub struct World {
 
 impl World {
     /// Deterministically generates a world from `cfg`.
+    ///
+    /// # Panics
+    /// Panics with [`WorldConfig::validate`]'s message when `cfg` is
+    /// invalid.
     pub fn generate(cfg: WorldConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid world config: {e}");
+        }
         let net = build_city(&cfg.city);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
 
@@ -336,6 +426,63 @@ mod tests {
             .map(|l| l.significance)
             .collect();
         assert!(tp_sig.iter().any(|s| *s > 0.0), "car routes must make some junctions significant");
+    }
+
+    #[test]
+    fn validate_accepts_the_stock_configs() {
+        assert_eq!(WorldConfig::default().validate(), Ok(()));
+        assert_eq!(WorldConfig::small(3).validate(), Ok(()));
+        // No check-ins requested: a world without POIs is fine.
+        let bare = WorldConfig { n_pois: 0, n_users: 0, ..WorldConfig::small(3) };
+        assert_eq!(bare.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_names_each_bad_field() {
+        let with_city = |f: &dyn Fn(&mut SynthCityConfig)| {
+            let mut cfg = WorldConfig::small(3);
+            f(&mut cfg.city);
+            cfg.validate()
+        };
+        assert_eq!(
+            with_city(&|c| c.cols = 0),
+            Err(WorldConfigError::GridSize { cols: 0, rows: 8 })
+        );
+        assert_eq!(
+            with_city(&|c| c.rows = 1),
+            Err(WorldConfigError::GridSize { cols: 8, rows: 1 })
+        );
+        let huge = with_city(&|c| (c.cols, c.rows) = (usize::MAX, usize::MAX));
+        assert!(matches!(huge, Err(WorldConfigError::GridSize { .. })));
+        assert!(with_city(&|c| (c.cols, c.rows) = (1_000, 1_000)).is_ok());
+        assert!(with_city(&|c| (c.cols, c.rows) = (1_000, 1_001)).is_err());
+        assert_eq!(with_city(&|c| c.block_m = -5.0), Err(WorldConfigError::BlockSize(-5.0)));
+        assert!(matches!(
+            with_city(&|c| c.block_m = f64::NAN),
+            Err(WorldConfigError::BlockSize(_))
+        ));
+        assert!(with_city(&|c| c.block_m = f64::INFINITY).is_err());
+        assert_eq!(
+            with_city(&|c| c.one_way_fraction = 1.5),
+            Err(WorldConfigError::OneWayFraction(1.5))
+        );
+        assert_eq!(with_city(&|c| c.arterial_every = 0), Err(WorldConfigError::ArterialEvery));
+        assert!(matches!(
+            with_city(&|c| c.origin.lat = f64::NAN),
+            Err(WorldConfigError::Origin { .. })
+        ));
+        assert!(with_city(&|c| c.origin.lon = 181.0).is_err());
+        let no_pois = WorldConfig { n_pois: 0, ..WorldConfig::small(3) };
+        let err = no_pois.validate().expect_err("check-ins need POIs");
+        assert!(err.to_string().contains("n_pois is 0"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid world config: block_m")]
+    fn generate_panics_with_the_validation_message() {
+        let mut cfg = WorldConfig::small(3);
+        cfg.city.block_m = 0.0;
+        World::generate(cfg);
     }
 
     #[test]

@@ -615,6 +615,42 @@ fn summaries_identical_with_and_without_cache() {
 }
 
 #[test]
+fn single_trip_summaries_report_their_route_cache_lookups() {
+    use stmaker_suite::Recorder;
+    let h = Harness::new();
+    let (train, test) = h.corpora(40, 8);
+    let features = standard_features();
+    let weights = FeatureWeights::uniform(&features);
+    let obs = Recorder::enabled();
+    let s = Summarizer::train(
+        &h.world.net,
+        &h.world.registry,
+        &train,
+        features,
+        weights,
+        SummarizerConfig::default().with_route_cache(64).with_recorder(obs.clone()),
+    );
+    let before = s.route_cache_stats().expect("cache enabled");
+    let counter = |name: &str| obs.report().counters.get(name).copied().unwrap_or(0);
+    let (hits0, misses0) = (counter("cache.hits"), counter("cache.misses"));
+    // Twice over the trips, through each single-trip entry point, so the
+    // second pass hits what the first one missed.
+    for _ in 0..2 {
+        for (i, trip) in test.iter().enumerate() {
+            let _ = match i % 3 {
+                0 => s.summarize(trip),
+                1 => s.summarize_k(trip, 2),
+                _ => s.summarize_points(trip.points()),
+            };
+        }
+    }
+    let delta = s.route_cache_stats().expect("cache enabled").since(&before);
+    assert!(delta.hits > 0 && delta.misses > 0, "the trips must both hit and miss: {delta:?}");
+    assert_eq!(counter("cache.hits") - hits0, delta.hits);
+    assert_eq!(counter("cache.misses") - misses0, delta.misses);
+}
+
+#[test]
 fn batch_telemetry_reports_per_trip_spans() {
     use stmaker_suite::Recorder;
     let h = Harness::new();
