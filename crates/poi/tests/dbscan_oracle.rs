@@ -6,7 +6,7 @@
 //! the labels decide which POIs merge into which landmark.
 
 use proptest::prelude::*;
-use stmaker_geo::{GeoPoint, GridIndex};
+use stmaker_geo::{BoundingBox, GeoPoint, GridIndex, LocalFrame};
 use stmaker_poi::cluster::Assignment;
 use stmaker_poi::{dbscan, DbscanParams};
 
@@ -127,6 +127,23 @@ fn matches_reference_on_a_lattice_exactly_eps_apart() {
                 reference_dbscan(&pts, params),
                 "eps {eps_m} min_pts {min_pts}"
             );
+        }
+    }
+}
+
+#[test]
+fn matches_reference_when_eps_is_exactly_a_pair_distance() {
+    // eps set to a pair's planar distance in the grid's own frame, so the
+    // inclusive `<=` decides whether that pair are neighbours.
+    let pts: Vec<GeoPoint> =
+        (0..12).map(|i| base().destination(37.0 * i as f64, 90.0 + 13.0 * i as f64)).collect();
+    let bbox = BoundingBox::enclosing(&pts).expect("points").inflate(1e-4);
+    let frame = LocalFrame::new(bbox.center());
+    for j in 1..pts.len() {
+        let eps_m = frame.dist_m(&pts[0], &pts[j]);
+        for min_pts in [2, 3] {
+            let params = DbscanParams { eps_m, min_pts };
+            assert_eq!(dbscan(&pts, params), reference_dbscan(&pts, params), "pair 0-{j}");
         }
     }
 }

@@ -8,6 +8,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use stmaker_geo::GeoPoint;
 use stmaker_road::pathfind::shortest_path;
 use stmaker_road::{
     build_city, Direction, EdgeId, NodeId, PathCost, PathSearch, RoadGrade, RoadNetwork, RoutePath,
@@ -152,6 +153,33 @@ fn with_one_way_spurs(mut net: RoadNetwork) -> RoadNetwork {
     let on_ramp = net.add_node(hub.point.destination(250.0, 300.0));
     net.add_edge(on_ramp, hub.id, RoadGrade::Feeder, 4.0, Direction::OneWay, "spur out");
     net
+}
+
+/// A chain of diamonds mirrored about the equator: each equator node
+/// reaches the next through an upper and a lower node whose edges have
+/// bit-identical lengths, so every hop is an exact cost tie that only the
+/// heap order and the strict `<` relaxation resolve.
+fn tied_diamond_chain(diamonds: usize) -> RoadNetwork {
+    let mut net = RoadNetwork::new();
+    let mut west = net.add_node(GeoPoint::new(0.0, 0.0));
+    for i in 0..diamonds {
+        let lon = 0.002 * i as f64;
+        // Alternate which side gets the lower id, so ties break both ways.
+        let sides = if i % 2 == 0 { [0.001, -0.001] } else { [-0.001, 0.001] };
+        let [a, b] = sides.map(|lat| net.add_node(GeoPoint::new(lat, lon + 0.001)));
+        let east = net.add_node(GeoPoint::new(0.0, lon + 0.002));
+        for mid in [a, b] {
+            net.add_edge(west, mid, RoadGrade::Feeder, 4.0, Direction::TwoWay, "w");
+            net.add_edge(mid, east, RoadGrade::Feeder, 4.0, Direction::TwoWay, "e");
+        }
+        west = east;
+    }
+    net
+}
+
+#[test]
+fn exact_cost_ties_resolve_like_the_reference() {
+    assert_all_pairs_match(&tied_diamond_chain(6));
 }
 
 #[test]
