@@ -152,7 +152,8 @@ impl FlatGrid {
         out.clear();
         let (cx, cy) = self.cell[i];
         let (qx, qy) = self.xy[i];
-        // Cells of ε reach ε in one step; `GridIndex` scans one ring more.
+        // `GridIndex`'s reach for a radius of one cell, ceil(ε / ε) + 1: the
+        // spare ring keeps a neighbour that rounding puts two cells over.
         let reach = 2;
         let x0 = cx.saturating_sub(reach);
         let x1 = (cx + reach).min(self.cols - 1);
