@@ -69,6 +69,7 @@ pub mod group;
 pub mod invariant;
 pub mod irregular;
 pub mod partition;
+mod route_memo;
 pub mod select;
 pub mod similarity;
 pub mod streaming;
@@ -87,10 +88,9 @@ pub use summarize::{
     SummarizerConfig, Summary, TrainedModel,
 };
 
-// Telemetry types, re-exported so downstream crates can attach a recorder
-// or inspect route-cache counters without depending on `stmaker-obs` /
-// `stmaker-cache` directly.
-pub use stmaker_cache::CacheStats;
+// Telemetry types: the route memo's counters, and the recorder re-exported
+// so downstream crates can attach one without depending on `stmaker-obs`.
+pub use route_memo::CacheStats;
 pub use stmaker_obs::{Recorder, Report};
 
 // Spatial-index selection, re-exported so the CLI and the benchmark can flip

@@ -15,6 +15,7 @@ use crate::context::{
 };
 use crate::feature::{FeatureScale, FeatureSet, FeatureWeights};
 use crate::partition::{optimal_k_partition, optimal_partition, PartitionResult, PartitionSpan};
+use crate::route_memo::{CacheStats, Route, RouteMemo};
 use crate::select::{select_features_with, SelectScratch, SelectedFeature, SelectionInput};
 use crate::similarity::consecutive_similarities;
 use crate::template::{render_partition_sentence, PartitionFacts};
@@ -22,7 +23,6 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use stmaker_cache::{CacheStats, ShardedCache};
 use stmaker_calibration::{
     calibrate_view, calibrate_view_traced, CalibrationError, CalibrationParams,
 };
@@ -151,7 +151,7 @@ pub enum SummarizeError {
         max: usize,
     },
     /// A model trained against a registry of a different size was offered
-    /// to [`Summarizer::try_from_model`] / [`Summarizer::swap_model`].
+    /// to [`Summarizer::try_from_model`].
     /// Landmark ids are positional, so accepting it would silently rename
     /// every landmark.
     ModelMismatch {
@@ -213,10 +213,11 @@ impl From<TrajectoryError> for SummarizeError {
 
 /// The historical knowledge mined from the training corpus.
 ///
-/// Serializable: train once (minutes over a large corpus), [`TrainedModel::save`]
-/// the result, and [`TrainedModel::load`] it in every serving process —
-/// summarization itself is milliseconds. Files are canonical JSON (sorted
-/// map entries), so identical training runs produce byte-identical models.
+/// Serializable: train once (minutes over a large corpus), write the result
+/// with `stmaker_io::write_model_file`, and read it back with
+/// `stmaker_io::read_model_file` in every serving process — summarization
+/// itself is milliseconds. Encodings are canonical (sorted map entries), so
+/// identical training runs produce byte-identical models.
 #[derive(serde::Serialize, serde::Deserialize)]
 pub struct TrainedModel {
     /// Popular-route miner over the training symbolic trajectories.
@@ -241,17 +242,6 @@ impl TrainedModel {
     /// Parses a model from JSON.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
-    }
-
-    /// Writes the model to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Reads a model from a file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let body = std::fs::read_to_string(path)?;
-        Self::from_json(&body).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -309,22 +299,17 @@ pub struct Summarizer<'a> {
     cfg: SummarizerConfig,
     model: TrainedModel,
     /// Read-through memo for `PR(from, to)` (negative answers included),
-    /// shared across batch workers; `None` unless
-    /// [`SummarizerConfig::with_route_cache`] enabled it.
+    /// shared by the batch workers that borrow this summarizer; `None`
+    /// unless [`SummarizerConfig::with_route_cache`] enabled it.
     ///
-    /// **One cache, one model.** Entries are keyed by landmark pair, not by
+    /// **One memo, one model.** Entries are keyed by landmark pair, not by
     /// model, so they are pure only against the model they were filled
-    /// from: every path that installs a model ([`Self::swap_model`], the
-    /// constructors) installs a fresh cache in the same step, and a
-    /// swapped-in model is never answered from the previous model's
+    /// from. The model is fixed for the summarizer's life, and the only
+    /// constructors ([`Self::train`], [`Self::try_from_model`]) each build
+    /// a fresh memo, so a new model is never answered from an old model's
     /// entries (DESIGN.md §12, §15).
-    route_cache: Option<Arc<RouteCache>>,
+    route_cache: Option<RouteMemo>,
 }
-
-/// `(from, to) → PR(from, to)`, with `None` for pairs the corpus gives no
-/// basis for. Routes are `Arc` slices so a hit is a probe and a refcount
-/// bump.
-type RouteCache = ShardedCache<(LandmarkId, LandmarkId), Option<Arc<[LandmarkId]>>>;
 
 /// A trip the batch worker loop accepts: valid by construction, or a raw
 /// buffer validated inside its worker.
@@ -344,9 +329,9 @@ impl BatchTrip for Vec<RawPoint> {
     }
 }
 
-/// The route cache a config asks for (`None` when disabled).
-fn build_route_cache(cfg: &SummarizerConfig) -> Option<Arc<RouteCache>> {
-    (cfg.route_cache > 0).then(|| Arc::new(ShardedCache::new(cfg.route_cache)))
+/// The route memo a config asks for (`None` when disabled).
+fn build_route_cache(cfg: &SummarizerConfig) -> Option<RouteMemo> {
+    (cfg.route_cache > 0).then(|| RouteMemo::new(cfg.route_cache))
 }
 
 /// Checks that `model` was trained against a registry of `registry`'s size
@@ -502,19 +487,6 @@ impl<'a> Summarizer<'a> {
         let matcher = MapMatcher::with_index(net, cfg.matching, cfg.spatial_index);
         let route_cache = build_route_cache(&cfg);
         Ok(Self { net, registry, matcher, features, weights, cfg, model, route_cache })
-    }
-
-    /// Replaces the trained model in place — the hot-swap primitive the
-    /// serving layer builds on. The route cache memoizes pure functions of
-    /// the *outgoing* model (including negative answers: pairs it had no
-    /// route for), so a fresh cache is installed in the same step; keeping
-    /// the old entries would silently answer queries from the previous
-    /// model. Rejects a model trained against a different-sized registry.
-    pub fn swap_model(&mut self, model: TrainedModel) -> Result<(), SummarizeError> {
-        check_model(&model, self.registry)?;
-        self.route_cache = build_route_cache(&self.cfg);
-        self.model = model;
-        Ok(())
     }
 
     /// Consumes the summarizer, handing back its trained model (what a
@@ -696,8 +668,8 @@ impl<'a> Summarizer<'a> {
     }
 
     /// The route cache's counters before a call that reports their delta
-    /// through [`Self::record_cache_delta`]; `None` (and no shard locks
-    /// taken) when the cache or the recorder is off.
+    /// through [`Self::record_cache_delta`]; `None` (and no lock taken)
+    /// when the cache or the recorder is off.
     fn cache_snapshot(&self) -> Option<CacheStats> {
         let cache = self.route_cache.as_ref().filter(|_| self.cfg.recorder.is_enabled())?;
         Some(cache.stats())
@@ -716,7 +688,7 @@ impl<'a> Summarizer<'a> {
         obs.add("cache.hits", delta.hits);
         obs.add("cache.misses", delta.misses);
         obs.add("cache.evictions", delta.evictions);
-        obs.gauge("route_cache.capacity", cache.capacity() as f64); // cast-ok: entry count
+        obs.gauge("route_cache.capacity", delta.capacity as f64); // cast-ok: entry count
     }
 
     /// Replays per-trip wall times into the shared recorder in input order
@@ -852,16 +824,15 @@ impl<'a> Summarizer<'a> {
             // vector from the model; both locals must outlive `pr`. A
             // disabled cache costs exactly this one branch.
             let _pr_span = obs.span("popular_route");
-            let (pr_owned, pr_cached): (Option<Vec<LandmarkId>>, Option<Arc<[LandmarkId]>>) =
-                match &self.route_cache {
-                    None => (self.model.popular.popular_route(from, to), None),
-                    Some(cache) => (
-                        None,
-                        cache.get_or_insert_with(&(from, to), || {
-                            self.model.popular.popular_route(from, to).map(Arc::from)
-                        }),
-                    ),
-                };
+            let (pr_owned, pr_cached): (Option<Vec<LandmarkId>>, Route) = match &self.route_cache {
+                None => (self.model.popular.popular_route(from, to), None),
+                Some(cache) => (
+                    None,
+                    cache.get_or_insert_with((from, to), || {
+                        self.model.popular.popular_route(from, to).map(Arc::from)
+                    }),
+                ),
+            };
             let pr: Option<&[LandmarkId]> = pr_owned.as_deref().or(pr_cached.as_deref());
             obs.add(if pr.is_some() { "popular_route.hits" } else { "popular_route.misses" }, 1);
             drop(_pr_span);

@@ -159,32 +159,6 @@ impl<T: Copy> GridIndex<T> {
         }
         best
     }
-
-    /// `k` nearest items, closest first. Returns fewer if the index is small.
-    pub fn k_nearest(&self, q: &GeoPoint, k: usize) -> Vec<(T, f64)> {
-        if k == 0 || self.len == 0 {
-            return Vec::new();
-        }
-        // Expand the radius until k hits are collected or the search provably
-        // covers every indexed item: the stopping bound must include both the
-        // grid's own diagonal and the query's distance to the grid (queries
-        // can lie far outside the indexed bounding box).
-        let (qx, qy) = self.frame.to_xy(q);
-        let grid_w = self.cols as f64 * self.cell_m;
-        let grid_h = self.rows as f64 * self.cell_m;
-        let dist_to_grid_origin = ((qx - self.min_x).powi(2) + (qy - self.min_y).powi(2)).sqrt();
-        let max_span = dist_to_grid_origin + grid_w.hypot(grid_h) + self.cell_m;
-        let mut radius = self.cell_m;
-        loop {
-            let mut hits = self.within_radius(q, radius);
-            if hits.len() >= k || radius > max_span {
-                hits.sort_by(|a, b| a.1.total_cmp(&b.1));
-                hits.truncate(k);
-                return hits;
-            }
-            radius *= 2.0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -239,32 +213,6 @@ mod tests {
         let q = base().destination(270.0, 5_000.0); // far west of all points
         let (id, _) = g.nearest(&q).unwrap();
         assert_eq!(id, 0);
-    }
-
-    #[test]
-    fn k_nearest_sorted_and_capped() {
-        let g = grid_with_line_of_points();
-        let q = base().destination(90.0, 510.0);
-        let hits = g.k_nearest(&q, 3);
-        assert_eq!(hits.len(), 3);
-        assert_eq!(hits[0].0, 5);
-        assert!(hits[0].1 <= hits[1].1 && hits[1].1 <= hits[2].1);
-    }
-
-    #[test]
-    fn k_nearest_with_small_index_returns_all() {
-        let g = GridIndex::build(vec![(7usize, base())], 100.0);
-        let hits = g.k_nearest(&base(), 5);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, 7);
-    }
-
-    #[test]
-    fn k_nearest_from_far_outside_the_box_still_finds_items() {
-        let g = grid_with_line_of_points();
-        let q = base().destination(0.0, 60_000.0); // 60 km away
-        let hits = g.k_nearest(&q, 3);
-        assert_eq!(hits.len(), 3, "far queries must still terminate with results");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! Determinism contract: the build canonicalises entry order (center-x,
 //! center-y, id, endpoints) before tiling, so the packed layout — and therefore
 //! every traversal — is independent of input order. All multi-result queries
-//! return hits sorted by `(distance, id)` (via `total_cmp`), and `bbox` returns
-//! ids sorted and deduplicated, so results are reproducible byte-for-byte.
+//! return hits sorted by `(distance, id)` (via `total_cmp`), so results are
+//! reproducible byte-for-byte.
 
 use crate::bbox::BoundingBox;
 use crate::point::{GeoPoint, LocalFrame};
@@ -382,71 +382,10 @@ impl<T: Copy + Ord> RTree<T> {
         out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     }
 
-    /// Ids of all entries whose MBR intersects `b` (point entries: point in
-    /// rect), sorted and deduplicated.
-    pub fn bbox(&self, b: &BoundingBox) -> Vec<T> {
-        let mut out = Vec::new();
-        if self.is_empty() {
-            return out;
-        }
-        // to_xy is monotone in lat and lon, so the geographic rect maps to a
-        // planar rect spanned by the images of its corners.
-        let (min_x, min_y) = self.frame.to_xy(&GeoPoint { lat: b.min_lat, lon: b.min_lon });
-        let (max_x, max_y) = self.frame.to_xy(&GeoPoint { lat: b.max_lat, lon: b.max_lon });
-        self.rect_into(min_x, min_y, max_x, max_y, &mut out, &mut SpatialStats::default());
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Pushes ids of entries whose MBR intersects the planar rect (no clear,
-    /// no sort — callers canonicalise).
-    fn rect_into(
-        &self,
-        min_x: f64,
-        min_y: f64,
-        max_x: f64,
-        max_y: f64,
-        out: &mut Vec<T>,
-        stats: &mut SpatialStats,
-    ) {
-        let mut stack = vec![self.root];
-        while let Some(ni) = stack.pop() {
-            stats.nodes_visited += 1;
-            let node = self.nodes[ni as usize];
-            if node.min_x > max_x || node.max_x < min_x || node.min_y > max_y || node.max_y < min_y
-            {
-                continue;
-            }
-            if node.leaf {
-                stats.leaves_scanned += 1;
-                for i in node.first as usize..(node.first + node.count) as usize {
-                    let (e_min_x, e_max_x) =
-                        (self.ax[i].min(self.bx[i]), self.ax[i].max(self.bx[i]));
-                    let (e_min_y, e_max_y) =
-                        (self.ay[i].min(self.by[i]), self.ay[i].max(self.by[i]));
-                    if e_min_x <= max_x && e_max_x >= min_x && e_min_y <= max_y && e_max_y >= min_y
-                    {
-                        out.push(self.ids[i]);
-                    }
-                }
-            } else {
-                for c in node.first..node.first + node.count {
-                    stack.push(c);
-                }
-            }
-        }
-    }
-
     /// The entry nearest to `q` (smallest distance; ties broken by smaller
     /// id), or `None` for an empty tree.
     pub fn nearest(&self, q: &GeoPoint) -> Option<(T, f64)> {
         self.k_nearest_within(q, 1, f64::INFINITY).first().copied()
-    }
-
-    /// The `k` entries nearest to `q`, sorted by `(distance, id)`.
-    pub fn k_nearest(&self, q: &GeoPoint, k: usize) -> Vec<(T, f64)> {
-        self.k_nearest_within(q, k, f64::INFINITY)
     }
 
     /// The `k` entries nearest to `q` among those within `radius_m`, sorted
@@ -580,8 +519,8 @@ impl<T: Copy + Ord> RTree<T> {
         out.dedup();
     }
 
-    /// Like `rect_into` but pushes entry indices instead of ids (the corridor
-    /// query needs coordinates for refinement).
+    /// Pushes indices of entries whose MBR intersects the planar rect (the
+    /// corridor query needs coordinates for refinement).
     fn rect_entries_into(
         &self,
         min_x: f64,
@@ -647,7 +586,7 @@ mod tests {
         assert_eq!(tree.len(), 0);
         assert!(tree.within_radius(&base(), 1_000.0).is_empty());
         assert!(tree.nearest(&base()).is_none());
-        assert!(tree.k_nearest(&base(), 3).is_empty());
+        assert!(tree.k_nearest_within(&base(), 3, f64::INFINITY).is_empty());
         let mut out = Vec::new();
         let mut stats = SpatialStats::default();
         tree.along_into(&[base()], 100.0, &mut out, &mut stats);
@@ -675,7 +614,10 @@ mod tests {
         let backward = RTree::build_points(items.iter().copied());
         let q = base().destination(45.0, 300.0);
         assert_eq!(forward.within_radius(&q, 900.0), backward.within_radius(&q, 900.0));
-        assert_eq!(forward.k_nearest(&q, 7), backward.k_nearest(&q, 7));
+        assert_eq!(
+            forward.k_nearest_within(&q, 7, f64::INFINITY),
+            backward.k_nearest_within(&q, 7, f64::INFINITY)
+        );
     }
 
     #[test]
@@ -702,17 +644,6 @@ mod tests {
         let q_end = base().destination(90.0, 2_500.0);
         let d = tree.nearest(&q_end).unwrap().1;
         assert!((d - 500.0).abs() < 2.0, "got {d}");
-    }
-
-    #[test]
-    fn bbox_returns_sorted_unique_ids() {
-        let items = ring(30, 700.0);
-        let tree = RTree::build_points(items.clone());
-        let b = BoundingBox::enclosing(&items.iter().map(|(_, p)| *p).collect::<Vec<_>>())
-            .unwrap()
-            .inflate(1e-3);
-        let ids = tree.bbox(&b);
-        assert_eq!(ids, (0..30).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -206,7 +206,10 @@ proptest! {
 
         let all = brute_hits(&tree, &segs, &q, f64::INFINITY);
         prop_assert_eq!(tree.nearest(&q), all.first().copied());
-        prop_assert_eq!(tree.k_nearest(&q, k), all[..k.min(all.len())].to_vec());
+        prop_assert_eq!(
+            tree.k_nearest_within(&q, k, f64::INFINITY),
+            all[..k.min(all.len())].to_vec()
+        );
         prop_assert_eq!(
             tree.k_nearest_within(&q, k, radius),
             brute[..k.min(brute.len())].to_vec()
@@ -245,7 +248,10 @@ proptest! {
 
         let all = brute_hits(&tree, &segs, &q, f64::INFINITY);
         prop_assert_eq!(tree.nearest(&q), all.first().copied());
-        prop_assert_eq!(tree.k_nearest(&q, k), all[..k.min(all.len())].to_vec());
+        prop_assert_eq!(
+            tree.k_nearest_within(&q, k, f64::INFINITY),
+            all[..k.min(all.len())].to_vec()
+        );
     }
 
     // The grid's new zero-alloc radius query must agree with the allocating

@@ -306,7 +306,7 @@ impl PopularRoutes {
 
         // Resolve each trusted pair's winner once, at build time. Serving
         // queries for these pairs become a single lookup; only
-        // below-min_support pairs ever reach the occurrence scan again.
+        // below-min_support pairs ever reach the transfer-graph walk.
         let partials = exec.shard_partials(&cols.pair_keys, |_, base, keys| {
             let mut won = Vec::new();
             let mut ids = Vec::new();
@@ -392,8 +392,9 @@ impl PopularRoutes {
     }
 
     /// The most popular historical route from `from` to `to`, inclusive of
-    /// both endpoints. Returns `None` when the corpus gives no basis at all
-    /// (no exact support *and* no transfer-graph path).
+    /// both endpoints. Returns `None` when the transfer graph has no path
+    /// from `from` to `to`; in a built model that means no trajectory
+    /// covers the pair, since every hop of every occurrence is an edge.
     pub fn popular_route(&self, from: LandmarkId, to: LandmarkId) -> Option<Vec<LandmarkId>> {
         if from == to {
             return Some(vec![from]);
@@ -405,11 +406,7 @@ impl PopularRoutes {
             return Some(c.win_ids[span(&c.win_offsets, i)].to_vec());
         }
         // No precomputed winner: the pair is below min_support.
-        self.max_probability_route(from, to).or_else(|| {
-            // Last resort: any exact occurrence, even below min_support.
-            let i = c.pair_keys.binary_search(&(from, to)).ok()?;
-            most_frequent_exact(c, span(&c.pair_offsets, i)).map(<[LandmarkId]>::to_vec)
-        })
+        self.max_probability_route(from, to)
     }
 
     /// Maximum-probability walk on the transfer graph: Dijkstra on
@@ -797,7 +794,7 @@ mod tests {
         } else if support >= pr.cols.cfg.min_support && exact.is_some() {
             exact
         } else {
-            pr.max_probability_route(from, to).or(exact)
+            pr.max_probability_route(from, to)
         };
         (support, route)
     }

@@ -177,7 +177,7 @@ fn respond_and_close(mut stream: TcpStream, resp: &Response) -> u64 {
     n
 }
 
-/// Poison-absorbing lock helper (the `stmaker-cache` idiom): a poisoned
+/// Poison-absorbing lock helper (the route memo's idiom): a poisoned
 /// mutex only means another worker panicked mid-request; serving state is
 /// still internally consistent, so keep serving.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 /// Crates whose library code must be panic-free (L2) and fully strict.
 pub const STRICT_CRATES: &[&str] =
-    &["cache", "core", "calibration", "trajectory", "road", "routes", "obs", "exec", "server"];
+    &["core", "calibration", "trajectory", "road", "routes", "obs", "exec", "server"];
 
 /// Crates/groups linted in report-only mode: findings print as warnings
 /// and do not fail the run. `__root__` is the workspace-root

@@ -13,8 +13,7 @@
 //!   mark the line `// lint: ordered — <justification>`; the justification
 //!   is mandatory.
 //! * `RandomState` — hash-seeded iteration order has no place in
-//!   determinism-critical crates (the cache uses `FixedState`); no escape
-//!   hatch.
+//!   determinism-critical crates; no escape hatch.
 //! * `Instant::now` / `SystemTime::now` — wall-clock reads outside the
 //!   `obs` crate need `// lint: wallclock — <justification>` (sanctioned
 //!   use: measuring a span duration that is *recorded* but never folded
@@ -140,7 +139,7 @@ pub fn scan(ctx: &FileCtx<'_>) -> Vec<Finding> {
                 push(
                     line,
                     "`RandomState` (seeded hash order) in a determinism-critical crate; \
-                     use `FixedState` / an ordered container"
+                     use an ordered container"
                         .to_string(),
                 );
             }

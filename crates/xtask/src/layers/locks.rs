@@ -1,6 +1,6 @@
-//! L6 — lock discipline (`cache` / `exec` / `core` / `obs` / `geo`).
+//! L6 — lock discipline (`exec` / `core` / `obs` / `geo` / `server`).
 //!
-//! The cache's contract is that values are computed *outside* the shard
+//! The route memo's contract is that values are computed *outside* its
 //! lock (`get_or_insert_with` drops the guard before calling the closure),
 //! and the executor/obs layers hold their mutexes for O(1) critical
 //! sections. Three shapes break that discipline, all detectable
@@ -27,7 +27,7 @@ use crate::lexer::TokKind;
 
 /// Crates subject to L6 (all hold or wrap locks, except `geo`, which is
 /// kept in the lane so a lock can never creep into the hot spatial index).
-const LOCK_CRATES: &[&str] = &["cache", "exec", "core", "obs", "geo", "server"];
+const LOCK_CRATES: &[&str] = &["exec", "core", "obs", "geo", "server"];
 
 /// Methods that take a closure and run it inline on the receiver chain.
 const CLOSURE_TAKERS: &[&str] =
@@ -136,7 +136,7 @@ mod tests {
 
     fn run(src: &str) -> Vec<Finding> {
         let lx = lex(src);
-        let ctx = FileCtx::new("cache", "crates/cache/src/lib.rs", &lx, Level::Strict, false);
+        let ctx = FileCtx::new("core", "crates/core/src/route_memo.rs", &lx, Level::Strict, false);
         scan(&ctx)
     }
 
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn single_helper_mediated_lock_is_fine() {
-        // The cache idiom: poison-absorbing helper, one lock per statement,
+        // The route-memo idiom: poison-absorbing helper, one lock per statement,
         // value computed outside the guard.
         let src = "use std::sync::{Mutex, MutexGuard};\nfn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {\n    match m.lock() {\n        Ok(g) => g,\n        Err(p) => p.into_inner(),\n    }\n}\npub fn get(m: &Mutex<u32>) -> u32 {\n    *lock(m)\n}\n";
         assert!(run(src).is_empty(), "the sanctioned idiom must not fire");

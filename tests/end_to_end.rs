@@ -304,10 +304,10 @@ fn model_persistence_round_trips_summaries() {
     let dir = std::env::temp_dir().join(format!("stmaker-model-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("model.json");
-    trained.model().save(&path).unwrap();
+    stmaker_io::write_model_file(&path, trained.model(), stmaker_io::ModelFormat::Json).unwrap();
     let json_a = std::fs::read_to_string(&path).unwrap();
 
-    let loaded = stmaker_suite::TrainedModel::load(&path).unwrap();
+    let loaded = stmaker_io::read_model_file(&path).unwrap();
     assert_eq!(loaded.n_trained, trained.model().n_trained);
     let features2 = standard_features();
     let weights2 = FeatureWeights::uniform(&features2);
@@ -935,83 +935,6 @@ fn stc_model_round_trip_is_byte_identical_across_thread_counts() {
             "STC-decoded trips diverged at {threads} thread(s)"
         );
     }
-}
-
-#[test]
-fn model_hot_swap_never_serves_stale_cache_entries() {
-    // The serving-layer staleness bug: the route cache memoizes popular
-    // routes (negative answers included) as pure functions of ONE model. `swap_model` must install a fresh
-    // cache in the same step, or post-swap summaries replay generation-A
-    // answers. Byte-compare the post-swap batch against a cold-cache run
-    // of the new model.
-    let h = Harness::new();
-    let (train_a, test) = h.corpora(60, 8);
-    // A deliberately different corpus: sparse, other seed — so the two
-    // models disagree and the test has teeth.
-    let train_b: Vec<RawTrajectory> = TripGenerator::new(&h.world, TripConfig::default())
-        .generate_corpus(8, 5005)
-        .into_iter()
-        .map(|t| t.raw)
-        .collect();
-    let train_model = |corpus: &[RawTrajectory]| {
-        let features = standard_features();
-        let weights = FeatureWeights::uniform(&features);
-        Summarizer::train(
-            &h.world.net,
-            &h.world.registry,
-            corpus,
-            features,
-            weights,
-            SummarizerConfig::default(),
-        )
-        .into_model()
-    };
-    let model_a = train_model(&train_a);
-    let model_b = train_model(&train_b);
-    // Training is deterministic (byte-identical models), so training twice
-    // is how we "clone" a model for the cold reference.
-    let model_b_twin = train_model(&train_b);
-
-    let build = |model| {
-        let features = standard_features();
-        let weights = FeatureWeights::uniform(&features);
-        Summarizer::try_from_model(
-            &h.world.net,
-            &h.world.registry,
-            model,
-            features,
-            weights,
-            SummarizerConfig::default().with_threads(2).with_route_cache(64),
-        )
-        .expect("registry matches")
-    };
-    let texts = |results: Vec<Result<stmaker_suite::Summary, _>>| -> Vec<String> {
-        results
-            .into_iter()
-            .map(|r| r.map(|s| s.text).unwrap_or_else(|e| format!("error: {e}")))
-            .collect()
-    };
-
-    let mut summarizer = build(model_a);
-    // Warm generation A's cache: two passes so the second run is answered
-    // from memoized entries, including negative (None-route) answers.
-    let warm_a = texts(summarizer.summarize_batch(&test));
-    let warm_a2 = texts(summarizer.summarize_batch(&test));
-    assert_eq!(warm_a, warm_a2, "cache warm-up must not change bytes");
-
-    summarizer.swap_model(model_b).expect("same registry");
-    let after_swap = texts(summarizer.summarize_batch(&test));
-
-    let cold = build(model_b_twin);
-    let cold_b = texts(cold.summarize_batch(&test));
-    assert_eq!(after_swap, cold_b, "post-swap summaries must be byte-identical to a cold cache");
-    assert_ne!(warm_a, cold_b, "models must disagree for the regression test to have teeth");
-
-    // A model for a different registry is refused, not silently renamed.
-    let mut bad = train_model(&train_b);
-    bad.registry_len += 1;
-    let err = summarizer.swap_model(bad).unwrap_err();
-    assert!(err.to_string().contains("registry"), "{err}");
 }
 
 /// FNV-1a (64-bit) over `bytes`: a dependency-free digest for pinning
