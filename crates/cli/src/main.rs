@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! stmaker-cli gen --dir /tmp/demo --trips 20 --seed 7
-//! stmaker-cli train --dir /tmp/demo --out /tmp/demo/model.json
+//! stmaker-cli train --dir /tmp/demo --out /tmp/demo/model.stc
 //! stmaker-cli summarize --dir /tmp/demo --trip trip_003.csv --k 3
 //! stmaker-cli group --dir /tmp/demo
 //! stmaker-cli search --dir /tmp/demo --query "u-turn station"
@@ -31,9 +31,9 @@ use stmaker::{
 };
 use stmaker_generator::{TripConfig, TripGenerator, World, WorldConfig};
 use stmaker_io::{
-    decode_runs, decode_trip, decode_trips, read_model_file_as, summary_to_geojson,
-    write_model_file, write_point_runs_stc, write_trajectory_csv_to, write_trajectory_jsonl_to,
-    write_trips_stc, DecodeError, DecodedTrip, ModelFormat, TripFormat,
+    decode_runs, decode_trip, decode_trips, read_model_file, summary_to_geojson, write_model_file,
+    write_point_runs_stc, write_trajectory_csv_to, write_trajectory_jsonl_to, write_trips_stc,
+    DecodeError, DecodedTrip, TripFormat,
 };
 use stmaker_obs::TraceClock;
 use stmaker_server::{ServeConfig, Server};
@@ -243,13 +243,11 @@ fn print_usage() {
          \x20                                          batch and prints the cache hit rate\n  \
          gen        --dir DIR [--trips N] [--seed N] export trips as CSV + world.json\n  \
          convert    [--in FILE | --dir DIR] [--out FILE | --out-dir DIR]\n  \
-         \x20          [--to stc|csv|jsonl|json]          re-encode trips or a model between\n  \
-         \x20                                          the text formats and columnar STC1\n  \
-         train      --dir DIR [--out FILE] [--n-train N] [--format json|stc]\n  \
-         \x20                                          save a trained model (an .stc --out\n  \
-         \x20                                          extension also selects the binary)\n  \
-         summarize  --dir DIR --trip FILE [--k K] [--model FILE] [--format json|stc]\n  \
-         \x20          [--geojson FILE]\n  \
+         \x20          [--to stc|csv|jsonl]               re-encode trips between the text\n  \
+         \x20                                          formats and columnar STC1\n  \
+         train      --dir DIR [--out FILE] [--n-train N] save a trained model as STC1\n  \
+         \x20                                          (default DIR/model.stc)\n  \
+         summarize  --dir DIR --trip FILE [--k K] [--model FILE] [--geojson FILE]\n  \
          sanitize   --trip FILE [--max-speed M] [--max-gap S] [--out FILE]\n  \
          \x20                                          audit/repair a trip file\n  \
          group      --dir DIR [--min-share F]       group summary of every trip in DIR\n  \
@@ -268,11 +266,13 @@ fn print_usage() {
          help                                        this message\n\n\
          EXIT CODES:\n  \
          0   success (including warn-only timing findings)\n  \
-         1   runtime error, or `obs diff` timing regression\n  \
+         1   any error outside `obs` (bad or missing arguments, an unknown\n  \
+         \x20    subcommand, unreadable input), or an `obs diff` timing\n  \
+         \x20    regression\n  \
          2   `obs diff` hard key-loss only (a metric/span present in BASE\n  \
          \x20    is missing from NEW)\n  \
-         64  usage error (EX_USAGE): unknown/missing arguments, or a report\n  \
-         \x20    or trace file that cannot be read or parsed\n\n\
+         64  `obs` usage error (EX_USAGE): bad or missing `obs` arguments,\n  \
+         \x20    or a report or trace file that cannot be read or parsed\n\n\
          GLOBAL OPTIONS:\n  \
          --trace                print a per-stage span/counter table on exit\n  \
          --metrics-json PATH    write the telemetry report as JSON\n  \
@@ -304,16 +304,24 @@ struct Opts<'a> {
 }
 
 impl<'a> Opts<'a> {
-    fn new(args: &'a [String]) -> Self {
-        Self { args }
+    /// Every subcommand option is a `--key value` pair whose key is in
+    /// `known`. An unknown key, or a key given last with no value, is an
+    /// error rather than an option silently left unset.
+    fn new(args: &'a [String], known: &[&str]) -> Result<Self, String> {
+        for pair in args.chunks(2) {
+            let key = pair[0].as_str();
+            if !known.contains(&key) {
+                return Err(format!("unknown option {key:?}; try `stmaker-cli help`"));
+            }
+            if pair.len() < 2 {
+                return Err(format!("missing value after {key}"));
+            }
+        }
+        Ok(Self { args })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(|s| s.as_str())
+        self.args.chunks(2).find(|pair| pair[0] == key).map(|pair| pair[1].as_str())
     }
 
     fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
@@ -385,7 +393,7 @@ impl Stack {
         match opts.get("--model") {
             Some(path) => {
                 eprintln!("loading model {path}…");
-                let model = load_model(path, opts)?;
+                let model = load_model(path)?;
                 let features = standard_features();
                 let weights = FeatureWeights::uniform(&features);
                 Summarizer::try_from_model(
@@ -410,18 +418,9 @@ impl Stack {
     }
 }
 
-/// Parses the optional `--format json|stc` flag shared by the subcommands
-/// that read or write model files. `None` means "decide by sniffing (reads)
-/// or by the output extension (writes)".
-fn model_format_opt(opts: &Opts<'_>) -> Result<Option<ModelFormat>, String> {
-    opts.get("--format").map(|v| v.parse::<ModelFormat>()).transpose()
-}
-
-/// Loads a model file of either encoding; `--format` forces a decoder,
-/// otherwise the STC1 magic is sniffed and JSON is the fallback.
-fn load_model(path: &str, opts: &Opts<'_>) -> Result<stmaker::TrainedModel, String> {
-    read_model_file_as(path, model_format_opt(opts)?)
-        .map_err(|e| format!("cannot load model {path}: {e}"))
+/// Loads an STC1 model file.
+fn load_model(path: &str) -> Result<stmaker::TrainedModel, String> {
+    read_model_file(path).map_err(|e| format!("cannot load model {path}: {e}"))
 }
 
 fn load_world_config(dir: &Path) -> Result<WorldConfig, String> {
@@ -533,7 +532,7 @@ fn summarize_at(
 }
 
 fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+    let opts = Opts::new(args, &["--seed", "--hour", "--k", "--trip", "--repeat"])?;
     let seed: u64 = opts.parse("--seed", 2024)?;
     let hour: f64 = opts.parse("--hour", 8.5)?;
     let k: usize = opts.parse("--k", 0)?;
@@ -603,7 +602,7 @@ fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
 /// summarizing it: prints the defect report, per-segment sizes, and
 /// optionally writes the longest surviving segment back out as CSV.
 fn cmd_sanitize(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+    let opts = Opts::new(args, &["--trip", "--max-speed", "--max-gap", "--out"])?;
     let file = PathBuf::from(opts.require("--trip")?);
     let max_speed: f64 = opts.parse("--max-speed", 70.0)?;
     let max_gap: i64 = opts.parse("--max-gap", 1800)?;
@@ -643,7 +642,7 @@ fn cmd_sanitize(args: &[String], obs: &Obs) -> Result<(), String> {
 }
 
 fn cmd_gen(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+    let opts = Opts::new(args, &["--dir", "--trips", "--seed"])?;
     let dir = PathBuf::from(opts.require("--dir")?);
     let trips: usize = opts.parse("--trips", 20)?;
     let seed: u64 = opts.parse("--seed", 2024)?;
@@ -667,76 +666,36 @@ fn cmd_gen(args: &[String], obs: &Obs) -> Result<(), String> {
     Ok(())
 }
 
-/// Target encodings of `convert`: a trip encoding, or `json`, the model
-/// encoding (a model also converts to `stc`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConvertTarget {
-    Trips(TripFormat),
-    Json,
-}
-
-impl std::str::FromStr for ConvertTarget {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "json" => Ok(Self::Json),
-            other => other.parse().map(Self::Trips).map_err(|_| {
-                format!("unknown target {other:?} (expected stc, csv, jsonl, or json)")
-            }),
-        }
-    }
-}
-
 fn file_len(path: &Path) -> u64 {
     std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
 }
 
-/// Re-encodes trips or models between the text formats and STC1.
+/// Re-encodes trips between the text formats and STC1.
 ///
 /// ```text
 /// convert --dir DIR --out trips.stc                    bundle a corpus
 /// convert --in trips.stc --out-dir DIR --to csv        split it back out
 /// convert --in trip_000.csv --out trip_000.jsonl       single trip
-/// convert --in model.stc --out model.json              model re-encode
 /// ```
 ///
-/// Model inputs (`.json`, or an STC1 container whose kind is "model") go
-/// through the model codecs; everything else is trips. `--sanitize`
-/// applies the usual repair policy per input trip before writing. Emits
-/// the `io.*` counters (DESIGN.md §13.4) into the global recorder.
+/// `--sanitize` applies the usual repair policy per input trip before
+/// writing. Emits the `io.*` counters (DESIGN.md §13.4) into the global
+/// recorder.
 fn cmd_convert(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+    let opts = Opts::new(args, &["--in", "--dir", "--out", "--out-dir", "--to"])?;
     let out = opts.get("--out").map(PathBuf::from);
     let out_dir = opts.get("--out-dir").map(PathBuf::from);
     if out.is_some() == out_dir.is_some() {
         return Err("convert takes exactly one of --out FILE or --out-dir DIR".to_owned());
     }
     let target = match opts.get("--to") {
-        Some(t) => t.parse::<ConvertTarget>()?,
+        Some(t) => t.parse::<TripFormat>()?,
         None => out
             .as_ref()
             .and_then(|p| p.extension().and_then(|x| x.to_str()))
-            .and_then(|x| x.parse::<ConvertTarget>().ok())
-            .ok_or("cannot infer the target encoding; pass --to stc|csv|jsonl|json")?,
+            .and_then(|x| x.parse::<TripFormat>().ok())
+            .ok_or("cannot infer the target encoding; pass --to stc|csv|jsonl")?,
     };
-
-    // Single-file model inputs route through the model codecs.
-    if let Some(file) = opts.get("--in") {
-        let path = Path::new(file);
-        let looks_model = match path.extension().and_then(|x| x.to_str()) {
-            Some("json") => true,
-            Some("stc") => {
-                stmaker_io::stc::file_kind(path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?
-                    == Some(stmaker_io::stc::KIND_MODEL)
-            }
-            _ => false,
-        };
-        if looks_model {
-            return convert_model(path, target, out.as_deref(), obs);
-        }
-    }
 
     let inputs: Vec<PathBuf> = if let Some(dir) = opts.get("--dir") {
         let dir = Path::new(dir);
@@ -763,20 +722,15 @@ fn cmd_convert(args: &[String], obs: &Obs) -> Result<(), String> {
 
     let mut outputs: Vec<PathBuf> = Vec::new();
     match (target, &out, &out_dir) {
-        (ConvertTarget::Json, _, _) => {
-            return Err(
-                "json is the model encoding; trips convert to stc, csv, or jsonl".to_owned()
-            );
-        }
-        (ConvertTarget::Trips(TripFormat::Stc), Some(path), _) => {
+        (TripFormat::Stc, Some(path), _) => {
             std::fs::write(path, write_trips_stc(&trips))
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
             outputs.push(path.clone());
         }
-        (ConvertTarget::Trips(TripFormat::Stc), None, _) => {
+        (TripFormat::Stc, None, _) => {
             return Err("--to stc writes one container; pass --out FILE".to_owned());
         }
-        (ConvertTarget::Trips(fmt), Some(path), _) => {
+        (fmt, Some(path), _) => {
             let [trip] = &trips[..] else {
                 return Err(format!(
                     "{} trips to write; pass --out-dir DIR for one file per trip",
@@ -786,7 +740,7 @@ fn cmd_convert(args: &[String], obs: &Obs) -> Result<(), String> {
             write_trip_as(path, trip, fmt)?;
             outputs.push(path.clone());
         }
-        (ConvertTarget::Trips(fmt), None, Some(dir)) => {
+        (fmt, None, Some(dir)) => {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
             for (i, trip) in trips.iter().enumerate() {
@@ -810,58 +764,22 @@ fn cmd_convert(args: &[String], obs: &Obs) -> Result<(), String> {
     Ok(())
 }
 
-fn convert_model(
-    path: &Path,
-    target: ConvertTarget,
-    out: Option<&Path>,
-    obs: &Obs,
-) -> Result<(), String> {
-    let out = out.ok_or("model conversion writes one file; pass --out FILE")?;
-    let format = match target {
-        ConvertTarget::Json => ModelFormat::Json,
-        ConvertTarget::Trips(TripFormat::Stc) => ModelFormat::Stc,
-        _ => return Err("a model converts to json or stc only".to_owned()),
-    };
-    let bytes_read = file_len(path);
-    let model = read_model_file_as(path, None)
-        .map_err(|e| format!("cannot load model {}: {e}", path.display()))?;
-    write_model_file(out, &model, format)
-        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    obs.recorder.add("io.bytes_read", bytes_read);
-    obs.recorder.add("io.bytes_written", file_len(out));
-    println!("converted model {} to {} ({format})", path.display(), out.display());
-    Ok(())
-}
-
 fn cmd_train(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+    let opts = Opts::new(args, &["--dir", "--out", "--n-train"])?;
     let dir = PathBuf::from(opts.require("--dir")?);
     let n_train: usize = opts.parse("--n-train", 300)?;
-    let out = opts.get("--out").map(PathBuf::from).unwrap_or_else(|| dir.join("model.json"));
-    // `--format` forces the encoding; otherwise an `.stc` extension selects
-    // the columnar binary and anything else stays canonical JSON.
-    let format = model_format_opt(&opts)?.unwrap_or(
-        if out.extension().map(|x| x == "stc").unwrap_or(false) {
-            ModelFormat::Stc
-        } else {
-            ModelFormat::Json
-        },
-    );
+    let out = opts.get("--out").map(PathBuf::from).unwrap_or_else(|| dir.join("model.stc"));
 
     let stack = Stack::from_config(load_world_config(&dir)?, obs);
     let summarizer = stack.train(n_train);
-    write_model_file(&out, summarizer.model(), format)
+    write_model_file(&out, summarizer.model())
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    println!(
-        "trained on {} trips; model saved to {} ({format})",
-        summarizer.model().n_trained,
-        out.display()
-    );
+    println!("trained on {} trips; model saved to {}", summarizer.model().n_trained, out.display());
     Ok(())
 }
 
 fn cmd_summarize(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+    let opts = Opts::new(args, &["--dir", "--trip", "--k", "--model", "--geojson"])?;
     let dir = PathBuf::from(opts.require("--dir")?);
     let trip_file = opts.require("--trip")?;
     let k: usize = opts.parse("--k", 0)?;
@@ -883,7 +801,7 @@ fn cmd_summarize(args: &[String], obs: &Obs) -> Result<(), String> {
 }
 
 fn cmd_group(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+    let opts = Opts::new(args, &["--dir", "--min-share", "--model"])?;
     let dir = PathBuf::from(opts.require("--dir")?);
     let min_share: f64 = opts.parse("--min-share", 0.15)?;
 
@@ -919,7 +837,7 @@ fn cmd_group(args: &[String], obs: &Obs) -> Result<(), String> {
 }
 
 fn cmd_search(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+    let opts = Opts::new(args, &["--dir", "--query", "--top", "--model"])?;
     let dir = PathBuf::from(opts.require("--dir")?);
     let query = opts.require("--query")?;
     let top: usize = opts.parse("--top", 5)?;
@@ -961,7 +879,8 @@ fn cmd_search(args: &[String], obs: &Obs) -> Result<(), String> {
 
 /// Serves the summarization stack over HTTP until `POST /shutdown`.
 fn cmd_serve(args: &[String], obs: &Obs) -> Result<(), String> {
-    let opts = Opts::new(args);
+    let opts =
+        Opts::new(args, &["--dir", "--addr", "--workers", "--queue", "--n-train", "--model"])?;
     let dir = PathBuf::from(opts.require("--dir")?);
     let addr = opts.get("--addr").unwrap_or("127.0.0.1:8080").to_owned();
     let workers: usize = opts.parse("--workers", 0)?;
@@ -978,7 +897,7 @@ fn cmd_serve(args: &[String], obs: &Obs) -> Result<(), String> {
     let model = match opts.get("--model") {
         Some(path) => {
             eprintln!("loading model {path}…");
-            load_model(path, &opts)?
+            load_model(path)?
         }
         None => stack.train(n_train).into_model(),
     };
@@ -1005,10 +924,10 @@ fn cmd_serve(args: &[String], obs: &Obs) -> Result<(), String> {
 // `obs` — offline report/trace tooling. No world, no recorder; reads the
 // files that `--metrics-json` / `--trace-out` wrote.
 //
-// Exit-code contract (documented in USAGE, covered by the exit_codes
-// integration tests):
+// Exit-code contract (documented in `print_usage`, covered by the
+// exit_codes integration tests):
 //   0  — clean, or findings downgraded by `--timing-warn-only`
-//   1  — timing regression (`obs diff`), or any generic runtime error
+//   1  — timing regression (`obs diff`), or any error outside `obs`
 //   2  — hard structural loss ONLY: the new report dropped metrics/spans
 //        the base had (`obs diff`)
 //   64 — usage error (EX_USAGE): bad/missing flags or arguments, or an

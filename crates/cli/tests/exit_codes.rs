@@ -1,13 +1,15 @@
 //! Integration tests for the CLI exit-code contract.
 //!
-//! The contract (documented in `print_usage` and USAGE.md):
+//! The contract (documented in `print_usage`):
 //!
 //! * 0  — success, including `obs diff --timing-warn-only` findings.
-//! * 1  — generic runtime error, or an `obs diff` timing regression.
+//! * 1  — any error outside `obs`: bad or missing arguments, an unknown
+//!   subcommand, unreadable input, a model that does not load; or an
+//!   `obs diff` timing regression.
 //! * 2  — `obs diff` hard key-loss ONLY (a metric/span present in the
-//!        baseline is missing from the new report).
-//! * 64 — usage error (`EX_USAGE`): unknown/missing arguments, or a
-//!        report/trace input that cannot be read or parsed.
+//!   baseline is missing from the new report).
+//! * 64 — `obs` usage error (`EX_USAGE`): bad or missing `obs` arguments,
+//!   or a report/trace input that cannot be read or parsed.
 //!
 //! The regression this pins down: a missing or unparseable report file
 //! used to exit 2, indistinguishable from a real telemetry key-loss —
@@ -178,83 +180,82 @@ fn runtime_errors_stay_exit_one() {
     assert!(stderr.contains("error"), "{stderr}");
 
     // So is a model that does not fit the world: one trained against a
-    // different registry size, or one written before the precomputed
-    // popular-route winners table existed.
+    // different registry size, or one missing a section (here the
+    // popular-route winners table). And so is a model in the JSON shape
+    // model files once had (here an empty model for this registry): STC1
+    // is the only model encoding.
     let d = dir.to_str().expect("utf8");
-    let model = dir.join("model.json");
-    let m = model.to_str().expect("utf8");
+    let model = dir.join("model.stc");
     assert_eq!(run(&["gen", "--dir", d, "--trips", "1", "--seed", "7"]).0, 0);
-    assert_eq!(run(&["train", "--dir", d, "--out", m, "--n-train", "20"]).0, 0);
-    let json = std::fs::read_to_string(&model).expect("read model");
-    let len_at = json.find("\"registry_len\":").expect("registry_len key") + 15;
-    let len_end = len_at + json[len_at..].find(|c: char| !c.is_ascii_digit()).expect("number end");
-    let n: usize = json[len_at..len_end].parse().expect("registry length");
-    let other_world = format!("{}{}{}", &json[..len_at], n + 1, &json[len_end..]);
-    let start = json.find(",\"winners\":").expect("winners key");
-    let end = start + json[start..].find(",\"cfg\":").expect("cfg follows winners");
-    let legacy = format!("{}{}", &json[..start], &json[end..]);
-    for (name, body, needle) in
-        [("other_world", other_world, "different world"), ("legacy", legacy, "winners")]
-    {
-        let bad = dir.join(format!("{name}.json"));
+    let out = model.to_str().expect("utf8");
+    assert_eq!(run(&["train", "--dir", d, "--out", out, "--n-train", "20"]).0, 0);
+    let stc = std::fs::read(&model).expect("read model");
+    let meta = stmaker_io::stc::section_range(&stc, 0x20).expect("meta section");
+    let mut other_world = stc.clone();
+    let len_at = meta.start + 8;
+    let n = u64::from_le_bytes(stc[len_at..len_at + 8].try_into().expect("registry length"));
+    other_world[len_at..len_at + 8].copy_from_slice(&(n + 1).to_le_bytes());
+    let legacy = without_section(&stc, 0x3F);
+    let json = format!(
+        "{{\"popular\":{{\"corpus\":[],\"pairs\":[],\"transfers\":[],\"supports\":[],\
+         \"winners\":[],\"cfg\":{{\"min_support\":1,\"max_indexed_span\":64}}}},\
+         \"featmap\":{{\"edges\":[],\"categorical\":[]}},\"n_trained\":0,\"registry_len\":{n}}}"
+    );
+    for (name, body, needle) in [
+        ("other_world.stc", other_world, "different world"),
+        ("legacy.stc", legacy, "missing STC1 section 0x3f"),
+        ("m.json", json.into_bytes(), "not an STC1 file"),
+    ] {
+        let bad = dir.join(name);
         std::fs::write(&bad, body).expect("write model");
-        let args = ["summarize", "--dir", d, "--trip", "trip_000.csv", "--model"];
-        let (code, _, stderr) = run(&[&args[..], &[bad.to_str().expect("utf8")]].concat());
+        let (code, _, stderr) = summarize_with(d, &bad);
         assert_eq!(code, 1, "{name}: {stderr}");
         assert!(stderr.contains(needle) && stderr.contains(name), "{name}: {stderr}");
     }
+}
+
+/// `summarize` over `trip_000.csv` in `dir` with the model file `model`.
+fn summarize_with(dir: &str, model: &std::path::Path) -> (i32, String, String) {
+    let m = model.to_str().expect("utf8");
+    run(&["summarize", "--dir", dir, "--trip", "trip_000.csv", "--model", m])
+}
+
+/// `stc` with section `tag` renamed in the section table to a tag no
+/// reader asks for, so the section reads as missing.
+fn without_section(stc: &[u8], tag: u32) -> Vec<u8> {
+    let n = u32::from_le_bytes(stc[8..12].try_into().expect("section count")) as usize;
+    let entry = (0..n)
+        .map(|i| 16 + 24 * i)
+        .find(|&at| stc[at..at + 4] == tag.to_le_bytes())
+        .expect("section present");
+    let mut bytes = stc.to_vec();
+    bytes[entry..entry + 4].copy_from_slice(&0xFFu32.to_le_bytes());
+    bytes
 }
 
 #[test]
 fn out_of_corpus_occurrence_exits_one() {
     // A popular-route occurrence pointing past the corpus would panic the
     // first query that reaches the occurrence scan, so it is a load-time
-    // error in either encoding.
+    // error.
     let dir = scratch("occ");
     let d = dir.to_str().expect("utf8");
     assert_eq!(run(&["gen", "--dir", d, "--trips", "1", "--seed", "7"]).0, 0);
-    let json_model = dir.join("model.json");
-    let stc_model = dir.join("model.stc");
-    for (path, format) in [(&json_model, "json"), (&stc_model, "stc")] {
-        let p = path.to_str().expect("utf8");
-        let args = ["train", "--dir", d, "--out", p, "--n-train", "20", "--format", format];
-        assert_eq!(run(&args).0, 0);
-    }
-
-    let json = std::fs::read_to_string(&json_model).expect("read model");
-    let at = json.find("{\"traj\":").expect("an occurrence") + 8;
-    let end = at + json[at..].find(',').expect("traj value end");
-    let patched_json = format!("{}1000000{}", &json[..at], &json[end..]);
-    let mut patched_stc = std::fs::read(&stc_model).expect("read model");
-    let occ_traj = stmaker_io::stc::section_range(&patched_stc, 0x35).expect("occ_traj section");
-    patched_stc[occ_traj.start..occ_traj.start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-
-    for (name, body) in [("bad_occ.json", patched_json.into_bytes()), ("bad_occ.stc", patched_stc)]
-    {
-        let bad = dir.join(name);
-        std::fs::write(&bad, body).expect("write model");
-        let args = ["summarize", "--dir", d, "--trip", "trip_000.csv", "--model"];
-        let (code, _, stderr) = run(&[&args[..], &[bad.to_str().expect("utf8")]].concat());
-        assert_eq!(code, 1, "{name}: {stderr}");
-        assert!(stderr.contains("outside the corpus") && stderr.contains(name), "{name}: {stderr}");
-    }
+    assert_eq!(run(&["train", "--dir", d, "--n-train", "20"]).0, 0);
+    let mut patched = std::fs::read(dir.join("model.stc")).expect("read model");
+    let occ_traj = stmaker_io::stc::section_range(&patched, 0x35).expect("occ_traj section");
+    patched[occ_traj.start..occ_traj.start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let bad = dir.join("bad_occ.stc");
+    std::fs::write(&bad, patched).expect("write model");
+    let (code, _, stderr) = summarize_with(d, &bad);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("outside the corpus") && stderr.contains("bad_occ.stc"), "{stderr}");
 }
 
-/// Patches a trained model in both encodings: `zero` sets the first
-/// numeric feature-map count to 0, `far` moves the last numeric
-/// feature-map key's target to landmark 999999 (past any registry; the
-/// rows stay sorted).
-fn poisoned_models(json: &str, stc: &[u8]) -> [(&'static str, Vec<u8>); 4] {
-    let featmap = json.find("\"featmap\"").expect("feature map");
-    let at = featmap + json[featmap..].find("\"count\":").expect("a count") + 8;
-    let end = at + json[at..].find('}').expect("count value end");
-    let zero_json = format!("{}0{}", &json[..at], &json[end..]);
-    let categorical = featmap + json[featmap..].find("\"categorical\"").expect("categorical");
-    let key = json[..categorical].rfind("[[").expect("a numeric edge key") + 2;
-    let to = key + json[key..].find(',').expect("key separator") + 1;
-    let to_end = to + json[to..].find(']').expect("key end");
-    let far_json = format!("{}999999{}", &json[..to], &json[to_end..]);
-
+/// Patches a trained STC1 model: `zero` sets the first numeric
+/// feature-map count to 0, `far` moves the last numeric feature-map key's
+/// target to landmark 999999 (past any registry; the rows stay sorted).
+fn poisoned_models(stc: &[u8]) -> [(&'static str, Vec<u8>); 2] {
     let patch = |tag: u32, from_end: bool, value: &[u8]| {
         let mut bytes = stc.to_vec();
         let s = stmaker_io::stc::section_range(&bytes, tag).expect("section present");
@@ -263,9 +264,7 @@ fn poisoned_models(json: &str, stc: &[u8]) -> [(&'static str, Vec<u8>); 4] {
         bytes
     };
     [
-        ("zero_count.json", zero_json.into_bytes()),
         ("zero_count.stc", patch(0x26, false, &0u64.to_le_bytes())),
-        ("far_landmark.json", far_json.into_bytes()),
         ("far_landmark.stc", patch(0x23, true, &999_999u32.to_le_bytes())),
     ]
 }
@@ -277,22 +276,41 @@ fn poisoned_feature_rows_and_far_landmarks_exit_one() {
     let dir = scratch("poison");
     let d = dir.to_str().expect("utf8");
     assert_eq!(run(&["gen", "--dir", d, "--trips", "1", "--seed", "7"]).0, 0);
-    let json_model = dir.join("model.json");
-    let stc_model = dir.join("model.stc");
-    for (path, format) in [(&json_model, "json"), (&stc_model, "stc")] {
-        let p = path.to_str().expect("utf8");
-        let args = ["train", "--dir", d, "--out", p, "--n-train", "20", "--format", format];
-        assert_eq!(run(&args).0, 0);
-    }
-    let json = std::fs::read_to_string(&json_model).expect("read model");
-    let stc = std::fs::read(&stc_model).expect("read model");
-    for (name, body) in poisoned_models(&json, &stc) {
+    assert_eq!(run(&["train", "--dir", d, "--n-train", "20"]).0, 0);
+    let stc = std::fs::read(dir.join("model.stc")).expect("read model");
+    for (name, body) in poisoned_models(&stc) {
         let bad = dir.join(name);
         std::fs::write(&bad, body).expect("write model");
-        let args = ["summarize", "--dir", d, "--trip", "trip_000.csv", "--model"];
-        let (code, _, stderr) = run(&[&args[..], &[bad.to_str().expect("utf8")]].concat());
+        let (code, _, stderr) = summarize_with(d, &bad);
         assert_eq!(code, 1, "{name}: {stderr}");
         let reason = if name.starts_with("zero") { "zero count" } else { "registry" };
         assert!(stderr.contains(reason) && stderr.contains(name), "{name}: {stderr}");
+    }
+}
+
+#[test]
+fn argument_mistakes_outside_obs_exit_one() {
+    // Only `obs` answers a usage mistake with 64; every other subcommand,
+    // and an unknown one, exits 1. A subcommand flag given last has no
+    // value: it used to be ignored, so `summarize … --model` quietly
+    // trained a fresh model instead. An unknown flag (here the removed
+    // `--format`) was ignored the same way.
+    let dir = scratch("arguments");
+    let d = dir.to_str().expect("utf8");
+    assert_eq!(run(&["gen", "--dir", d, "--trips", "1", "--seed", "7"]).0, 0);
+    for (args, message) in [
+        (&["summarize", "--trip", "trip_000.csv"][..], "missing required option --dir"),
+        (&["frobnicate"][..], "unknown subcommand"),
+        (
+            &["summarize", "--dir", d, "--trip", "trip_000.csv", "--model"][..],
+            "missing value after --model",
+        ),
+        (&["train", "--dir", d, "--out"][..], "missing value after --out"),
+        (&["serve", "--dir", d, "--model"][..], "missing value after --model"),
+        (&["train", "--dir", d, "--format", "json"][..], "unknown option \"--format\""),
+    ] {
+        let (code, _, stderr) = run(args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
 }

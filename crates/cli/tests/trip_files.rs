@@ -26,7 +26,7 @@ fn world_with_one_corrupt_trip(name: &str) -> (PathBuf, PathBuf) {
     let d = dir.to_str().expect("utf8 path");
     let (code, _, err) = run(&["gen", "--dir", d, "--trips", "3", "--seed", "5"]);
     assert_eq!(code, 0, "{err}");
-    let model = dir.join("model.json");
+    let model = dir.join("model.stc");
     let (code, _, err) =
         run(&["train", "--dir", d, "--out", model.to_str().expect("utf8"), "--n-train", "40"]);
     assert_eq!(code, 0, "{err}");

@@ -213,12 +213,11 @@ impl From<TrajectoryError> for SummarizeError {
 
 /// The historical knowledge mined from the training corpus.
 ///
-/// Serializable: train once (minutes over a large corpus), write the result
-/// with `stmaker_io::write_model_file`, and read it back with
+/// Train once (minutes over a large corpus), write the result as an STC1
+/// file with `stmaker_io::write_model_file`, and read it back with
 /// `stmaker_io::read_model_file` in every serving process — summarization
-/// itself is milliseconds. Encodings are canonical (sorted map entries), so
-/// identical training runs produce byte-identical models.
-#[derive(serde::Serialize, serde::Deserialize)]
+/// itself is milliseconds. The encoding is canonical (sorted key columns),
+/// so identical training runs produce byte-identical models.
 pub struct TrainedModel {
     /// Popular-route miner over the training symbolic trajectories.
     pub popular: PopularRoutes,
@@ -231,18 +230,6 @@ pub struct TrainedModel {
     /// a different size would silently rename every landmark;
     /// [`Summarizer::try_from_model`] rejects the mismatch.
     pub registry_len: usize,
-}
-
-impl TrainedModel {
-    /// Serializes to canonical JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("model types serialize")
-    }
-
-    /// Parses a model from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
 }
 
 /// The summary of one trajectory partition.
@@ -795,10 +782,11 @@ impl<'a> Summarizer<'a> {
                 .map(|b| self.registry.get(symbolic.points()[b].landmark).significance)
                 .collect();
             obs.add("partition.segments_scanned", n_segs as u64); // cast-ok: segment count
-                                                                  // DP table size, computed arithmetically so the hot loops in
-                                                                  // partition.rs stay free of telemetry branches: the
-                                                                  // k-constrained pass fills an (n-1) x k table; the
-                                                                  // unconstrained pass is linear in the boundary count.
+
+            // DP table size, computed arithmetically so the hot loops in
+            // partition.rs stay free of telemetry branches: the
+            // k-constrained pass fills an (n-1) x k table; the
+            // unconstrained pass is linear in the boundary count.
             let dp_cells = match k {
                 Some(k) => (n_segs.saturating_sub(1)).saturating_mul(k),
                 None => sims.len(),
@@ -988,41 +976,5 @@ mod tests {
             e.to_string(),
             "model was trained against a 12-landmark registry, got 40 landmarks"
         );
-    }
-
-    #[test]
-    fn empty_model_serializes_and_parses() {
-        let model = TrainedModel {
-            popular: PopularRoutes::build(&[], PopularRouteConfig::default()),
-            featmap: HistoricalFeatureMap::new(),
-            n_trained: 0,
-            registry_len: 0,
-        };
-        let json = model.to_json();
-        let back = TrainedModel::from_json(&json).expect("round-trips");
-        assert_eq!(back.n_trained, 0);
-        assert_eq!(back.to_json(), json, "canonical form is stable");
-        assert!(TrainedModel::from_json("{broken").is_err());
-
-        // Model files from before the popular-route tables and the registry
-        // length existed lack those keys; they fail to load instead of
-        // taking a second, slower code path.
-        fn strip(value: &mut serde_json::Value, key: &str) {
-            match value {
-                serde_json::Value::Map(entries) => {
-                    entries.retain(|(k, _)| k != key);
-                    entries.iter_mut().for_each(|(_, v)| strip(v, key));
-                }
-                serde_json::Value::Seq(items) => items.iter_mut().for_each(|v| strip(v, key)),
-                _ => {}
-            }
-        }
-        for key in ["winners", "supports", "registry_len"] {
-            let mut value = serde_json::to_value(&model).expect("serializes");
-            strip(&mut value, key);
-            let json = serde_json::to_string(&value).expect("serializes");
-            let err = TrainedModel::from_json(&json).err().expect("legacy model must not load");
-            assert!(err.to_string().contains(key), "{key}: {err}");
-        }
     }
 }

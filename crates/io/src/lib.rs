@@ -33,9 +33,8 @@ pub use decode::{
 pub use geojson::summary_to_geojson;
 pub use jsonl::{read_trajectory_jsonl, write_trajectory_jsonl, write_trajectory_jsonl_to};
 pub use stc::{
-    is_stc, read_model_file, read_model_file_as, read_model_stc, read_raw_trips_stc,
-    read_trips_stc, write_model_file, write_model_stc, write_point_runs_stc, write_trips_stc,
-    ModelFormat, StcError, StcReadError,
+    read_model_file, read_model_stc, read_raw_trips_stc, read_trips_stc, write_model_file,
+    write_model_stc, write_point_runs_stc, write_trips_stc, StcError, StcReadError,
 };
 
 /// A parse failure, with 1-based line number for operator-friendly messages.

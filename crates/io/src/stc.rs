@@ -1,8 +1,9 @@
 //! STC1 — the columnar binary container for trips and trained models.
 //!
-//! Text ingest re-parses floats point-by-point and a JSON model load walks
-//! a DOM that grows with the corpus; at million-trip scale both dominate
-//! wall-clock (ROADMAP item 1). STC1 replaces them with a flat container:
+//! Text ingest re-parses floats point-by-point, and a text model format
+//! would walk a DOM that grows with the corpus; at million-trip scale both
+//! dominate wall-clock. STC1 is the flat container that replaces them, and
+//! the only encoding a trained model has:
 //!
 //! ```text
 //! offset  size  field
@@ -49,9 +50,9 @@
 //! [`read_model_file`] streams a file through the same column readers,
 //! checking every section's extent against the file's length before it
 //! allocates anything and then reading each section in bounded chunks, so
-//! it never holds the file's bytes whole. Both encodings are pure
-//! functions of the columns, so a decoded model's `to_json` — and
-//! therefore every summary — is byte-identical to the original's
+//! it never holds the file's bytes whole. The encoding is a pure function
+//! of the columns, so a decoded model re-encodes to the same bytes, and
+//! every summary it gives is byte-identical to the original's
 //! (DESIGN.md §16).
 //!
 //! Decoding never panics: structural corruption maps to a typed
@@ -270,53 +271,6 @@ impl From<StcError> for StcReadError {
     fn from(e: StcError) -> Self {
         StcReadError::Format(e)
     }
-}
-
-/// Which on-disk encoding a model file uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelFormat {
-    /// The canonical JSON encoding (`TrainedModel::to_json`).
-    Json,
-    /// The STC1 columnar binary encoding.
-    Stc,
-}
-
-impl std::str::FromStr for ModelFormat {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "json" => Ok(ModelFormat::Json),
-            "stc" => Ok(ModelFormat::Stc),
-            other => Err(format!("unknown format {other:?} (expected json or stc)")),
-        }
-    }
-}
-
-impl std::fmt::Display for ModelFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ModelFormat::Json => write!(f, "json"),
-            ModelFormat::Stc => write!(f, "stc"),
-        }
-    }
-}
-
-/// True when `bytes` starts with the STC1 magic — the sniff used to pick a
-/// decoder for files and request bodies of unknown encoding.
-pub fn is_stc(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && bytes[..4] == STC_MAGIC
-}
-
-/// The artifact kind ([`KIND_TRIPS`] or [`KIND_MODEL`]) of the file at
-/// `path`, peeked from its header without reading the rest; `None` when
-/// the file does not start with an STC1 header. Lets a caller pick the
-/// trips or the model codec for an `.stc` file before decoding it.
-pub fn file_kind(path: impl AsRef<std::path::Path>) -> std::io::Result<Option<u16>> {
-    use std::io::Read;
-    let mut head = Vec::with_capacity(8);
-    std::fs::File::open(path)?.take(8).read_to_end(&mut head)?;
-    Ok((head.len() == 8 && is_stc(&head)).then(|| u16::from_le_bytes([head[6], head[7]])))
 }
 
 // ---------------------------------------------------------------------------
@@ -927,7 +881,8 @@ pub fn read_trips_stc(bytes: &[u8]) -> Result<Vec<RawTrajectory>, StcReadError> 
 /// miner already *are* key-sorted columns, so each section is written
 /// straight from the column it stores, into one buffer sized up front: the
 /// encoding is a pure function of the model's logical content — two
-/// models with equal `to_json` encode to identical bytes.
+/// models with equal columns (`f64` compared by bits) encode to identical
+/// bytes.
 pub fn write_model_stc(model: &TrainedModel) -> Vec<u8> {
     let f = model.featmap.parts();
     let p = model.popular.parts();
@@ -1069,8 +1024,8 @@ fn decode_model<S: Source>(src: &mut S) -> Result<TrainedModel, S::Error> {
 }
 
 /// Decodes a trained model held in memory. Every column comes back exactly
-/// as stored (`f64` as exact bits), so the decoded model's `to_json` is
-/// byte-identical to the source model's.
+/// as stored (`f64` as exact bits), so the decoded model re-encodes to
+/// the bytes it came from.
 pub fn read_model_stc(bytes: &[u8]) -> Result<TrainedModel, StcError> {
     decode_model(&mut SliceSource(bytes))
 }
@@ -1083,63 +1038,24 @@ fn invalid_data(e: impl std::error::Error + Send + Sync + 'static) -> std::io::E
     std::io::Error::new(std::io::ErrorKind::InvalidData, e)
 }
 
-/// Reads a model file of either encoding, sniffing the STC1 magic and
-/// falling back to JSON. All decode failures surface as
-/// `io::ErrorKind::InvalidData` with the typed error as source.
-pub fn read_model_file(path: impl AsRef<std::path::Path>) -> std::io::Result<TrainedModel> {
-    read_model_file_as(path, None)
-}
-
-/// Like [`read_model_file`], but `format` (when given) forces a decoder
-/// instead of sniffing — the CLI's `--format` escape hatch for files whose
-/// leading bytes are untrustworthy.
+/// Reads an STC1 model file. All decode failures surface as
+/// `io::ErrorKind::InvalidData` with the typed [`StcError`] as source.
 ///
-/// An STC1 file is streamed: the header and section table are read and
-/// every section's extent is checked against the file's length before any
+/// The file is streamed: the header and section table are read and every
+/// section's extent is checked against the file's length before any
 /// column is allocated, then each section is read in bounded chunks
 /// straight into its column, through the same readers and validations as
 /// [`read_model_stc`]. The file's bytes are never held whole.
-pub fn read_model_file_as(
-    path: impl AsRef<std::path::Path>,
-    format: Option<ModelFormat>,
-) -> std::io::Result<TrainedModel> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut file = std::fs::File::open(path)?;
-    let format = match format {
-        Some(format) => format,
-        None => {
-            let mut head = Vec::with_capacity(4);
-            (&mut file).take(4).read_to_end(&mut head)?;
-            if is_stc(&head) {
-                ModelFormat::Stc
-            } else {
-                ModelFormat::Json
-            }
-        }
-    };
-    match format {
-        ModelFormat::Stc => Ok(decode_model(&mut FileSource::new(file)?)?),
-        ModelFormat::Json => {
-            let mut bytes = Vec::with_capacity(file.metadata()?.len() as usize);
-            file.seek(SeekFrom::Start(0))?;
-            file.read_to_end(&mut bytes)?;
-            let text = String::from_utf8(bytes).map_err(|e| invalid_data(e.utf8_error()))?;
-            TrainedModel::from_json(&text).map_err(invalid_data)
-        }
-    }
+pub fn read_model_file(path: impl AsRef<std::path::Path>) -> std::io::Result<TrainedModel> {
+    Ok(decode_model(&mut FileSource::new(std::fs::File::open(path)?)?)?)
 }
 
-/// Writes a model file in the requested encoding (buffered, single write).
+/// Writes an STC1 model file (buffered, single write).
 pub fn write_model_file(
     path: impl AsRef<std::path::Path>,
     model: &TrainedModel,
-    format: ModelFormat,
 ) -> std::io::Result<()> {
-    let bytes = match format {
-        ModelFormat::Stc => write_model_stc(model),
-        ModelFormat::Json => model.to_json().into_bytes(),
-    };
-    std::fs::write(path, bytes)
+    std::fs::write(path, write_model_stc(model))
 }
 
 /// The byte range of section `tag`'s payload within `bytes`. Exposed for
@@ -1169,7 +1085,7 @@ mod tests {
     fn trips_round_trip_exactly() {
         let trips = two_trips();
         let bytes = write_trips_stc(&trips);
-        assert!(is_stc(&bytes));
+        assert_eq!(bytes[..4], STC_MAGIC);
         let back = read_trips_stc(&bytes).unwrap();
         assert_eq!(trips, back);
     }
@@ -1249,13 +1165,6 @@ mod tests {
     }
 
     #[test]
-    fn model_format_parses() {
-        assert_eq!("json".parse::<ModelFormat>(), Ok(ModelFormat::Json));
-        assert_eq!("stc".parse::<ModelFormat>(), Ok(ModelFormat::Stc));
-        assert!("parquet".parse::<ModelFormat>().is_err());
-    }
-
-    #[test]
     fn empty_model_round_trips_canonically() {
         let model = TrainedModel {
             popular: PopularRoutes::from_parts(PopularRoutesParts::default()).unwrap(),
@@ -1265,7 +1174,7 @@ mod tests {
         };
         let bytes = write_model_stc(&model);
         let back = read_model_stc(&bytes).unwrap();
-        assert_eq!(model.to_json(), back.to_json());
+        assert_eq!(write_model_stc(&back), bytes);
     }
 
     #[test]
@@ -1282,7 +1191,7 @@ mod tests {
         };
         let bytes = write_model_stc(&model);
         let back = read_model_stc(&bytes).unwrap();
-        assert_eq!(model.to_json(), back.to_json());
+        assert_eq!(write_model_stc(&back), bytes);
         assert_eq!(
             back.featmap.regular_value(LandmarkId(1), LandmarkId(2), "speed"),
             model.featmap.regular_value(LandmarkId(1), LandmarkId(2), "speed"),

@@ -7,9 +7,8 @@
 use stmaker::TrainedModel;
 use stmaker_geo::GeoPoint;
 use stmaker_io::{
-    is_stc, read_model_file, read_model_file_as, read_model_stc, read_raw_trips_stc,
-    read_trips_stc, stc::section_range, write_model_stc, write_point_runs_stc, write_trips_stc,
-    ModelFormat, StcError, StcReadError,
+    read_model_file, read_model_stc, read_raw_trips_stc, read_trips_stc, stc::section_range,
+    write_model_stc, write_point_runs_stc, write_trips_stc, StcError, StcReadError,
 };
 use stmaker_poi::LandmarkId;
 use stmaker_routes::{FeatureMapBuilder, PopularRoutes, PopularRoutesParts};
@@ -128,17 +127,16 @@ fn trips_truncation_sweep_is_typed_at_every_byte() {
 fn model_truncation_sweep_is_typed_at_every_byte() {
     let model = fixture_model();
     let bytes = write_model_stc(&model);
-    let canonical = model.to_json();
     for cut in 0..bytes.len() {
         match read_model_stc(&bytes[..cut]) {
-            Ok(m) => assert_eq!(m.to_json(), canonical, "cut {cut} decoded a different model"),
+            Ok(m) => assert_eq!(write_model_stc(&m), bytes, "cut {cut} decoded a different model"),
             Err(e) => {
                 let _ = e.to_string();
             }
         }
     }
     // The untouched bytes still decode canonically after the sweep.
-    assert_eq!(read_model_stc(&bytes).unwrap().to_json(), canonical);
+    assert_eq!(write_model_stc(&read_model_stc(&bytes).unwrap()), bytes);
 }
 
 /// Single-bit flips anywhere in the file: decode is typed-error-or-success,
@@ -191,7 +189,7 @@ fn bit_flip_sweep_never_panics() {
 
 /// An occurrence outside the corpus would panic the first query that falls
 /// through to the occurrence scan, so loading refuses it with a typed
-/// error, from either encoding.
+/// error.
 #[test]
 fn out_of_corpus_occurrence_is_a_typed_error() {
     use stmaker_routes::PartsError;
@@ -204,14 +202,6 @@ fn out_of_corpus_occurrence_is_a_typed_error() {
         read_model_stc(&bytes).err(),
         Some(StcError::InvalidRoutes(PartsError::OccurrenceOutOfRange { index: 0 }))
     );
-
-    let json = model.to_json().replacen(
-        "{\"traj\":0,\"start\":0,\"end\":1}",
-        "{\"traj\":0,\"start\":0,\"end\":3}",
-        1,
-    );
-    let err = TrainedModel::from_json(&json).err().expect("JSON model must not load");
-    assert!(err.to_string().contains("outside the corpus"), "{err}");
 }
 
 /// Patching a section-table length to overhang the file is the classic
@@ -281,23 +271,19 @@ fn fixtures_round_trip_cleanly() {
     let trips = fixture_trips(0x0DDB);
     assert_eq!(read_trips_stc(&write_trips_stc(&trips)).unwrap(), trips);
     let model = fixture_model();
-    let back = read_model_stc(&write_model_stc(&model)).unwrap();
-    assert_eq!(back.to_json(), model.to_json());
+    let bytes = write_model_stc(&model);
+    assert_eq!(write_model_stc(&read_model_stc(&bytes).unwrap()), bytes);
 }
 
 /// Decodes `bytes` the way a model file is loaded: written to `path`, then
-/// streamed back by `read_model_file` (forced to STC1 when the magic
-/// itself is damaged, since sniffing would pick JSON).
+/// streamed back by `read_model_file`.
 fn decode_via_file(path: &std::path::Path, bytes: &[u8]) -> Result<TrainedModel, StcError> {
     std::fs::write(path, bytes).expect("write temp model");
-    let read = if is_stc(bytes) {
-        read_model_file(path)
-    } else {
-        read_model_file_as(path, Some(ModelFormat::Stc))
-    };
-    read.map_err(|e| match e.get_ref().and_then(|s| s.downcast_ref::<StcError>()) {
-        Some(stc) => stc.clone(),
-        None => panic!("file decode failed without an StcError: {e}"),
+    read_model_file(path).map_err(|e| {
+        match e.get_ref().and_then(|s| s.downcast_ref::<StcError>()) {
+            Some(stc) => stc.clone(),
+            None => panic!("file decode failed without an StcError: {e}"),
+        }
     })
 }
 
@@ -332,7 +318,7 @@ fn file_decoder_matches_slice_decoder_on_every_fault() {
 
 /// A feature-map row with a zero count or a non-finite sum would answer
 /// `regular_value` with an infinite or NaN average, so loading refuses it
-/// with a typed error, from either encoding.
+/// with a typed error.
 #[test]
 fn poisoned_feature_rows_are_typed_errors() {
     use stmaker_routes::FeatureMapError;
@@ -362,13 +348,4 @@ fn poisoned_feature_rows_are_typed_errors() {
             invalid(FeatureMapError::NonFiniteSum { index: 0 })
         );
     }
-
-    // JSON cannot spell a non-finite number, but it can spell a zero count.
-    let json = model.to_json();
-    let featmap = json.find("\"featmap\"").expect("feature map");
-    let at = featmap + json[featmap..].find("\"count\":").expect("a count") + 8;
-    let end = at + json[at..].find('}').expect("count value end");
-    let zero = format!("{}0{}", &json[..at], &json[end..]);
-    let err = TrainedModel::from_json(&zero).err().expect("JSON model must not load");
-    assert!(err.to_string().contains("zero count"), "{err}");
 }

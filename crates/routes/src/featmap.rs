@@ -14,16 +14,11 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use serde::de::Deserializer;
-use serde::ser::Serializer;
-use serde::{from_value, to_value, Deserialize, Serialize, Value};
 use stmaker_poi::LandmarkId;
 
-use crate::popular::{json_field, json_object};
-
-/// Running mean for one feature on one landmark-graph edge, in the JSON
-/// encoding's shape.
-#[derive(Debug, Clone, Copy, Default, Deserialize)]
+/// Running mean for one feature on one landmark-graph edge, as training
+/// accumulates it.
+#[derive(Debug, Clone, Copy, Default)]
 struct Stat {
     sum: f64,
     count: u64,
@@ -208,24 +203,6 @@ fn hop_rows(
     start + lo..start + hi
 }
 
-/// The maximal runs of equal `key` within `range`, in order.
-fn runs<K: PartialEq>(
-    range: Range<usize>,
-    key: impl Fn(usize) -> K,
-) -> impl Iterator<Item = Range<usize>> {
-    let mut start = range.start;
-    std::iter::from_fn(move || {
-        if start >= range.end {
-            return None;
-        }
-        let k = key(start);
-        let end = (start + 1..range.end).find(|&i| key(i) != k).unwrap_or(range.end);
-        let run = start..end;
-        start = end;
-        Some(run)
-    })
-}
-
 /// Interns `name` into a first-seen-order table, returning its index.
 fn intern(names: &mut Vec<String>, name: &str) -> u32 {
     let at = names.iter().position(|n| n == name).unwrap_or_else(|| {
@@ -345,99 +322,6 @@ impl HistoricalFeatureMap {
         // breaks ties towards the smaller code.
         let best = rows.reduce(|b, i| if c.cat_count[i] > c.cat_count[b] { i } else { b });
         best.map(|i| c.cat_code[i])
-    }
-}
-
-impl Serialize for HistoricalFeatureMap {
-    /// The JSON encoding keeps the shape model files have always had:
-    /// `edges` as `[[from, to], {feature: {"sum", "count"}}]` entries and
-    /// `categorical` as `[[from, to], {feature: {code: count}}]` entries,
-    /// both in key order with features in name order.
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let c = &self.cols;
-        let key = |from: LandmarkId, to: LandmarkId| {
-            Value::Seq(vec![Value::U64(u64::from(from.0)), Value::U64(u64::from(to.0))])
-        };
-        let name = |f: u32| c.names[f as usize].clone();
-
-        let mut edges = Vec::new();
-        for hop in runs(0..c.num_from.len(), |i| (c.num_from[i], c.num_to[i])) {
-            let mut feats = Vec::with_capacity(hop.len());
-            for i in hop.clone() {
-                let stat = Value::Map(vec![
-                    ("sum".to_owned(), to_value(&c.num_sum[i])?),
-                    ("count".to_owned(), Value::U64(c.num_count[i])),
-                ]);
-                feats.push((name(c.num_feat[i]), stat));
-            }
-            edges.push(Value::Seq(vec![
-                key(c.num_from[hop.start], c.num_to[hop.start]),
-                Value::Map(feats),
-            ]));
-        }
-
-        let mut categorical = Vec::new();
-        for hop in runs(0..c.cat_from.len(), |i| (c.cat_from[i], c.cat_to[i])) {
-            let mut feats = Vec::new();
-            for feat in runs(hop.clone(), |i| c.cat_feat[i]) {
-                let codes =
-                    feat.clone().map(|i| (c.cat_code[i].to_string(), Value::U64(c.cat_count[i])));
-                feats.push((name(c.cat_feat[feat.start]), Value::Map(codes.collect())));
-            }
-            categorical.push(Value::Seq(vec![
-                key(c.cat_from[hop.start], c.cat_to[hop.start]),
-                Value::Map(feats),
-            ]));
-        }
-
-        serializer.serialize_value(Value::Map(vec![
-            ("edges".to_owned(), Value::Seq(edges)),
-            ("categorical".to_owned(), Value::Seq(categorical)),
-        ]))
-    }
-}
-
-impl<'de> Deserialize<'de> for HistoricalFeatureMap {
-    /// Reads the JSON encoding [`Serialize`] writes into columns and
-    /// validates them like [`HistoricalFeatureMap::from_parts`].
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        const TY: &str = "HistoricalFeatureMap";
-        let mut fields = json_object(deserializer.take_value()?, TY)?;
-        let mut c = FeatureMapParts::default();
-        let mut names = Vec::new();
-        type Entries = Vec<((LandmarkId, LandmarkId), Value)>;
-        for ((from, to), feats) in json_field::<Entries>(&mut fields, TY, "edges")? {
-            for (name, stat) in json_object(feats, "HistoricalFeatureMap.edges")? {
-                let stat: Stat = from_value(stat)?;
-                c.num_from.push(from);
-                c.num_to.push(to);
-                c.num_feat.push(intern(&mut names, &name));
-                c.num_sum.push(stat.sum);
-                c.num_count.push(stat.count);
-            }
-        }
-        for ((from, to), feats) in json_field::<Entries>(&mut fields, TY, "categorical")? {
-            for (name, codes) in json_object(feats, "HistoricalFeatureMap.categorical")? {
-                let feat = intern(&mut names, &name);
-                for (code, count) in json_object(codes, "HistoricalFeatureMap.categorical")? {
-                    let code = code.parse().map_err(|_| {
-                        serde::Error::msg(format!("{TY}: bad category code `{code}`"))
-                    })?;
-                    c.cat_from.push(from);
-                    c.cat_to.push(to);
-                    c.cat_feat.push(feat);
-                    c.cat_code.push(code);
-                    c.cat_count.push(from_value(count)?);
-                }
-            }
-        }
-        let (sorted, rank) = sort_names(names);
-        for f in c.num_feat.iter_mut().chain(&mut c.cat_feat) {
-            *f = rank[*f as usize];
-        }
-        c.names = sorted;
-        HistoricalFeatureMap::from_parts(c)
-            .map_err(|e| serde::Error::msg(format!("{TY}: {e}")).into())
     }
 }
 
@@ -628,26 +512,6 @@ mod tests {
     fn rejects_non_finite_observations() {
         let mut b = FeatureMapBuilder::new();
         b.add_observation(l(0), l(1), "speed", f64::NAN);
-    }
-
-    #[test]
-    fn json_keeps_the_map_entry_shape() {
-        let mut b = FeatureMapBuilder::new();
-        b.add_observation(l(2), l(3), "speed", 1.5);
-        b.add_observation(l(0), l(1), "width", 7.0);
-        b.add_observation(l(0), l(1), "speed", 2.25);
-        b.add_categorical_observation(l(0), l(1), "grade", 10);
-        b.add_categorical_observation(l(0), l(1), "grade", 9);
-        let m = b.finish();
-        let json = serde_json::to_string(&m).expect("serializes");
-        assert_eq!(
-            json,
-            "{\"edges\":[[[0,1],{\"speed\":{\"sum\":2.25,\"count\":1},\"width\":{\"sum\":7.0,\
-             \"count\":1}}],[[2,3],{\"speed\":{\"sum\":1.5,\"count\":1}}]],\
-             \"categorical\":[[[0,1],{\"grade\":{\"9\":1,\"10\":1}}]]}"
-        );
-        let back: HistoricalFeatureMap = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, m);
     }
 
     #[test]

@@ -3,15 +3,12 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use serde::de::{DeserializeOwned, Deserializer};
-use serde::ser::Serializer;
-use serde::{from_value, to_value, Deserialize, Serialize, Value};
 use stmaker_exec::Executor;
 use stmaker_poi::LandmarkId;
 use stmaker_trajectory::SymbolicTrajectory;
 
 /// Tunables for popular-route mining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PopularRouteConfig {
     /// Minimum number of historical traversals for the exact most-frequent
     /// sub-route to be trusted; below this the transfer-graph fallback runs.
@@ -30,15 +27,6 @@ impl Default for PopularRouteConfig {
         // the driven route IS the popular route (EXPERIMENTS.md, Fig. 10(b)).
         Self { min_support: 1, max_indexed_span: 64 }
     }
-}
-
-/// One indexed occurrence of a `(from, to)` landmark pair, in the JSON
-/// encoding's shape.
-#[derive(Deserialize)]
-struct Occurrence {
-    traj: u32,
-    start: u32,
-    end: u32,
 }
 
 /// An ordered landmark pair `(from, to)`.
@@ -378,11 +366,6 @@ impl PopularRoutes {
         &self.cols
     }
 
-    /// Number of indexed historical trajectories.
-    fn corpus_len(&self) -> usize {
-        self.cols.corpus_offsets.len() - 1
-    }
-
     /// How many *distinct* historical trajectories traverse `from … to` (in
     /// order). A looping trajectory that covers the pair several times
     /// counts once. Precomputed at build time; one binary search.
@@ -473,126 +456,6 @@ impl PopularRoutes {
         }
         route.reverse();
         Some(route)
-    }
-}
-
-impl Serialize for PopularRoutes {
-    /// The JSON encoding keeps the map-entry shape model files have always
-    /// had: `corpus` as nested lists, then `pairs`, `transfers`,
-    /// `supports` and `winners` as key-sorted `[key, value]` entries, then
-    /// `cfg`.
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let c = &self.cols;
-        let id = |l: LandmarkId| Value::U64(u64::from(l.0));
-        let ids = |ls: &[LandmarkId]| Value::Seq(ls.iter().map(|&l| id(l)).collect());
-        let key = |k: PairKey| Value::Seq(vec![id(k.0), id(k.1)]);
-        let entry = |k: Value, v: Value| Value::Seq(vec![k, v]);
-
-        let corpus = (0..self.corpus_len()).map(|t| ids(&c.corpus_ids[span(&c.corpus_offsets, t)]));
-        let pairs = c.pair_keys.iter().enumerate().map(|(p, &k)| {
-            let occs = span(&c.pair_offsets, p).map(|i| {
-                Value::Map(vec![
-                    ("traj".to_owned(), Value::U64(u64::from(c.occ_traj[i]))),
-                    ("start".to_owned(), Value::U64(u64::from(c.occ_start[i]))),
-                    ("end".to_owned(), Value::U64(u64::from(c.occ_end[i]))),
-                ])
-            });
-            entry(key(k), Value::Seq(occs.collect()))
-        });
-        // Weights are finite (checked by `from_parts`), so each is a plain
-        // JSON float, as `f64`'s own serializer writes it.
-        let transfers = c.tr_src.iter().enumerate().map(|(s, &src)| {
-            let outs = span(&c.tr_offsets, s)
-                .map(|i| Value::Seq(vec![id(c.tr_dst[i]), Value::F64(c.tr_w[i])]));
-            entry(id(src), Value::Seq(outs.collect()))
-        });
-        let supports = c
-            .sup_keys
-            .iter()
-            .zip(&c.sup_val)
-            .map(|(&k, &v)| entry(key(k), Value::U64(u64::from(v))));
-        let winners = c
-            .win_keys
-            .iter()
-            .enumerate()
-            .map(|(w, &k)| entry(key(k), ids(&c.win_ids[span(&c.win_offsets, w)])));
-
-        serializer.serialize_value(Value::Map(vec![
-            ("corpus".to_owned(), Value::Seq(corpus.collect())),
-            ("pairs".to_owned(), Value::Seq(pairs.collect())),
-            ("transfers".to_owned(), Value::Seq(transfers.collect())),
-            ("supports".to_owned(), Value::Seq(supports.collect())),
-            ("winners".to_owned(), Value::Seq(winners.collect())),
-            ("cfg".to_owned(), to_value(&c.cfg)?),
-        ]))
-    }
-}
-
-/// Takes field `name` out of the JSON fields of a `ty` value, with
-/// derive-style errors.
-pub(crate) fn json_field<T: DeserializeOwned>(
-    fields: &mut Vec<(String, Value)>,
-    ty: &str,
-    name: &str,
-) -> Result<T, serde::Error> {
-    let at = fields
-        .iter()
-        .position(|(k, _)| k == name)
-        .ok_or_else(|| serde::Error::missing_field(ty, name))?;
-    from_value(fields.swap_remove(at).1).map_err(|e| e.context(&format!("{ty}.{name}")))
-}
-
-/// A JSON object's entries, with a derive-style error naming `what`
-/// otherwise.
-pub(crate) fn json_object(value: Value, what: &str) -> Result<Vec<(String, Value)>, serde::Error> {
-    match value {
-        Value::Map(entries) => Ok(entries),
-        other => Err(serde::Error::invalid_type("object", other.kind()).context(what)),
-    }
-}
-
-impl<'de> Deserialize<'de> for PopularRoutes {
-    /// Reads the JSON encoding [`Serialize`] writes into columns and
-    /// validates them like [`PopularRoutes::from_parts`].
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        const TY: &str = "PopularRoutes";
-        let mut fields = json_object(deserializer.take_value()?, TY)?;
-        let mut c = PopularRoutesParts::default();
-        for seq in json_field::<Vec<Vec<LandmarkId>>>(&mut fields, TY, "corpus")? {
-            c.corpus_ids.extend(seq);
-            c.corpus_offsets.push(c.corpus_ids.len());
-        }
-        for (key, occs) in json_field::<Vec<(PairKey, Vec<Occurrence>)>>(&mut fields, TY, "pairs")?
-        {
-            c.pair_keys.push(key);
-            for o in occs {
-                c.occ_traj.push(o.traj);
-                c.occ_start.push(o.start);
-                c.occ_end.push(o.end);
-            }
-            c.pair_offsets.push(c.occ_traj.len());
-        }
-        type Outs = Vec<(LandmarkId, f64)>;
-        for (src, outs) in json_field::<Vec<(LandmarkId, Outs)>>(&mut fields, TY, "transfers")? {
-            c.tr_src.push(src);
-            for (dst, w) in outs {
-                c.tr_dst.push(dst);
-                c.tr_w.push(w);
-            }
-            c.tr_offsets.push(c.tr_dst.len());
-        }
-        (c.sup_keys, c.sup_val) =
-            json_field::<Vec<(PairKey, u32)>>(&mut fields, TY, "supports")?.into_iter().unzip();
-        for (key, route) in
-            json_field::<Vec<(PairKey, Vec<LandmarkId>)>>(&mut fields, TY, "winners")?
-        {
-            c.win_keys.push(key);
-            c.win_ids.extend(route);
-            c.win_offsets.push(c.win_ids.len());
-        }
-        c.cfg = json_field(&mut fields, TY, "cfg")?;
-        PopularRoutes::from_parts(c)
-            .map_err(|e| serde::Error::msg(format!("PopularRoutes: {e}")).into())
     }
 }
 
@@ -742,17 +605,17 @@ mod tests {
                 traj(&ids)
             })
             .collect();
-        let seq =
-            serde_json::to_string(&PopularRoutes::build(&corpus, PopularRouteConfig::default()))
-                .expect("serializes");
+        let seq = PopularRoutes::build(&corpus, PopularRouteConfig::default());
+        let bits =
+            |pr: &PopularRoutes| pr.cols.tr_w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
         for threads in [2, 4, 8] {
-            let par = serde_json::to_string(&PopularRoutes::build_with(
+            let par = PopularRoutes::build_with(
                 &corpus,
                 PopularRouteConfig::default(),
                 &Executor::new(threads),
-            ))
-            .expect("serializes");
-            assert_eq!(par, seq, "threads={threads}");
+            );
+            assert_eq!(par.parts(), seq.parts(), "threads={threads}");
+            assert_eq!(bits(&par), bits(&seq), "threads={threads}");
         }
     }
 

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use stmaker_poi::LandmarkId;
-use stmaker_routes::{FeatureMapBuilder, HistoricalFeatureMap};
+use stmaker_routes::{FeatureMapBuilder, FeatureMapParts, HistoricalFeatureMap};
 
 /// One generated observation: (from, to, numeric-or-categorical, feature
 /// index, quantized value).
@@ -49,10 +49,13 @@ fn build_sharded(obs: &[Ob], cuts: &[usize]) -> HistoricalFeatureMap {
     merged.finish()
 }
 
-/// Canonical form for exact comparison (sorted map serialization; exact
-/// f64 sums make byte equality meaningful).
-fn canon(m: &HistoricalFeatureMap) -> String {
-    serde_json::to_string(m).expect("feature maps serialize")
+/// Canonical form for exact comparison: the map's sorted columns, with
+/// the sums also as bit patterns (exact f64 sums make bit equality
+/// meaningful).
+fn canon(m: &HistoricalFeatureMap) -> (FeatureMapParts, Vec<u64>) {
+    let parts = m.parts().clone();
+    let bits = parts.num_sum.iter().map(|s| s.to_bits()).collect();
+    (parts, bits)
 }
 
 proptest! {

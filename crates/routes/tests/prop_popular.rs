@@ -10,15 +10,18 @@
 //! * below it, the answer is a path over observed hops joining the
 //!   endpoints whose product of `p(next | cur)` is the largest over every
 //!   simple such path, and `None` exactly when no such path exists;
-//! * the columns survive `from_parts` and the JSON encoding unchanged, and
-//!   the build is the same at every thread count.
+//! * the columns survive `from_parts` and the STC1 encoding unchanged
+//!   (transfer weights bit for bit), and the build is the same at every
+//!   thread count.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
+use stmaker::TrainedModel;
 use stmaker_exec::Executor;
+use stmaker_io::{read_model_stc, write_model_stc};
 use stmaker_poi::LandmarkId;
-use stmaker_routes::{PopularRouteConfig, PopularRoutes};
+use stmaker_routes::{HistoricalFeatureMap, PopularRouteConfig, PopularRoutes};
 use stmaker_trajectory::{SymbolicPoint, SymbolicTrajectory, Timestamp};
 
 /// Landmarks the corpus draws from; one more id is probed but never seen.
@@ -33,6 +36,11 @@ fn trajectory((start, steps): &(u32, Vec<u32>)) -> Vec<LandmarkId> {
         ids.push(LandmarkId((prev + step) % LANDMARKS));
     }
     ids
+}
+
+/// The transfer weights as bit patterns, so equal columns mean equal bits.
+fn weight_bits(pr: &PopularRoutes) -> Vec<u64> {
+    pr.parts().tr_w.iter().map(|w| w.to_bits()).collect()
 }
 
 fn symbolic(ids: &[LandmarkId]) -> SymbolicTrajectory {
@@ -154,12 +162,20 @@ proptest! {
         }
 
         let rebuilt = PopularRoutes::from_parts(pr.parts().clone()).expect("own columns validate");
-        prop_assert_eq!(&rebuilt, &pr);
-        let json = serde_json::to_string(&pr).expect("serializes");
-        let back: PopularRoutes = serde_json::from_str(&json).expect("own JSON parses");
-        prop_assert_eq!(&back, &pr);
-        prop_assert_eq!(serde_json::to_string(&back).expect("serializes"), json);
+        prop_assert_eq!(rebuilt.parts(), pr.parts());
+        let model = TrainedModel {
+            popular: rebuilt,
+            featmap: HistoricalFeatureMap::new(),
+            n_trained: 0,
+            registry_len: LANDMARKS as usize,
+        };
+        let bytes = write_model_stc(&model);
+        let decoded = read_model_stc(&bytes).expect("own STC decodes");
+        prop_assert_eq!(decoded.popular.parts(), pr.parts());
+        prop_assert_eq!(weight_bits(&decoded.popular), weight_bits(&pr));
+        prop_assert_eq!(write_model_stc(&decoded), bytes);
         let parallel = PopularRoutes::build_with(&corpus, cfg, &Executor::new(3));
-        prop_assert_eq!(&parallel, &pr);
+        prop_assert_eq!(parallel.parts(), pr.parts());
+        prop_assert_eq!(weight_bits(&parallel), weight_bits(&pr));
     }
 }

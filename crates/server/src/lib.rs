@@ -11,8 +11,8 @@
 //! | `POST /summarize`       | one trip body (`?format=csv\|jsonl\|stc`) → summary text |
 //! | `POST /summarize_batch` | many trips (blank-line blocks or one STC1 container) → one summary per line |
 //! | `POST /ingest`          | streaming push into a [`StreamingSummarizer`] session |
-//! | `GET /model`            | serving parameters; `?format=stc\|json` downloads the model |
-//! | `POST /model`           | hot-swap a new [`TrainedModel`] (JSON or STC1 body, sniffed) |
+//! | `GET /model`            | serving parameters; `?format=stc` downloads the model |
+//! | `POST /model`           | hot-swap a new [`TrainedModel`] (STC1 body)         |
 //! | `GET /healthz`          | liveness + current model version                   |
 //! | `GET /metrics`          | the obs [`Report`](stmaker::Report) as JSON        |
 //! | `POST /shutdown`        | graceful drain: finish queued requests, then exit  |
@@ -70,7 +70,7 @@ use stmaker::{
     Summarizer, SummarizerConfig, TrainedModel,
 };
 use stmaker_io::{
-    decode_batch, decode_runs, decode_trip, is_stc, read_model_stc, write_model_stc, DecodeError,
+    decode_batch, decode_runs, decode_trip, read_model_stc, write_model_stc, DecodeError,
     DecodedTrip, TripFormat,
 };
 use stmaker_poi::LandmarkRegistry;
@@ -464,22 +464,13 @@ impl<'w> Server<'w> {
         Response::json(200, format!("{{\"status\": \"ok\", \"model_version\": {}}}\n", gen.version))
     }
 
-    /// Content negotiation over the `format` query parameter:
-    /// `?format=stc` streams the columnar STC1 encoding, `?format=json`
-    /// the full canonical-JSON model, and no parameter keeps the original
-    /// metadata summary (so pre-existing clients see unchanged output).
+    /// `?format=stc` downloads the model in its STC1 encoding; no
+    /// parameter answers the serving parameters as JSON metadata.
     fn handle_model_get(&self, req: &Request) -> Response {
         let gen = self.current();
         let model = gen.summarizer.model();
         match req.query("format") {
             Some("stc") => return Response::binary(200, write_model_stc(model)),
-            Some("json") => {
-                let mut body = model.to_json();
-                if !body.ends_with('\n') {
-                    body.push('\n');
-                }
-                return Response::json(200, body);
-            }
             Some(other) => {
                 return Response::error(400, &format!("unknown model format {other:?}"));
             }
@@ -502,26 +493,13 @@ impl<'w> Server<'w> {
         )
     }
 
-    /// Accepts either encoding, sniffed off the body's magic bytes: an
-    /// `STC1` prefix decodes through the columnar reader, anything else is
-    /// the original UTF-8 JSON path. Both converge on the same
-    /// [`TrainedModel`] before the swap — the encodings are equivalent by
-    /// the round-trip contract, so the serving behavior cannot depend on
-    /// which wire format delivered the model.
+    /// Decodes an STC1 model body and swaps it in. A body that does not
+    /// decode, or a model that does not fit the registry, is a typed 422
+    /// and leaves the serving generation as it was.
     fn handle_model_post(&self, req: &Request) -> Response {
-        let model = if is_stc(&req.body) {
-            match read_model_stc(&req.body) {
-                Ok(m) => m,
-                Err(e) => return Response::error(422, &format!("model does not decode: {e}")),
-            }
-        } else {
-            let Ok(text) = std::str::from_utf8(&req.body) else {
-                return Response::error(400, "model body is not valid UTF-8");
-            };
-            match TrainedModel::from_json(text) {
-                Ok(m) => m,
-                Err(e) => return Response::error(422, &format!("model does not parse: {e}")),
-            }
+        let model = match read_model_stc(&req.body) {
+            Ok(m) => m,
+            Err(e) => return Response::error(422, &format!("model does not decode: {e}")),
         };
         match self.swap_in(model) {
             Ok(version) => Response::json(200, format!("{{\"model_version\": {version}}}\n")),
@@ -663,8 +641,9 @@ impl<'w> Server<'w> {
         // A trip refused at decode never reaches the summarizer; count it
         // with the trips that failed there.
         self.obs.add("batch.summaries_failed", (lines.len() - trips.len()) as u64); // cast-ok: trip count
-                                                                                    // The throughput path: fans out through the stmaker-exec pool,
-                                                                                    // deterministic index-preserving merge.
+
+        // The throughput path: fans out through the stmaker-exec pool,
+        // deterministic index-preserving merge.
         let gen = self.current();
         let results = if k == 0 {
             gen.summarizer.summarize_batch(&trips)

@@ -208,8 +208,7 @@ fn concurrent_clients_get_cli_identical_bytes() {
 fn hot_swap_serves_cold_cache_bytes() {
     let fx = Fixture::new();
     let model_a = fx.train(60, 1001);
-    let model_b = fx.train(8, 5005);
-    let model_b_json = model_b.to_json();
+    let model_b = write_model_stc(&fx.train(8, 5005));
 
     let cold_b = {
         let summarizer =
@@ -241,7 +240,7 @@ fn hot_swap_serves_cold_cache_bytes() {
                 }
             }
         }
-        let (status, body) = request(addr, "POST", "/model", model_b_json.as_bytes());
+        let (status, body) = request(addr, "POST", "/model", &model_b);
         assert_eq!(status, 200, "{}", body_text(&body));
         assert!(body_text(&body).contains("\"model_version\": 2"));
         let (status, body) = request(addr, "GET", "/healthz", b"");
@@ -259,41 +258,44 @@ fn hot_swap_serves_cold_cache_bytes() {
         // A model for a different registry is a typed 422, not a swap.
         let mut bad = fx.train(8, 5005);
         bad.registry_len += 1;
-        let (status, body) = request(addr, "POST", "/model", bad.to_json().as_bytes());
+        let (status, body) = request(addr, "POST", "/model", &write_model_stc(&bad));
         assert_eq!(status, 422);
         assert!(body_text(&body).contains("registry"), "{}", body_text(&body));
 
-        // So is a model written before the precomputed winners table.
-        let json = fx.train(8, 5005).to_json();
-        let start = json.find(",\"winners\":").expect("winners key");
-        let end = start + json[start..].find(",\"cfg\":").expect("cfg follows winners");
-        let legacy = format!("{}{}", &json[..start], &json[end..]);
-        let (status, body) = request(addr, "POST", "/model", legacy.as_bytes());
+        // So is a model missing a section (here the winners table).
+        let good = write_model_stc(&fx.train(8, 5005));
+        let (status, body) = request(addr, "POST", "/model", &without_section(&good, 0x3F));
         assert_eq!(status, 422);
-        assert!(body_text(&body).contains("winners"), "{}", body_text(&body));
+        assert!(body_text(&body).contains("missing STC1 section 0x3f"), "{}", body_text(&body));
+
+        // So is a model in the JSON shape model files once had (here an
+        // empty model for this registry): STC1 is the only model encoding.
+        let json_model = format!(
+            "{{\"popular\":{{\"corpus\":[],\"pairs\":[],\"transfers\":[],\"supports\":[],\
+             \"winners\":[],\"cfg\":{{\"min_support\":1,\"max_indexed_span\":64}}}},\
+             \"featmap\":{{\"edges\":[],\"categorical\":[]}},\"n_trained\":0,\
+             \"registry_len\":{}}}",
+            fx.world.registry.len()
+        );
+        let (status, body) = request(addr, "POST", "/model", json_model.as_bytes());
+        assert_eq!(status, 422);
+        let expect = "model does not decode: not an STC1 file";
+        assert!(body_text(&body).contains(expect), "{}", body_text(&body));
 
         // So is a model whose popular-route occurrence lies outside its
-        // corpus, in either encoding: it would panic a worker on the
-        // first query that reached the occurrence scan.
-        let good = fx.train(8, 5005);
-        let json = good.to_json();
-        let at = json.find("{\"traj\":").expect("an occurrence") + 8;
-        let end = at + json[at..].find(',').expect("traj value end");
-        let bad_json = format!("{}1000000{}", &json[..at], &json[end..]);
-        let mut bad_stc = stmaker_io::write_model_stc(&good);
-        let occ_traj = stmaker_io::stc::section_range(&bad_stc, 0x35).expect("occ_traj section");
-        bad_stc[occ_traj.start..occ_traj.start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        for body in [bad_json.into_bytes(), bad_stc] {
-            let (status, resp) = request(addr, "POST", "/model", &body);
-            assert_eq!(status, 422);
-            assert!(body_text(&resp).contains("outside the corpus"), "{}", body_text(&resp));
-        }
+        // corpus: it would panic a worker on the first query that reached
+        // the occurrence scan.
+        let mut bad_occ = good.clone();
+        let occ_traj = stmaker_io::stc::section_range(&bad_occ, 0x35).expect("occ_traj section");
+        bad_occ[occ_traj.start..occ_traj.start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (status, resp) = request(addr, "POST", "/model", &bad_occ);
+        assert_eq!(status, 422);
+        assert!(body_text(&resp).contains("outside the corpus"), "{}", body_text(&resp));
 
         // So is a feature-map row with a zero count (its regular value
         // would be infinite), and a feature-map key naming a landmark past
-        // the registry, in either encoding.
-        let stc = stmaker_io::write_model_stc(&good);
-        for (name, body) in poisoned_models(&json, &stc) {
+        // the registry.
+        for (name, body) in poisoned_models(&good) {
             let (status, resp) = request(addr, "POST", "/model", &body);
             assert_eq!(status, 422, "{name}: {}", body_text(&resp));
             let reason = if name.starts_with("zero") { "zero count" } else { "registry" };
@@ -305,21 +307,10 @@ fn hot_swap_serves_cold_cache_bytes() {
     });
 }
 
-/// Patches a trained model in both encodings: `zero` sets the first
-/// numeric feature-map count to 0, `far` moves the last numeric
-/// feature-map key's target to landmark 999999 (past any registry; the
-/// rows stay sorted).
-fn poisoned_models(json: &str, stc: &[u8]) -> [(&'static str, Vec<u8>); 4] {
-    let featmap = json.find("\"featmap\"").expect("feature map");
-    let at = featmap + json[featmap..].find("\"count\":").expect("a count") + 8;
-    let end = at + json[at..].find('}').expect("count value end");
-    let zero_json = format!("{}0{}", &json[..at], &json[end..]);
-    let categorical = featmap + json[featmap..].find("\"categorical\"").expect("categorical");
-    let key = json[..categorical].rfind("[[").expect("a numeric edge key") + 2;
-    let to = key + json[key..].find(',').expect("key separator") + 1;
-    let to_end = to + json[to..].find(']').expect("key end");
-    let far_json = format!("{}999999{}", &json[..to], &json[to_end..]);
-
+/// Patches a trained STC1 model: `zero` sets the first numeric
+/// feature-map count to 0, `far` moves the last numeric feature-map key's
+/// target to landmark 999999 (past any registry; the rows stay sorted).
+fn poisoned_models(stc: &[u8]) -> [(&'static str, Vec<u8>); 2] {
     let patch = |tag: u32, from_end: bool, value: &[u8]| {
         let mut bytes = stc.to_vec();
         let s = stmaker_io::stc::section_range(&bytes, tag).expect("section present");
@@ -328,11 +319,22 @@ fn poisoned_models(json: &str, stc: &[u8]) -> [(&'static str, Vec<u8>); 4] {
         bytes
     };
     [
-        ("zero_count.json", zero_json.into_bytes()),
-        ("zero_count.stc", patch(0x26, false, &0u64.to_le_bytes())),
-        ("far_landmark.json", far_json.into_bytes()),
-        ("far_landmark.stc", patch(0x23, true, &999_999u32.to_le_bytes())),
+        ("zero_count", patch(0x26, false, &0u64.to_le_bytes())),
+        ("far_landmark", patch(0x23, true, &999_999u32.to_le_bytes())),
     ]
+}
+
+/// `stc` with section `tag` renamed in the section table to a tag no
+/// reader asks for, so the section reads as missing.
+fn without_section(stc: &[u8], tag: u32) -> Vec<u8> {
+    let n = u32::from_le_bytes(stc[8..12].try_into().expect("section count")) as usize;
+    let entry = (0..n)
+        .map(|i| 16 + 24 * i)
+        .find(|&at| stc[at..at + 4] == tag.to_le_bytes())
+        .expect("section present");
+    let mut bytes = stc.to_vec();
+    bytes[entry..entry + 4].copy_from_slice(&0xFFu32.to_le_bytes());
+    bytes
 }
 
 /// Admission control: with one worker wedged and the depth-1 queue
@@ -640,8 +642,7 @@ fn ingest_session_survives_model_swap() {
         );
         assert_eq!((status, body_text(&resp)), (200, expected));
 
-        let (status, resp) =
-            request(addr, "POST", "/model", fx.train(8, 5005).to_json().as_bytes());
+        let (status, resp) = request(addr, "POST", "/model", &write_model_stc(&fx.train(8, 5005)));
         assert_eq!(status, 200, "{}", body_text(&resp));
 
         let body = csv_body(header, rest);
@@ -787,14 +788,14 @@ fn sanitize_is_per_request() {
     });
 }
 
-/// The STC1 wire surface: `GET /model?format=stc` round-trips to the
-/// identical canonical JSON, a binary `POST /model` hot-swaps (sniffed,
-/// no format parameter needed), and `?format=stc` trip bodies produce
+/// The STC1 wire surface: `GET /model?format=stc` downloads the serving
+/// model's exact bytes, a binary `POST /model` hot-swaps, and
+/// `?format=stc` trip bodies produce
 /// byte-identical summaries to the CSV path.
 #[test]
 fn stc_wire_surface_is_equivalent() {
     let fx = Fixture::new();
-    let model_a_json = fx.train(60, 1001).to_json();
+    let model_a = write_model_stc(&fx.train(60, 1001));
     let model_b = fx.train(8, 5005);
     let cold_b = {
         let summarizer = fx.summarizer(fx.train(8, 5005), SummarizerConfig::default());
@@ -814,19 +815,18 @@ fn stc_wire_surface_is_equivalent() {
     )
     .expect("bind");
     with_running(&server, |addr| {
-        // Download both encodings of generation 1's model; they must
-        // describe the same model, and the STC bytes must decode to the
-        // identical canonical JSON (the byte-identity contract, over HTTP).
+        // Download generation 1's model: the served bytes are the trained
+        // model's encoding, and they decode (the byte-identity contract,
+        // over HTTP). JSON is not a model encoding.
         let (status, stc_body) = request(addr, "GET", "/model?format=stc", b"");
         assert_eq!(status, 200);
-        assert!(stc_body.starts_with(b"STC1"), "binary download carries the magic");
+        assert_eq!(stc_body, model_a);
         let downloaded = read_model_stc(&stc_body).expect("served STC decodes");
-        assert_eq!(downloaded.to_json(), model_a_json);
-        let (status, json_body) = request(addr, "GET", "/model?format=json", b"");
-        assert_eq!(status, 200);
-        assert_eq!(body_text(&json_body).trim_end(), model_a_json.trim_end());
-        let (status, _) = request(addr, "GET", "/model?format=bogus", b"");
-        assert_eq!(status, 400);
+        assert_eq!(write_model_stc(&downloaded), model_a);
+        for format in ["json", "bogus"] {
+            let (status, _) = request(addr, "GET", &format!("/model?format={format}"), b"");
+            assert_eq!(status, 400, "{format}");
+        }
 
         // Summaries from STC bodies are byte-identical to CSV bodies.
         let (status, csv_resp) = request(addr, "POST", "/summarize", fx.trip_csvs[0].as_bytes());
@@ -858,7 +858,7 @@ fn stc_wire_surface_is_equivalent() {
         let (status, _) = request(addr, "POST", "/summarize?format=stc", &corrupt);
         assert_eq!(status, 422);
 
-        // Binary model hot-swap: magic-sniffed, no query parameter.
+        // Binary model hot-swap: no query parameter.
         let (status, body) = request(addr, "POST", "/model", &write_model_stc(&model_b));
         assert_eq!(status, 200, "{}", body_text(&body));
         assert!(body_text(&body).contains("\"model_version\": 2"));

@@ -303,9 +303,9 @@ fn model_persistence_round_trips_summaries() {
     // Save → load → summaries byte-identical, file canonical.
     let dir = std::env::temp_dir().join(format!("stmaker-model-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("model.json");
-    stmaker_io::write_model_file(&path, trained.model(), stmaker_io::ModelFormat::Json).unwrap();
-    let json_a = std::fs::read_to_string(&path).unwrap();
+    let path = dir.join("model.stc");
+    stmaker_io::write_model_file(&path, trained.model()).unwrap();
+    let bytes_a = std::fs::read(&path).unwrap();
 
     let loaded = stmaker_io::read_model_file(&path).unwrap();
     assert_eq!(loaded.n_trained, trained.model().n_trained);
@@ -325,8 +325,8 @@ fn model_persistence_round_trips_summaries() {
         let b = revived.summarize(raw).map(|s| s.text).unwrap_or_default();
         assert_eq!(a, b);
     }
-    // Canonical serialization: saving the revived model reproduces the file.
-    assert_eq!(revived.model().to_json(), json_a.trim_end_matches('\n'));
+    // Canonical encoding: saving the revived model reproduces the file.
+    assert_eq!(stmaker_io::write_model_stc(revived.model()), bytes_a);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -431,16 +431,15 @@ fn training_is_byte_identical_across_thread_counts() {
     let make = |threads: usize| {
         let features = standard_features();
         let weights = FeatureWeights::uniform(&features);
-        Summarizer::train(
+        let s = Summarizer::train(
             &h.world.net,
             &h.world.registry,
             &train,
             features,
             weights,
             SummarizerConfig::default().with_threads(threads),
-        )
-        .model()
-        .to_json()
+        );
+        stmaker_io::write_model_stc(s.model())
     };
     // The determinism contract (DESIGN.md §10): shard structure is a
     // function of corpus size only and partials merge in shard order, so
@@ -471,7 +470,7 @@ fn summaries_byte_identical_across_spatial_index_backends() {
             weights,
             SummarizerConfig::default().with_threads(threads).with_spatial_index(kind),
         );
-        let model = s.model().to_json();
+        let model = stmaker_io::write_model_stc(s.model());
         let texts: Vec<Option<String>> =
             s.summarize_batch(&test).into_iter().map(|r| r.ok().map(|s| s.text)).collect();
         (model, texts)
@@ -869,11 +868,11 @@ fn streaming_windows_key_on_stream_time_and_surface_in_report() {
 
 #[test]
 fn stc_model_round_trip_is_byte_identical_across_thread_counts() {
-    // The tentpole contract for the columnar model format: a model pushed
-    // through STC1 encode → decode produces (a) the identical canonical
-    // JSON and (b) byte-identical summaries to the JSON-path model at
-    // every thread count — the binary encoding must be invisible to the
-    // pipeline's output.
+    // The contract for the columnar model format: a model pushed through
+    // STC1 encode → decode re-encodes to the identical bytes and gives
+    // byte-identical summaries to the in-memory trained model at every
+    // thread count — the encoding must be invisible to the pipeline's
+    // output.
     use stmaker_io::{read_model_stc, read_trips_stc, write_model_stc, write_trips_stc};
     let h = Harness::new();
     let (train, test) = h.corpora(60, 12);
@@ -887,11 +886,8 @@ fn stc_model_round_trip_is_byte_identical_across_thread_counts() {
         weights,
         SummarizerConfig::default(),
     );
-    let canonical = trained.model().to_json();
-
     let bytes = write_model_stc(trained.model());
     let revived_model = read_model_stc(&bytes).expect("own encoding decodes");
-    assert_eq!(revived_model.to_json(), canonical, "STC round-trip must be JSON-canonical");
     // Double round-trip: the decoded model re-encodes to the same bytes.
     assert_eq!(write_model_stc(&revived_model), bytes, "STC encoding must be deterministic");
 
@@ -901,29 +897,24 @@ fn stc_model_round_trip_is_byte_identical_across_thread_counts() {
     let revived_test = read_trips_stc(&trip_bytes).expect("own encoding decodes");
     assert_eq!(revived_test, test);
 
+    let texts = |s: &Summarizer<'_>, trips: &[RawTrajectory]| -> Vec<Option<String>> {
+        s.summarize_batch(trips).into_iter().map(|r| r.ok().map(|s| s.text)).collect()
+    };
+    let reference = texts(&trained, &test);
+    assert!(reference.iter().flatten().count() >= 8, "most test trips must summarize");
+
     for threads in [1usize, 2, 4] {
-        let build = |model| {
-            let features = standard_features();
-            let weights = FeatureWeights::uniform(&features);
-            Summarizer::try_from_model(
-                &h.world.net,
-                &h.world.registry,
-                model,
-                features,
-                weights,
-                SummarizerConfig::default().with_threads(threads),
-            )
-            .expect("registry matches")
-        };
-        let texts = |s: &Summarizer<'_>, trips: &[RawTrajectory]| -> Vec<Option<String>> {
-            s.summarize_batch(trips).into_iter().map(|r| r.ok().map(|s| s.text)).collect()
-        };
-        let json_path = build(
-            stmaker_suite::TrainedModel::from_json(&canonical).expect("canonical JSON parses"),
-        );
-        let stc_path = build(read_model_stc(&bytes).expect("decodes"));
-        let reference = texts(&json_path, &test);
-        assert!(reference.iter().flatten().count() >= 8, "most test trips must summarize");
+        let features = standard_features();
+        let weights = FeatureWeights::uniform(&features);
+        let stc_path = Summarizer::try_from_model(
+            &h.world.net,
+            &h.world.registry,
+            read_model_stc(&bytes).expect("decodes"),
+            features,
+            weights,
+            SummarizerConfig::default().with_threads(threads),
+        )
+        .expect("registry matches");
         assert_eq!(
             texts(&stc_path, &test),
             reference,
@@ -947,10 +938,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn model_encodings_match_pinned_digests() {
-    // Both model encodings are file formats: a seeded small-world model
+    // The model encoding is a file format: a seeded small-world model
     // must encode to exactly these bytes in every build. Round-trip tests
     // compare one build against itself; this pins the bytes across
-    // builds, so an in-memory layout change cannot drift either format.
+    // builds, so an in-memory layout change cannot drift the format.
     use stmaker_io::write_model_stc;
     let h = Harness::new();
     let (train, _) = h.corpora(60, 0);
@@ -964,11 +955,10 @@ fn model_encodings_match_pinned_digests() {
         weights,
         SummarizerConfig::default(),
     );
-    let json = trained.model().to_json();
     let stc = write_model_stc(trained.model());
     assert_eq!(
-        (fnv1a(json.as_bytes()), json.len(), fnv1a(&stc), stc.len()),
-        (0x386a_771f_90e5_e551, 190_376, 0x4334_d97d_3053_e894, 157_288),
+        (fnv1a(&stc), stc.len()),
+        (0x4334_d97d_3053_e894, 157_288),
         "model encoding drifted"
     );
 }
@@ -976,8 +966,8 @@ fn model_encodings_match_pinned_digests() {
 #[test]
 fn model_landmarks_past_the_registry_are_rejected() {
     // Landmark ids index the registry, so a model naming an id at or past
-    // its end must not load, whichever column holds it and whichever
-    // encoding carried it; the unedited model still loads.
+    // its end must not load, whichever column holds it, even after an
+    // STC1 round trip; the unedited model still loads.
     use stmaker_io::{read_model_stc, write_model_stc};
     use stmaker_poi::LandmarkId;
     use stmaker_routes::{
@@ -1027,15 +1017,12 @@ fn model_landmarks_past_the_registry_are_rejected() {
     for (column, edit) in cases {
         let (mut f, mut p) = (fm.clone(), pr.clone());
         edit(&mut f, &mut p, past);
-        let json = TrainedModel::from_json(&model(&f, &p).to_json()).expect("JSON decodes");
         let stc = read_model_stc(&write_model_stc(&model(&f, &p))).expect("STC decodes");
-        for decoded in [json, stc] {
-            match load(decoded) {
-                Some(SummarizeError::LandmarkOutOfRange { column: c, id, registry }) => {
-                    assert_eq!((c, id, registry), (column, past.0, n));
-                }
-                other => panic!("{column}: expected LandmarkOutOfRange, got {other:?}"),
+        match load(stc) {
+            Some(SummarizeError::LandmarkOutOfRange { column: c, id, registry }) => {
+                assert_eq!((c, id, registry), (column, past.0, n));
             }
+            other => panic!("{column}: expected LandmarkOutOfRange, got {other:?}"),
         }
     }
 }
