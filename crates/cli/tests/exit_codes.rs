@@ -203,7 +203,7 @@ fn runtime_errors_stay_exit_one() {
     );
     for (name, body, needle) in [
         ("other_world.stc", other_world, "different world"),
-        ("legacy.stc", legacy, "missing STC1 section 0x3f"),
+        ("legacy.stc", legacy, "missing STC1 section 0x3f (win_from)"),
         ("m.json", json.into_bytes(), "not an STC1 file"),
     ] {
         let bad = dir.join(name);

@@ -7,6 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
+use stmaker_geo::RTree;
 use stmaker_poi::{DbscanParams, LandmarkId, LandmarkRegistry, Poi, PoiCategory, PoiId};
 use stmaker_road::{build_city, NodeId, PathCost, PathSearch, RoadNetwork, SynthCityConfig};
 use stmaker_significance::{compute_significance, HitsConfig, Visit};
@@ -215,20 +216,23 @@ impl World {
         // --- Pass 1: significance from check-ins alone identifies the hot
         // POI clusters, whose nearest junctions become the taxi hubs.
         let checkin_hits = compute_significance(registry.len(), &visits, HitsConfig::default());
-        let mut clusters: Vec<(LandmarkId, f64)> = registry
+        // Every POI cluster with its nearest junction (distance ties go to
+        // the smaller node id): the 20 most significant are the hubs, and
+        // all of them are the taxi demand endpoints below.
+        let node_index = RTree::build_points(nodes.iter().map(|n| (n.id, n.point)));
+        let cluster_hubs: Vec<(NodeId, LandmarkId)> = registry
             .landmarks()
             .iter()
             .filter(|l| matches!(l.kind, stmaker_poi::LandmarkKind::PoiCluster { .. }))
-            .map(|l| (l.id, checkin_hits.significance[l.id.0 as usize]))
+            .filter_map(|l| node_index.nearest(&l.point).map(|(node, _)| (node, l.id)))
             .collect();
-        clusters.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let node_index = net.node_index(300.0);
-        let mut hot_nodes: Vec<NodeId> = Vec::new();
-        for (l, _) in clusters.iter().take(20) {
-            if let Some((node, _)) = node_index.nearest(&registry.get(*l).point) {
-                hot_nodes.push(node);
-            }
-        }
+        drop(node_index);
+        let mut clusters: Vec<(NodeId, LandmarkId, f64)> = cluster_hubs
+            .iter()
+            .map(|&(node, l)| (node, l, checkin_hits.significance[l.0 as usize]))
+            .collect();
+        clusters.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.1.cmp(&b.1)));
+        let mut hot_nodes: Vec<NodeId> = clusters.iter().take(20).map(|c| c.0).collect();
         hot_nodes.sort_unstable();
         hot_nodes.dedup();
         if hot_nodes.is_empty() {
@@ -259,19 +263,28 @@ impl World {
                 nodes[rng.random_range(0..n_nodes)].id
             }
         };
+        // Every route's endpoints are drawn first, in route order. The
+        // searches then run grouped by source, so `PathSearch` settles each
+        // source's tree once, and the visits are pushed in route order.
+        let ends: Vec<(NodeId, NodeId)> = (0..cfg.n_visit_routes)
+            .map(|_| {
+                let src = pick_node(&mut rng);
+                (src, pick_node(&mut rng))
+            })
+            .collect();
+        let mut by_source: Vec<usize> =
+            (0..ends.len()).filter(|&r| ends[r].0 != ends[r].1).collect();
+        by_source.sort_by_key(|&r| ends[r].0);
         let mut search = PathSearch::new(&net, PathCost::TravelTime);
-        for r in 0..cfg.n_visit_routes {
-            let src = pick_node(&mut rng);
-            let dst = pick_node(&mut rng);
-            if src == dst {
-                continue;
-            }
-            if let Some(path) = search.shortest_path(src, dst) {
-                let user = stmaker_significance::UserId((cfg.n_users + r) as u32);
-                for node in &path.nodes {
-                    for lm in &node_visible[node.0 as usize] {
-                        visits.push(Visit { user, landmark: *lm });
-                    }
+        let mut routes: Vec<Option<Vec<NodeId>>> = vec![None; ends.len()];
+        for r in by_source {
+            routes[r] = search.shortest_path(ends[r].0, ends[r].1).map(|path| path.nodes);
+        }
+        for (r, route) in routes.iter().enumerate() {
+            let user = stmaker_significance::UserId((cfg.n_users + r) as u32);
+            for node in route.iter().flatten() {
+                for lm in &node_visible[node.0 as usize] {
+                    visits.push(Visit { user, landmark: *lm });
                 }
             }
         }
@@ -282,17 +295,9 @@ impl World {
 
         // --- Taxi demand distribution: every cluster, weighted by its final
         // significance (plus a floor so obscure places still see trips).
-        let mut cluster_hubs: Vec<(NodeId, LandmarkId)> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-        for l in registry.landmarks() {
-            if matches!(l.kind, stmaker_poi::LandmarkKind::PoiCluster { .. }) {
-                if let Some((node, _)) = node_index.nearest(&l.point) {
-                    cluster_hubs.push((node, l.id));
-                    weights.push(l.significance.powf(2.0) + 0.003);
-                }
-            }
-        }
-        let cluster_cum = cumulative_weights(weights.into_iter());
+        let weights =
+            cluster_hubs.iter().map(|(_, l)| registry.get(*l).significance.powf(2.0) + 0.003);
+        let cluster_cum = cumulative_weights(weights);
 
         Self { net, pois, registry, hot_nodes, cluster_hubs, cluster_cum, cfg }
     }

@@ -116,6 +116,50 @@ const TAG_WIN_TO: u32 = 0x40;
 const TAG_WIN_OFFSETS: u32 = 0x41;
 const TAG_WIN_IDS: u32 = 0x42;
 
+/// Every section tag with the column name its errors report.
+const SECTION_NAMES: &[(u32, &str)] = &[
+    (TAG_TRIP_OFFSETS, "trip_offsets"),
+    (TAG_LAT, "lat"),
+    (TAG_LON, "lon"),
+    (TAG_TS, "timestamps"),
+    (TAG_META, "meta"),
+    (TAG_FEAT_NAMES, "feat_names"),
+    (TAG_FM_NUM_FROM, "fm_num_from"),
+    (TAG_FM_NUM_TO, "fm_num_to"),
+    (TAG_FM_NUM_FEAT, "fm_num_feat"),
+    (TAG_FM_NUM_SUM, "fm_num_sum"),
+    (TAG_FM_NUM_COUNT, "fm_num_count"),
+    (TAG_FM_CAT_FROM, "fm_cat_from"),
+    (TAG_FM_CAT_TO, "fm_cat_to"),
+    (TAG_FM_CAT_FEAT, "fm_cat_feat"),
+    (TAG_FM_CAT_CODE, "fm_cat_code"),
+    (TAG_FM_CAT_COUNT, "fm_cat_count"),
+    (TAG_CORPUS_OFFSETS, "corpus_offsets"),
+    (TAG_CORPUS_IDS, "corpus_ids"),
+    (TAG_PAIR_FROM, "pair_from"),
+    (TAG_PAIR_TO, "pair_to"),
+    (TAG_PAIR_OFFSETS, "pair_offsets"),
+    (TAG_OCC_TRAJ, "occ_traj"),
+    (TAG_OCC_START, "occ_start"),
+    (TAG_OCC_END, "occ_end"),
+    (TAG_TR_SRC, "tr_src"),
+    (TAG_TR_OFFSETS, "tr_offsets"),
+    (TAG_TR_DST, "tr_dst"),
+    (TAG_TR_W, "tr_w"),
+    (TAG_SUP_FROM, "sup_from"),
+    (TAG_SUP_TO, "sup_to"),
+    (TAG_SUP_VAL, "sup_val"),
+    (TAG_WIN_FROM, "win_from"),
+    (TAG_WIN_TO, "win_to"),
+    (TAG_WIN_OFFSETS, "win_offsets"),
+    (TAG_WIN_IDS, "win_ids"),
+];
+
+/// The column name of section `tag`, or `"unknown"`.
+fn section_name(tag: u32) -> &'static str {
+    SECTION_NAMES.iter().find(|(t, _)| *t == tag).map_or("unknown", |(_, name)| name)
+}
+
 /// Structural corruption in an STC1 file. Every variant is reachable from
 /// hostile bytes; none of them panic the decoder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,9 +171,11 @@ pub enum StcError {
         /// Bytes actually present.
         got: u64,
     },
-    /// The first four bytes are not `b"STC1"`.
+    /// The first four bytes are not `b"STC1"`, or a shorter file is not a
+    /// prefix of it.
     BadMagic {
-        /// The bytes found where the magic should be.
+        /// The bytes found where the magic should be, zero-padded when the
+        /// file holds fewer than four.
         got: [u8; 4],
     },
     /// The header declares a container version this build cannot read.
@@ -213,7 +259,7 @@ impl std::fmt::Display for StcError {
                 write!(f, "wrong STC1 artifact kind {got} (expected {expected})")
             }
             StcError::MissingSection { tag } => {
-                write!(f, "missing STC1 section 0x{tag:02x}")
+                write!(f, "missing STC1 section 0x{tag:02x} ({})", section_name(*tag))
             }
             StcError::ColumnLengthMismatch { section, expected, got } => {
                 write!(f, "column length mismatch in {section}: expected {expected}, got {got}")
@@ -511,15 +557,21 @@ fn le_u64(b: &[u8]) -> u64 {
 
 impl Container {
     fn parse<S: Source>(src: &mut S) -> Result<Self, S::Error> {
+        // The magic is checked against whatever bytes are present first, so
+        // a short file that is not STC1 reads as "not an STC1 file" and
+        // only a true STC1 prefix as truncated.
         let have = src.len();
-        if have < HEADER_BYTES as u64 {
-            return Err(StcError::Truncated { expected: HEADER_BYTES as u64, got: have }.into());
-        }
+        let head_len = have.min(HEADER_BYTES as u64);
         let mut head = Vec::with_capacity(HEADER_BYTES);
-        src.read(0, HEADER_BYTES as u64, &mut |c| head.extend_from_slice(c))?;
-        let magic = [head[0], head[1], head[2], head[3]];
-        if magic != STC_MAGIC {
-            return Err(StcError::BadMagic { got: magic }.into());
+        src.read(0, head_len, &mut |c| head.extend_from_slice(c))?;
+        let present = head.len().min(STC_MAGIC.len());
+        if head[..present] != STC_MAGIC[..present] {
+            let mut got = [0u8; 4];
+            got[..present].copy_from_slice(&head[..present]);
+            return Err(StcError::BadMagic { got }.into());
+        }
+        if head.len() < HEADER_BYTES {
+            return Err(StcError::Truncated { expected: HEADER_BYTES as u64, got: have }.into());
         }
         let version = le_u16(&head[4..6]);
         if version != STC_VERSION {
@@ -577,11 +629,10 @@ fn ragged(len: u64, width: usize, name: &'static str) -> StcError {
 fn for_each_le<S: Source, const N: usize>(
     src: &mut S,
     s: Section,
-    name: &'static str,
     mut each: impl FnMut([u8; N]),
 ) -> Result<(), S::Error> {
     if s.len % N as u64 != 0 {
-        return Err(ragged(s.len, N, name).into());
+        return Err(ragged(s.len, N, section_name(s.tag)).into());
     }
     src.read(s.off, s.len, &mut |chunk| {
         for b in chunk.chunks_exact(N) {
@@ -596,77 +647,51 @@ fn le_col<S: Source, T, const N: usize>(
     src: &mut S,
     c: &Container,
     tag: u32,
-    name: &'static str,
     decode: impl Fn([u8; N]) -> T,
 ) -> Result<Vec<T>, S::Error> {
     let s = c.section(tag)?;
     let mut out = Vec::with_capacity((s.len / N as u64) as usize);
-    for_each_le(src, s, name, |b| out.push(decode(b)))?;
+    for_each_le(src, s, |b| out.push(decode(b)))?;
     Ok(out)
 }
 
-fn u32_col<S: Source>(
-    src: &mut S,
-    c: &Container,
-    tag: u32,
-    name: &'static str,
-) -> Result<Vec<u32>, S::Error> {
-    le_col(src, c, tag, name, u32::from_le_bytes)
+fn u32_col<S: Source>(src: &mut S, c: &Container, tag: u32) -> Result<Vec<u32>, S::Error> {
+    le_col(src, c, tag, u32::from_le_bytes)
 }
 
-fn u64_col<S: Source>(
-    src: &mut S,
-    c: &Container,
-    tag: u32,
-    name: &'static str,
-) -> Result<Vec<u64>, S::Error> {
-    le_col(src, c, tag, name, u64::from_le_bytes)
+fn u64_col<S: Source>(src: &mut S, c: &Container, tag: u32) -> Result<Vec<u64>, S::Error> {
+    le_col(src, c, tag, u64::from_le_bytes)
 }
 
-fn f64_col<S: Source>(
-    src: &mut S,
-    c: &Container,
-    tag: u32,
-    name: &'static str,
-) -> Result<Vec<f64>, S::Error> {
-    le_col(src, c, tag, name, |b| f64::from_bits(u64::from_le_bytes(b)))
+fn f64_col<S: Source>(src: &mut S, c: &Container, tag: u32) -> Result<Vec<f64>, S::Error> {
+    le_col(src, c, tag, |b| f64::from_bits(u64::from_le_bytes(b)))
 }
 
-fn id_col<S: Source>(
-    src: &mut S,
-    c: &Container,
-    tag: u32,
-    name: &'static str,
-) -> Result<Vec<LandmarkId>, S::Error> {
-    le_col(src, c, tag, name, |b| LandmarkId(u32::from_le_bytes(b)))
+fn id_col<S: Source>(src: &mut S, c: &Container, tag: u32) -> Result<Vec<LandmarkId>, S::Error> {
+    le_col(src, c, tag, |b| LandmarkId(u32::from_le_bytes(b)))
 }
 
 /// An offsets column as `usize`. A value past `usize::MAX` saturates, so
 /// the range check in [`PopularRoutes::from_parts`] rejects it.
-fn offsets_col<S: Source>(
-    src: &mut S,
-    c: &Container,
-    tag: u32,
-    name: &'static str,
-) -> Result<Vec<usize>, S::Error> {
-    le_col(src, c, tag, name, |b| usize::try_from(u64::from_le_bytes(b)).unwrap_or(usize::MAX))
+fn offsets_col<S: Source>(src: &mut S, c: &Container, tag: u32) -> Result<Vec<usize>, S::Error> {
+    le_col(src, c, tag, |b| usize::try_from(u64::from_le_bytes(b)).unwrap_or(usize::MAX))
 }
 
 /// A `(from, to)` key column filled from its two `u32` sections in turn.
 fn key_col<S: Source>(
     src: &mut S,
     c: &Container,
-    (from_tag, from_name): (u32, &'static str),
-    (to_tag, to_name): (u32, &'static str),
+    from_tag: u32,
+    to_tag: u32,
 ) -> Result<Vec<PairKey>, S::Error> {
     let id = |b| LandmarkId(u32::from_le_bytes(b));
-    let mut keys = le_col(src, c, from_tag, from_name, |b| (id(b), LandmarkId(0)))?;
+    let mut keys = le_col(src, c, from_tag, |b| (id(b), LandmarkId(0)))?;
     let to = c.section(to_tag)?;
     if to.len % 4 == 0 {
-        same_len(to_name, keys.len(), (to.len / 4) as usize)?;
+        same_len(section_name(to_tag), keys.len(), (to.len / 4) as usize)?;
     }
     let mut slots = keys.iter_mut();
-    for_each_le(src, to, to_name, |b| {
+    for_each_le(src, to, |b| {
         if let Some(key) = slots.next() {
             key.1 = id(b);
         }
@@ -824,9 +849,9 @@ pub fn read_raw_trips_stc(bytes: &[u8]) -> Result<Vec<Vec<RawPoint>>, StcError> 
     let src = &mut SliceSource(bytes);
     let c = Container::parse(src)?;
     c.expect_kind(KIND_TRIPS)?;
-    let offs_raw = u64_col(src, &c, TAG_TRIP_OFFSETS, "trip_offsets")?;
-    let lat = f64_col(src, &c, TAG_LAT, "lat")?;
-    let lon = f64_col(src, &c, TAG_LON, "lon")?;
+    let offs_raw = u64_col(src, &c, TAG_TRIP_OFFSETS)?;
+    let lat = f64_col(src, &c, TAG_LAT)?;
+    let lon = f64_col(src, &c, TAG_LON)?;
     same_len("lon", lat.len(), lon.len())?;
     let offs = check_offsets(&offs_raw, lat.len(), "trip_offsets")?;
     let ts = c.section(TAG_TS)?;
@@ -969,7 +994,7 @@ fn decode_model<S: Source>(src: &mut S) -> Result<TrainedModel, S::Error> {
     let c = Container::parse(src)?;
     c.expect_kind(KIND_MODEL)?;
 
-    let meta = u64_col(src, &c, TAG_META, "meta")?;
+    let meta = u64_col(src, &c, TAG_META)?;
     if meta.len() != 4 {
         return Err(StcError::ColumnLengthMismatch {
             section: "meta",
@@ -980,16 +1005,16 @@ fn decode_model<S: Source>(src: &mut S) -> Result<TrainedModel, S::Error> {
     }
     let featmap = FeatureMapParts {
         names: names_col(src, &c)?,
-        num_from: id_col(src, &c, TAG_FM_NUM_FROM, "fm_num_from")?,
-        num_to: id_col(src, &c, TAG_FM_NUM_TO, "fm_num_to")?,
-        num_feat: u32_col(src, &c, TAG_FM_NUM_FEAT, "fm_num_feat")?,
-        num_sum: f64_col(src, &c, TAG_FM_NUM_SUM, "fm_num_sum")?,
-        num_count: u64_col(src, &c, TAG_FM_NUM_COUNT, "fm_num_count")?,
-        cat_from: id_col(src, &c, TAG_FM_CAT_FROM, "fm_cat_from")?,
-        cat_to: id_col(src, &c, TAG_FM_CAT_TO, "fm_cat_to")?,
-        cat_feat: u32_col(src, &c, TAG_FM_CAT_FEAT, "fm_cat_feat")?,
-        cat_code: u32_col(src, &c, TAG_FM_CAT_CODE, "fm_cat_code")?,
-        cat_count: u64_col(src, &c, TAG_FM_CAT_COUNT, "fm_cat_count")?,
+        num_from: id_col(src, &c, TAG_FM_NUM_FROM)?,
+        num_to: id_col(src, &c, TAG_FM_NUM_TO)?,
+        num_feat: u32_col(src, &c, TAG_FM_NUM_FEAT)?,
+        num_sum: f64_col(src, &c, TAG_FM_NUM_SUM)?,
+        num_count: u64_col(src, &c, TAG_FM_NUM_COUNT)?,
+        cat_from: id_col(src, &c, TAG_FM_CAT_FROM)?,
+        cat_to: id_col(src, &c, TAG_FM_CAT_TO)?,
+        cat_feat: u32_col(src, &c, TAG_FM_CAT_FEAT)?,
+        cat_code: u32_col(src, &c, TAG_FM_CAT_CODE)?,
+        cat_count: u64_col(src, &c, TAG_FM_CAT_COUNT)?,
     };
     let featmap = HistoricalFeatureMap::from_parts(featmap).map_err(StcError::InvalidFeatureMap)?;
 
@@ -998,22 +1023,22 @@ fn decode_model<S: Source>(src: &mut S) -> Result<TrainedModel, S::Error> {
             min_support: meta[2] as usize,
             max_indexed_span: meta[3] as usize,
         },
-        corpus_offsets: offsets_col(src, &c, TAG_CORPUS_OFFSETS, "corpus_offsets")?,
-        corpus_ids: id_col(src, &c, TAG_CORPUS_IDS, "corpus_ids")?,
-        pair_keys: key_col(src, &c, (TAG_PAIR_FROM, "pair_from"), (TAG_PAIR_TO, "pair_to"))?,
-        pair_offsets: offsets_col(src, &c, TAG_PAIR_OFFSETS, "pair_offsets")?,
-        occ_traj: u32_col(src, &c, TAG_OCC_TRAJ, "occ_traj")?,
-        occ_start: u32_col(src, &c, TAG_OCC_START, "occ_start")?,
-        occ_end: u32_col(src, &c, TAG_OCC_END, "occ_end")?,
-        tr_src: id_col(src, &c, TAG_TR_SRC, "tr_src")?,
-        tr_offsets: offsets_col(src, &c, TAG_TR_OFFSETS, "tr_offsets")?,
-        tr_dst: id_col(src, &c, TAG_TR_DST, "tr_dst")?,
-        tr_w: f64_col(src, &c, TAG_TR_W, "tr_w")?,
-        sup_keys: key_col(src, &c, (TAG_SUP_FROM, "sup_from"), (TAG_SUP_TO, "sup_to"))?,
-        sup_val: u32_col(src, &c, TAG_SUP_VAL, "sup_val")?,
-        win_keys: key_col(src, &c, (TAG_WIN_FROM, "win_from"), (TAG_WIN_TO, "win_to"))?,
-        win_offsets: offsets_col(src, &c, TAG_WIN_OFFSETS, "win_offsets")?,
-        win_ids: id_col(src, &c, TAG_WIN_IDS, "win_ids")?,
+        corpus_offsets: offsets_col(src, &c, TAG_CORPUS_OFFSETS)?,
+        corpus_ids: id_col(src, &c, TAG_CORPUS_IDS)?,
+        pair_keys: key_col(src, &c, TAG_PAIR_FROM, TAG_PAIR_TO)?,
+        pair_offsets: offsets_col(src, &c, TAG_PAIR_OFFSETS)?,
+        occ_traj: u32_col(src, &c, TAG_OCC_TRAJ)?,
+        occ_start: u32_col(src, &c, TAG_OCC_START)?,
+        occ_end: u32_col(src, &c, TAG_OCC_END)?,
+        tr_src: id_col(src, &c, TAG_TR_SRC)?,
+        tr_offsets: offsets_col(src, &c, TAG_TR_OFFSETS)?,
+        tr_dst: id_col(src, &c, TAG_TR_DST)?,
+        tr_w: f64_col(src, &c, TAG_TR_W)?,
+        sup_keys: key_col(src, &c, TAG_SUP_FROM, TAG_SUP_TO)?,
+        sup_val: u32_col(src, &c, TAG_SUP_VAL)?,
+        win_keys: key_col(src, &c, TAG_WIN_FROM, TAG_WIN_TO)?,
+        win_offsets: offsets_col(src, &c, TAG_WIN_OFFSETS)?,
+        win_ids: id_col(src, &c, TAG_WIN_IDS)?,
     };
     Ok(TrainedModel {
         popular: PopularRoutes::from_parts(parts).map_err(StcError::InvalidRoutes)?,

@@ -316,6 +316,45 @@ fn file_decoder_matches_slice_decoder_on_every_fault() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A body shorter than the 16-byte header is checked against the magic
+/// first: a true `STC1` prefix is truncated, anything else is not an STC1
+/// file at all, whichever reader and whichever source decodes it.
+#[test]
+fn short_bodies_are_bad_magic_unless_an_stc1_prefix() {
+    let model = write_model_stc(&fixture_model());
+    let trips = write_trips_stc(&fixture_trips(0x5407));
+    let path =
+        std::env::temp_dir().join(format!("stmaker_stc_faults_{}_short.stc", std::process::id()));
+    let json = br#"{"a":1,"b":[2]}"#;
+    let near_miss = b"STX1\x01\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00";
+    for len in 0..16 {
+        let truncated = StcError::Truncated { expected: 16, got: len as u64 };
+        for prefix in [&model[..len], &trips[..len]] {
+            assert_eq!(read_model_stc(prefix).err(), Some(truncated.clone()), "STC1 prefix {len}");
+            assert_eq!(read_raw_trips_stc(prefix).err(), Some(truncated.clone()), "{len}");
+            assert_eq!(decode_via_file(&path, prefix).err(), Some(truncated.clone()), "{len}");
+        }
+        for body in [&json[..], &near_miss[..]] {
+            let body = &body[..len.min(body.len())];
+            let present = body.len().min(4);
+            let want = if body[..present] == b"STC1"[..present] {
+                truncated.clone()
+            } else {
+                let mut got = [0u8; 4];
+                got[..present].copy_from_slice(&body[..present]);
+                StcError::BadMagic { got }
+            };
+            assert_eq!(read_model_stc(body).err(), Some(want.clone()), "{body:?}");
+            assert_eq!(read_raw_trips_stc(body).err(), Some(want.clone()), "{body:?}");
+            assert_eq!(decode_via_file(&path, body).err(), Some(want.clone()), "{body:?}");
+            if len >= 3 {
+                assert!(want.to_string().starts_with("not an STC1 file"), "{body:?}: {want}");
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A feature-map row with a zero count or a non-finite sum would answer
 /// `regular_value` with an infinite or NaN average, so loading refuses it
 /// with a typed error.

@@ -197,11 +197,6 @@ impl RoadNetwork {
         }
         RTree::build_segments(items)
     }
-
-    /// Builds a spatial index over intersection locations.
-    pub fn node_index(&self, cell_m: f64) -> GridIndex<NodeId> {
-        GridIndex::build(self.nodes.iter().map(|n| (n.id, n.point)), cell_m)
-    }
 }
 
 #[cfg(test)]

@@ -86,9 +86,12 @@ pub fn shortest_path(
 /// Reusable Dijkstra over one network under one cost model.
 ///
 /// Edge costs are computed once, into a column indexed by [`EdgeId`]. The
-/// per-node labels and the heap are kept between searches; each search
-/// resets only the nodes the previous one touched, so a search costs what
-/// it explores rather than the size of the network.
+/// per-node labels and the heap are kept between searches. A search from
+/// the previous search's source resumes where that one paused, settling
+/// more nodes only until its destination is done, so callers that group
+/// their queries by source settle each source's tree once. A new source
+/// resets only the nodes the old one touched, so a search costs what it
+/// explores rather than the size of the network.
 #[derive(Debug)]
 pub struct PathSearch<'a> {
     net: &'a RoadNetwork,
@@ -96,9 +99,11 @@ pub struct PathSearch<'a> {
     g: Vec<f64>,
     prev: Vec<Option<(NodeId, EdgeId)>>,
     done: Vec<bool>,
-    /// Nodes whose labels the last search set.
+    /// Nodes whose labels the current source's search set.
     touched: Vec<usize>,
     heap: BinaryHeap<HeapEntry>,
+    /// The source whose labels `g`, `prev` and `done` hold.
+    source: Option<NodeId>,
 }
 
 impl<'a> PathSearch<'a> {
@@ -113,6 +118,7 @@ impl<'a> PathSearch<'a> {
             done: vec![false; n],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
+            source: None,
         }
     }
 
@@ -120,6 +126,13 @@ impl<'a> PathSearch<'a> {
     /// or either node is outside the network. Ties resolve the same way in
     /// every search: the heap pops `(cost, node)` in ascending order and a
     /// label only improves on a strictly lower cost.
+    ///
+    /// When `src` is the previous call's source the search resumes: a
+    /// settled `dst` is answered from the labels, otherwise popping goes on
+    /// until `dst` is settled. Each popped node is relaxed before `dst` is
+    /// checked, so a pause falls between two pops and the pop sequence is
+    /// that of one uninterrupted Dijkstra. A settled node's label and
+    /// predecessor are final, so every path equals a fresh search's.
     pub fn shortest_path(&mut self, src: NodeId, dst: NodeId) -> Option<RoutePath> {
         let n = self.g.len();
         if src.0 as usize >= n || dst.0 as usize >= n {
@@ -128,25 +141,28 @@ impl<'a> PathSearch<'a> {
         if src == dst {
             return Some(RoutePath { nodes: vec![src], edges: vec![], cost: 0.0 });
         }
-        for i in self.touched.drain(..) {
-            self.g[i] = f64::INFINITY;
-            self.prev[i] = None;
-            self.done[i] = false;
+        if self.source != Some(src) {
+            for i in self.touched.drain(..) {
+                self.g[i] = f64::INFINITY;
+                self.prev[i] = None;
+                self.done[i] = false;
+            }
+            self.heap.clear();
+            self.g[src.0 as usize] = 0.0;
+            self.touched.push(src.0 as usize);
+            self.heap.push(HeapEntry { cost: 0.0, node: src });
+            self.source = Some(src);
         }
-        self.heap.clear();
 
-        self.g[src.0 as usize] = 0.0;
-        self.touched.push(src.0 as usize);
-        self.heap.push(HeapEntry { cost: 0.0, node: src });
-        while let Some(HeapEntry { cost: _, node }) = self.heap.pop() {
+        while !self.done[dst.0 as usize] {
+            let Some(HeapEntry { cost: _, node }) = self.heap.pop() else {
+                break;
+            };
             let ni = node.0 as usize;
             if self.done[ni] {
                 continue;
             }
             self.done[ni] = true;
-            if node == dst {
-                break;
-            }
             for &(e, next) in self.net.neighbors(node) {
                 let nxt = next.0 as usize;
                 if self.done[nxt] {
@@ -164,7 +180,7 @@ impl<'a> PathSearch<'a> {
             }
         }
 
-        if self.g[dst.0 as usize].is_infinite() {
+        if !self.done[dst.0 as usize] {
             return None;
         }
         let mut nodes = vec![dst];

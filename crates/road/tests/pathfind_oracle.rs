@@ -199,3 +199,53 @@ fn small_cities_match_reference_on_all_pairs() {
         assert_eq!(assert_all_pairs_match(&spurred), 2 * (2 * (n - 1) - 1));
     }
 }
+
+/// One `PathSearch` driven through resumed, restarted and degenerate calls:
+/// interleaved sources, a destination the last search already settled,
+/// `src == dst`, out-of-range ids, and an unreachable destination (which
+/// settles the source's whole tree) followed by reachable ones from the
+/// same source. Every call must match a fresh reference search.
+#[test]
+fn resumed_and_interleaved_searches_match_reference() {
+    for seed in [5, 11] {
+        let net = with_one_way_spurs(build_city(&SynthCityConfig::small(seed)));
+        let n = net.node_count() as u32;
+        let (hub, dead_end, on_ramp, far) =
+            (NodeId(0), NodeId(n - 2), NodeId(n - 1), NodeId(n - 3));
+        let (a, b, x, y, z) = (NodeId(n / 3), NodeId(n / 2), far, NodeId(1), NodeId(n / 4));
+        let out = NodeId(n + 5);
+        for model in [PathCost::Distance, PathCost::TravelTime] {
+            let mut search = PathSearch::new(&net, model);
+            let mut call = |src: NodeId, dst: NodeId| {
+                let got = search.shortest_path(src, dst);
+                let want = reference_path(&net, src, dst, model);
+                assert!(same(&got, &want), "{model:?} {src:?} -> {dst:?}: {got:?} vs {want:?}");
+                got
+            };
+            call(a, x);
+            call(b, y);
+            let to_z = call(a, z).expect("z reachable");
+            // Every node on the path to z was settled before z.
+            let settled = to_z.nodes[to_z.nodes.len() / 2];
+            call(a, settled);
+            call(a, a);
+            call(b, b);
+            call(a, x);
+            assert!(call(a, out).is_none());
+            assert!(call(out, a).is_none());
+            call(a, y);
+            // Nothing reaches the on-ramp: the search exhausts a's tree.
+            assert!(call(a, on_ramp).is_none());
+            assert!(call(a, dead_end).is_some());
+            call(a, z);
+            assert!(call(hub, on_ramp).is_none());
+            assert!(call(hub, on_ramp).is_none());
+            assert!(call(hub, dead_end).is_some());
+            // The dead end reaches nothing, then the search moves on.
+            assert!(call(dead_end, hub).is_none());
+            assert!(call(dead_end, dead_end).is_some());
+            call(on_ramp, x);
+            call(on_ramp, dead_end);
+        }
+    }
+}

@@ -266,7 +266,8 @@ fn hot_swap_serves_cold_cache_bytes() {
         let good = write_model_stc(&fx.train(8, 5005));
         let (status, body) = request(addr, "POST", "/model", &without_section(&good, 0x3F));
         assert_eq!(status, 422);
-        assert!(body_text(&body).contains("missing STC1 section 0x3f"), "{}", body_text(&body));
+        let expect = "missing STC1 section 0x3f (win_from)";
+        assert!(body_text(&body).contains(expect), "{}", body_text(&body));
 
         // So is a model in the JSON shape model files once had (here an
         // empty model for this registry): STC1 is the only model encoding.
@@ -280,6 +281,14 @@ fn hot_swap_serves_cold_cache_bytes() {
         let (status, body) = request(addr, "POST", "/model", json_model.as_bytes());
         assert_eq!(status, 422);
         let expect = "model does not decode: not an STC1 file";
+        assert!(body_text(&body).contains(expect), "{}", body_text(&body));
+
+        // A body shorter than the 16-byte STC1 header is checked against
+        // the magic first, so a short JSON object is not "truncated".
+        let short = br#"{"a":1,"b":[2]}"#;
+        assert_eq!(short.len(), 15);
+        let (status, body) = request(addr, "POST", "/model", short);
+        assert_eq!(status, 422);
         assert!(body_text(&body).contains(expect), "{}", body_text(&body));
 
         // So is a model whose popular-route occurrence lies outside its

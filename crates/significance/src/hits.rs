@@ -117,35 +117,76 @@ struct VisitGraph {
 
 impl VisitGraph {
     fn build(n_landmarks: usize, visits: &[Visit]) -> Self {
-        // One `(user, landmark)` key per visit, sorted once; a run of equal
-        // keys is one link weighted by its length.
-        let mut user_index: HashMap<u32, u64> = HashMap::new();
-        let mut keys: Vec<u64> = Vec::with_capacity(visits.len());
+        // Compact users in order of first appearance. Visits come in
+        // per-user runs, so the map is consulted only when the raw user
+        // changes. `by_user[u + 1]` and `by_lm[l + 1]` count visits.
+        let mut user_index: HashMap<u32, u32> = HashMap::new();
+        let mut last: Option<(u32, u32)> = None;
+        let mut users: Vec<u32> = Vec::with_capacity(visits.len());
+        let mut by_user: Vec<usize> = vec![0];
+        let mut by_lm = vec![0usize; n_landmarks + 1];
         for v in visits {
-            let lm = v.landmark.0;
-            assert!((lm as usize) < n_landmarks, "visit references landmark {} out of range", lm);
-            let next = user_index.len() as u64;
-            let u = *user_index.entry(v.user.0).or_insert(next);
-            keys.push(u << 32 | u64::from(lm));
+            let lm = v.landmark.0 as usize;
+            assert!(lm < n_landmarks, "visit references landmark {} out of range", lm);
+            let u = match last {
+                Some((raw, u)) if raw == v.user.0 => u,
+                _ => {
+                    let next = user_index.len() as u32;
+                    let u = *user_index.entry(v.user.0).or_insert(next);
+                    if u == next {
+                        by_user.push(0);
+                    }
+                    last = Some((v.user.0, u));
+                    u
+                }
+            };
+            users.push(u);
+            by_user[u as usize + 1] += 1;
+            by_lm[lm + 1] += 1;
         }
-        keys.sort_unstable();
+        drop(user_index);
+        let n_users = by_user.len() - 1;
+        prefix_sum(&mut by_user);
+        prefix_sum(&mut by_lm);
 
-        // Offsets start as per-row link counts and become prefix sums.
-        let n_users = user_index.len();
-        let mut user_off = vec![0usize; n_users + 1];
-        let mut lm_off = vec![0usize; n_landmarks + 1];
-        let mut user_links: Vec<(usize, f64)> = Vec::new();
-        let mut run_start = 0;
-        for (i, key) in keys.iter().enumerate() {
-            if keys.get(i + 1) == Some(key) {
-                continue;
-            }
-            let (u, l) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
-            user_links.push((l, (i + 1 - run_start) as f64));
-            user_off[u + 1] += 1;
-            lm_off[l + 1] += 1;
-            run_start = i + 1;
+        // Two stable counting passes order the visits by `(user, landmark)`:
+        // users grouped by landmark, then landmarks grouped by user.
+        let mut lm_users = vec![0u32; visits.len()];
+        let mut cursor = by_lm.clone();
+        for (v, &u) in visits.iter().zip(&users) {
+            let l = v.landmark.0 as usize;
+            lm_users[cursor[l]] = u;
+            cursor[l] += 1;
         }
+        drop(users);
+        let mut user_lms = vec![0u32; visits.len()];
+        let mut cursor = by_user.clone();
+        for l in 0..n_landmarks {
+            for &u in &lm_users[by_lm[l]..by_lm[l + 1]] {
+                user_lms[cursor[u as usize]] = l as u32;
+                cursor[u as usize] += 1;
+            }
+        }
+        drop(lm_users);
+
+        // A run of equal landmarks within a user is one link weighted by
+        // its length. Offsets start as per-row link counts and become
+        // prefix sums.
+        let runs = |u: usize| user_lms[by_user[u]..by_user[u + 1]].chunk_by(|a, b| a == b);
+        let n_links = (0..n_users).map(|u| runs(u).count()).sum();
+        let mut user_off = vec![0usize; n_users + 1];
+        let mut lm_off = by_lm;
+        lm_off.fill(0);
+        let mut user_links: Vec<(usize, f64)> = Vec::with_capacity(n_links);
+        for u in 0..n_users {
+            for run in runs(u) {
+                let l = run[0] as usize;
+                user_links.push((l, run.len() as f64));
+                user_off[u + 1] += 1;
+                lm_off[l + 1] += 1;
+            }
+        }
+        drop(user_lms);
         prefix_sum(&mut user_off);
         prefix_sum(&mut lm_off);
 

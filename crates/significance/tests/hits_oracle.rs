@@ -145,3 +145,34 @@ fn matches_reference_on_degenerate_graphs() {
     let star: Vec<Visit> = (0..50).map(|u| Visit::new(1_000 - u, 0)).collect();
     assert_identical(2, &star, HitsConfig::default());
 }
+
+/// A raw user who comes back after another user's run (A, B, A, ...) must
+/// keep the compact id of their first run: the last-user shortcut falls
+/// back to the map, and both runs' visits merge into the same links.
+#[test]
+fn users_in_separated_runs_keep_their_first_compact_id() {
+    let (a, b, c) = (7_000_000, 42, u32::MAX);
+    let mut visits = Vec::new();
+    for (user, landmarks) in [
+        (a, &[3, 1, 1][..]),
+        (b, &[1, 2][..]),
+        (a, &[1, 4, 3][..]),
+        (c, &[0][..]),
+        (b, &[2, 2, 0][..]),
+        (a, &[4][..]),
+    ] {
+        for &l in landmarks {
+            visits.push(Visit::new(user, l));
+        }
+    }
+    assert_identical(6, &visits, HitsConfig::default());
+    assert_identical(6, &visits, HitsConfig { max_iters: 2, tolerance: 0.0 });
+    // The same visits with each user's runs joined give the same links.
+    let mut joined = visits.clone();
+    joined.sort_by_key(|v| [a, b, c].iter().position(|&u| u == v.user.0));
+    let (x, y) = (
+        compute_significance(6, &visits, HitsConfig::default()),
+        compute_significance(6, &joined, HitsConfig::default()),
+    );
+    assert_eq!(bits(&x.hub_scores), bits(&y.hub_scores));
+}
