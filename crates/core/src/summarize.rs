@@ -330,30 +330,47 @@ fn check_model(model: &TrainedModel, registry: &LandmarkRegistry) -> Result<(), 
         return Err(SummarizeError::ModelMismatch { model: model.registry_len, registry: n });
     }
     let (f, p) = (model.featmap.parts(), model.popular.parts());
-    check_ids("featmap numeric keys", f.num_from.iter().chain(&f.num_to).copied(), n)?;
-    check_ids("featmap categorical keys", f.cat_from.iter().chain(&f.cat_to).copied(), n)?;
-    check_ids("popular corpus", p.corpus_ids.iter().copied(), n)?;
-    check_ids("popular pairs", pair_ids(&p.pair_keys), n)?;
-    check_ids("popular supports", pair_ids(&p.sup_keys), n)?;
-    check_ids("popular transfers", p.tr_src.iter().chain(&p.tr_dst).copied(), n)?;
-    check_ids("popular winners", pair_ids(&p.win_keys).chain(p.win_ids.iter().copied()), n)
+    use IdCol::{Ids, Keys};
+    check_ids("featmap numeric keys", &[Ids(&f.num_from), Ids(&f.num_to)], n)?;
+    check_ids("featmap categorical keys", &[Ids(&f.cat_from), Ids(&f.cat_to)], n)?;
+    check_ids("popular corpus", &[Ids(&p.corpus_ids)], n)?;
+    check_ids("popular pairs", &[Keys(&p.pair_keys)], n)?;
+    check_ids("popular supports", &[Keys(&p.sup_keys)], n)?;
+    check_ids("popular transfers", &[Ids(&p.tr_src), Ids(&p.tr_dst)], n)?;
+    check_ids("popular winners", &[Keys(&p.win_keys), Ids(&p.win_ids)], n)
 }
 
-/// Fails with the first id in `ids` at or past a registry of `n` landmarks.
-fn check_ids(
-    column: &'static str,
-    mut ids: impl Iterator<Item = LandmarkId>,
-    n: usize,
-) -> Result<(), SummarizeError> {
-    match ids.find(|l| l.0 as usize >= n) {
-        Some(l) => Err(SummarizeError::LandmarkOutOfRange { column, id: l.0, registry: n }),
-        None => Ok(()),
+/// A model column of landmark ids: plain ids, or both landmarks of every
+/// key in a `(from, to)` key column.
+#[derive(Clone, Copy)]
+enum IdCol<'a> {
+    Ids(&'a [LandmarkId]),
+    Keys(&'a [(LandmarkId, LandmarkId)]),
+}
+
+/// Fails with the first id in `cols`, read in order, at or past a registry
+/// of `n` landmarks. A column whose largest id is in range is cleared by
+/// that one max-reduction; only a column that fails it is searched for its
+/// first offender.
+fn check_ids(column: &'static str, cols: &[IdCol<'_>], n: usize) -> Result<(), SummarizeError> {
+    let past = |l: &LandmarkId| l.0 as usize >= n;
+    for &col in cols {
+        let max = match col {
+            IdCol::Ids(ids) => ids.iter().fold(0, |m, l| m.max(l.0)),
+            IdCol::Keys(keys) => keys.iter().fold(0, |m, (a, b)| m.max(a.0).max(b.0)),
+        };
+        if (max as usize) < n {
+            continue;
+        }
+        let first = match col {
+            IdCol::Ids(ids) => ids.iter().copied().find(past),
+            IdCol::Keys(keys) => keys.iter().flat_map(|&(a, b)| [a, b]).find(past),
+        };
+        if let Some(l) = first {
+            return Err(SummarizeError::LandmarkOutOfRange { column, id: l.0, registry: n });
+        }
     }
-}
-
-/// Both landmarks of every key in a `(from, to)` key column.
-fn pair_ids(keys: &[(LandmarkId, LandmarkId)]) -> impl Iterator<Item = LandmarkId> + '_ {
-    keys.iter().flat_map(|&(a, b)| [a, b])
+    Ok(())
 }
 
 impl<'a> Summarizer<'a> {

@@ -328,6 +328,8 @@ const TABLE_ENTRY_BYTES: usize = 24;
 /// A file is read through a buffer of this many bytes. It is a multiple of
 /// every element width, so each chunk holds whole column elements.
 const READ_CHUNK: usize = 64 * 1024;
+// Column decoders fill whole elements per chunk (see `le_col`).
+const _: () = assert!(READ_CHUNK % 8 == 0);
 
 fn align8(n: usize) -> usize {
     (n + 7) & !7
@@ -370,20 +372,24 @@ impl Col<'_> {
     }
 
     fn write(&self, out: &mut Vec<u8>) {
-        fn put<const N: usize>(out: &mut Vec<u8>, vals: impl Iterator<Item = [u8; N]>) {
-            for v in vals {
-                out.extend_from_slice(&v);
+        /// Grows `out` once by the column's byte length, then writes each
+        /// element's `N` bytes into its slot.
+        fn put<T: Copy, const N: usize>(out: &mut Vec<u8>, vals: &[T], enc: impl Fn(T) -> [u8; N]) {
+            let start = out.len();
+            out.resize(start + N * vals.len(), 0);
+            for (slot, &v) in out[start..].chunks_exact_mut(N).zip(vals) {
+                slot.copy_from_slice(&enc(v));
             }
         }
         match *self {
             Col::Bytes(b) => out.extend_from_slice(b),
-            Col::U32s(v) => put(out, v.iter().map(|x| x.to_le_bytes())),
-            Col::Ids(v) => put(out, v.iter().map(|l| l.0.to_le_bytes())),
-            Col::KeyFrom(v) => put(out, v.iter().map(|k| k.0 .0.to_le_bytes())),
-            Col::KeyTo(v) => put(out, v.iter().map(|k| k.1 .0.to_le_bytes())),
-            Col::U64s(v) => put(out, v.iter().map(|x| x.to_le_bytes())),
-            Col::F64s(v) => put(out, v.iter().map(|x| x.to_bits().to_le_bytes())),
-            Col::Offsets(v) => put(out, v.iter().map(|&o| (o as u64).to_le_bytes())),
+            Col::U32s(v) => put(out, v, u32::to_le_bytes),
+            Col::Ids(v) => put(out, v, |l| l.0.to_le_bytes()),
+            Col::KeyFrom(v) => put(out, v, |k| k.0 .0.to_le_bytes()),
+            Col::KeyTo(v) => put(out, v, |k| k.1 .0.to_le_bytes()),
+            Col::U64s(v) => put(out, v, u64::to_le_bytes),
+            Col::F64s(v) => put(out, v, |x| x.to_bits().to_le_bytes()),
+            Col::Offsets(v) => put(out, v, |o| (o as u64).to_le_bytes()),
             Col::Names(names) => {
                 out.extend_from_slice(&(names.len() as u64).to_le_bytes());
                 for n in names {
@@ -624,25 +630,14 @@ fn ragged(len: u64, width: usize, name: &'static str) -> StcError {
     StcError::ColumnLengthMismatch { section: name, expected: len / width * width, got: len }
 }
 
-/// Streams section `s` as `N`-byte little-endian elements into `each`,
-/// after checking it holds a whole number of them.
-fn for_each_le<S: Source, const N: usize>(
-    src: &mut S,
-    s: Section,
-    mut each: impl FnMut([u8; N]),
-) -> Result<(), S::Error> {
-    if s.len % N as u64 != 0 {
-        return Err(ragged(s.len, N, section_name(s.tag)).into());
-    }
-    src.read(s.off, s.len, &mut |chunk| {
-        for b in chunk.chunks_exact(N) {
-            each(b.try_into().expect("chunk is N bytes"));
-        }
-    })
-}
-
 /// Decodes section `tag` of `N`-byte little-endian elements straight into
-/// its column, one allocation sized by the section.
+/// its column, one allocation sized by the section. The length is checked
+/// once; then each chunk the source passes fills the column with one
+/// `extend` over its `N`-byte elements, a loop that compiles to a copy.
+/// No element straddles two chunks: [`Source::read`] passes chunks whose
+/// lengths are multiples of 8 except the last ([`SliceSource`] passes one
+/// chunk, [`FileSource`] [`READ_CHUNK`]-byte ones, and `READ_CHUNK % 8 ==
+/// 0` is asserted at compile time), and every element width divides 8.
 fn le_col<S: Source, T, const N: usize>(
     src: &mut S,
     c: &Container,
@@ -650,8 +645,13 @@ fn le_col<S: Source, T, const N: usize>(
     decode: impl Fn([u8; N]) -> T,
 ) -> Result<Vec<T>, S::Error> {
     let s = c.section(tag)?;
+    if s.len % N as u64 != 0 {
+        return Err(ragged(s.len, N, section_name(tag)).into());
+    }
     let mut out = Vec::with_capacity((s.len / N as u64) as usize);
-    for_each_le(src, s, |b| out.push(decode(b)))?;
+    src.read(s.off, s.len, &mut |chunk| {
+        out.extend(chunk.chunks_exact(N).map(|b| decode(b.try_into().expect("chunk is N bytes"))));
+    })?;
     Ok(out)
 }
 
@@ -677,24 +677,30 @@ fn offsets_col<S: Source>(src: &mut S, c: &Container, tag: u32) -> Result<Vec<us
     le_col(src, c, tag, |b| usize::try_from(u64::from_le_bytes(b)).unwrap_or(usize::MAX))
 }
 
-/// A `(from, to)` key column filled from its two `u32` sections in turn.
+/// A `(from, to)` key column filled from its two `u32` sections in turn:
+/// the `from` section as [`le_col`] decodes it, then each chunk of the
+/// `to` section into the next keys' `to` halves.
 fn key_col<S: Source>(
     src: &mut S,
     c: &Container,
     from_tag: u32,
     to_tag: u32,
 ) -> Result<Vec<PairKey>, S::Error> {
-    let id = |b| LandmarkId(u32::from_le_bytes(b));
-    let mut keys = le_col(src, c, from_tag, |b| (id(b), LandmarkId(0)))?;
+    let id = |b: &[u8]| LandmarkId(u32::from_le_bytes(b.try_into().expect("chunk is 4 bytes")));
+    let mut keys =
+        le_col(src, c, from_tag, |b| (LandmarkId(u32::from_le_bytes(b)), LandmarkId(0)))?;
     let to = c.section(to_tag)?;
-    if to.len % 4 == 0 {
-        same_len(section_name(to_tag), keys.len(), (to.len / 4) as usize)?;
+    if to.len % 4 != 0 {
+        return Err(ragged(to.len, 4, section_name(to_tag)).into());
     }
-    let mut slots = keys.iter_mut();
-    for_each_le(src, to, |b| {
-        if let Some(key) = slots.next() {
+    same_len(section_name(to_tag), keys.len(), (to.len / 4) as usize)?;
+    let mut filled = 0;
+    src.read(to.off, to.len, &mut |chunk| {
+        let slots = keys.get_mut(filled..).unwrap_or_default();
+        for (key, b) in slots.iter_mut().zip(chunk.chunks_exact(4)) {
             key.1 = id(b);
         }
+        filled += chunk.len() / 4;
     })?;
     Ok(keys)
 }
@@ -811,15 +817,12 @@ pub fn write_trips_stc(trips: &[RawTrajectory]) -> Vec<u8> {
 /// realistic epoch by ~10¹¹ years).
 pub fn write_point_runs_stc<'a>(runs: impl IntoIterator<Item = &'a [RawPoint]>) -> Vec<u8> {
     let mut offsets = vec![0u64];
-    let mut lat: Vec<u8> = Vec::new();
-    let mut lon: Vec<u8> = Vec::new();
+    let mut lat: Vec<f64> = Vec::new();
+    let mut lon: Vec<f64> = Vec::new();
     let mut ts: Vec<u8> = Vec::new();
-    let mut n_points = 0u64;
     for run in runs {
-        for p in run {
-            lat.extend_from_slice(&p.point.lat.to_bits().to_le_bytes());
-            lon.extend_from_slice(&p.point.lon.to_bits().to_le_bytes());
-        }
+        lat.extend(run.iter().map(|p| p.point.lat));
+        lon.extend(run.iter().map(|p| p.point.lon));
         if let Some((first, rest)) = run.split_first() {
             push_zigzag(&mut ts, first.t.0);
             let mut prev = first.t.0;
@@ -828,15 +831,14 @@ pub fn write_point_runs_stc<'a>(runs: impl IntoIterator<Item = &'a [RawPoint]>) 
                 prev = p.t.0;
             }
         }
-        n_points += run.len() as u64;
-        offsets.push(n_points);
+        offsets.push(lat.len() as u64);
     }
     assemble(
         KIND_TRIPS,
         &[
             (TAG_TRIP_OFFSETS, Col::U64s(&offsets)),
-            (TAG_LAT, Col::Bytes(&lat)),
-            (TAG_LON, Col::Bytes(&lon)),
+            (TAG_LAT, Col::F64s(&lat)),
+            (TAG_LON, Col::F64s(&lon)),
             (TAG_TS, Col::Bytes(&ts)),
         ],
     )

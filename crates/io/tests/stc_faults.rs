@@ -388,3 +388,149 @@ fn poisoned_feature_rows_are_typed_errors() {
         );
     }
 }
+
+/// The file reader's buffer size: `read_model_file` reads each section in
+/// chunks of this many bytes.
+const FILE_CHUNK: usize = 64 * 1024;
+
+/// Rows per table in [`big_model`]: every 4-byte column then spans more
+/// than three file chunks, and every 8-byte column more than six.
+const BIG: u32 = 50_000;
+
+/// A model whose every column but `meta` and `feat_names` spans several
+/// file chunks: `BIG` trajectories `[i, i + 1]`, each pair with one
+/// occurrence, one transfer and its winner, and one numeric and one
+/// categorical feature row per hop.
+fn big_model() -> TrainedModel {
+    let l = LandmarkId;
+    let n = BIG as usize;
+    let mut fm = FeatureMapBuilder::new();
+    for i in 0..BIG {
+        fm.add_observation(l(i), l(i + 1), "speed", f64::from(i % 97) + 0.25);
+        fm.add_categorical_observation(l(i), l(i + 1), "road_class", i % 5);
+    }
+    let keys: Vec<_> = (0..BIG).map(|i| (l(i), l(i + 1))).collect();
+    let hops: Vec<_> = (0..BIG).flat_map(|i| [l(i), l(i + 1)]).collect();
+    let parts = PopularRoutesParts {
+        corpus_offsets: (0..=n).map(|i| 2 * i).collect(),
+        corpus_ids: hops.clone(),
+        pair_keys: keys.clone(),
+        pair_offsets: (0..=n).collect(),
+        occ_traj: (0..BIG).collect(),
+        occ_start: vec![0; n],
+        occ_end: vec![1; n],
+        tr_src: (0..BIG).map(l).collect(),
+        tr_offsets: (0..=n).collect(),
+        tr_dst: (1..=BIG).map(l).collect(),
+        tr_w: (0..BIG).map(|i| f64::from(i % 7 + 1)).collect(),
+        sup_keys: keys.clone(),
+        sup_val: (0..BIG).map(|i| i % 3 + 1).collect(),
+        win_keys: keys,
+        win_offsets: (0..=n).map(|i| 2 * i).collect(),
+        win_ids: hops,
+        ..PopularRoutesParts::default()
+    };
+    TrainedModel {
+        popular: PopularRoutes::from_parts(parts).expect("big columns are valid"),
+        featmap: fm.finish(),
+        n_trained: n,
+        registry_len: n + 1,
+    }
+}
+
+/// The tags of every fixed-width model column: the feature-map rows
+/// (0x22–0x2B) and the popular-route tables (0x30–0x42).
+fn column_tags() -> impl Iterator<Item = u32> {
+    (0x22..=0x2B).chain(0x30..=0x42)
+}
+
+/// Sets the section-table length of section `tag` to `len`.
+fn set_section_len(bytes: &mut [u8], tag: u32, len: u64) {
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    let entry = (0..word(8) as usize)
+        .map(|i| 16 + 24 * i)
+        .find(|&e| word(e) == tag)
+        .expect("tag in section table");
+    bytes[entry + 16..entry + 24].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Decodes `bytes` from a slice and from a file and requires the same
+/// error from both.
+fn same_error_from_both(path: &std::path::Path, bytes: &[u8], what: &str) -> StcError {
+    let slice = read_model_stc(bytes).err().unwrap_or_else(|| panic!("{what}: slice decoded"));
+    let file = decode_via_file(path, bytes).err().unwrap_or_else(|| panic!("{what}: file decoded"));
+    assert_eq!(slice, file, "{what}");
+    slice
+}
+
+/// Columns that span several file reads decode to the same model from a
+/// file as from a slice, and that model re-encodes to the same bytes.
+#[test]
+fn multi_chunk_columns_decode_the_same_from_file_and_slice() {
+    let bytes = write_model_stc(&big_model());
+    for tag in column_tags() {
+        let len = section_range(&bytes, tag).expect("section present").len();
+        assert!(len >= 3 * FILE_CHUNK, "section 0x{tag:02x} spans only {len} bytes");
+    }
+    let path =
+        std::env::temp_dir().join(format!("stmaker_stc_faults_{}_big.stc", std::process::id()));
+    let from_slice = read_model_stc(&bytes).expect("slice decodes");
+    let from_file = decode_via_file(&path, &bytes).expect("file decodes");
+    assert_eq!(write_model_stc(&from_slice), bytes, "slice decode re-encodes");
+    assert_eq!(write_model_stc(&from_file), bytes, "file decode re-encodes");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A multi-chunk section whose length is not a whole number of elements
+/// is the same `ColumnLengthMismatch` from both readers, for every column.
+#[test]
+fn ragged_multi_chunk_sections_are_the_same_error_from_both_readers() {
+    let bytes = write_model_stc(&big_model());
+    let path =
+        std::env::temp_dir().join(format!("stmaker_stc_faults_{}_ragged.stc", std::process::id()));
+    for tag in column_tags() {
+        let len = section_range(&bytes, tag).expect("section present").len() as u64;
+        let mut ragged = bytes.clone();
+        set_section_len(&mut ragged, tag, len - 1);
+        let e = same_error_from_both(&path, &ragged, &format!("section 0x{tag:02x}"));
+        assert!(
+            matches!(e, StcError::ColumnLengthMismatch { got, .. } if got == len - 1),
+            "section 0x{tag:02x}: {e:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Cutting a multi-chunk section inside its third chunk, in the section
+/// table or in the file itself, is the same typed error from both readers.
+#[test]
+fn truncation_inside_a_later_chunk_is_the_same_error_from_both_readers() {
+    const PAIR_TO: u32 = 0x33;
+    const WIN_IDS: u32 = 0x42;
+    let bytes = write_model_stc(&big_model());
+    let path =
+        std::env::temp_dir().join(format!("stmaker_stc_faults_{}_cut.stc", std::process::id()));
+
+    // The `to` half of the pair keys, shortened to end inside its third
+    // chunk, no longer matches the `from` half.
+    let cut = (2 * FILE_CHUNK + FILE_CHUNK / 2) as u64;
+    let mut short = bytes.clone();
+    set_section_len(&mut short, PAIR_TO, cut);
+    assert_eq!(
+        same_error_from_both(&path, &short, "pair_to cut"),
+        StcError::ColumnLengthMismatch {
+            section: "pair_to",
+            expected: u64::from(BIG),
+            got: cut / 4
+        }
+    );
+
+    // The file ends inside the third chunk of its last section.
+    let last = section_range(&bytes, WIN_IDS).expect("section present");
+    let end = last.start + 2 * FILE_CHUNK + 12;
+    assert_eq!(
+        same_error_from_both(&path, &bytes[..end], "file cut"),
+        StcError::Truncated { expected: last.end as u64, got: end as u64 }
+    );
+    let _ = std::fs::remove_file(&path);
+}

@@ -189,7 +189,12 @@ fn check_len(column: &'static str, expected: usize, got: usize) -> Result<(), Pa
 }
 
 /// A key column must ascend strictly, so binary search finds each key.
+/// A branch-free pass clears a sorted column; only a column that fails it
+/// is searched for the first unsorted key.
 fn check_keys<K: Ord>(column: &'static str, keys: &[K]) -> Result<(), PartsError> {
+    if keys.windows(2).fold(true, |sorted, w| sorted & (w[0] < w[1])) {
+        return Ok(());
+    }
     match keys.windows(2).position(|w| w[0] >= w[1]) {
         Some(i) => Err(PartsError::UnsortedKeys { column, index: i + 1 }),
         None => Ok(()),
