@@ -326,9 +326,9 @@ impl From<StcError> for StcReadError {
 const HEADER_BYTES: usize = 16;
 const TABLE_ENTRY_BYTES: usize = 24;
 /// A file is read through a buffer of this many bytes. It is a multiple of
-/// every element width, so each chunk holds whole column elements.
+/// every element width, so each chunk holds whole column elements; the
+/// column decoders rely on that (see `le_col`).
 const READ_CHUNK: usize = 64 * 1024;
-// Column decoders fill whole elements per chunk (see `le_col`).
 const _: () = assert!(READ_CHUNK % 8 == 0);
 
 fn align8(n: usize) -> usize {
@@ -633,7 +633,8 @@ fn ragged(len: u64, width: usize, name: &'static str) -> StcError {
 /// Decodes section `tag` of `N`-byte little-endian elements straight into
 /// its column, one allocation sized by the section. The length is checked
 /// once; then each chunk the source passes fills the column with one
-/// `extend` over its `N`-byte elements, a loop that compiles to a copy.
+/// `extend` over its `N`-byte elements, a loop with no per-element
+/// capacity check that compiles to a copy on little-endian targets.
 /// No element straddles two chunks: [`Source::read`] passes chunks whose
 /// lengths are multiples of 8 except the last ([`SliceSource`] passes one
 /// chunk, [`FileSource`] [`READ_CHUNK`]-byte ones, and `READ_CHUNK % 8 ==
@@ -817,12 +818,15 @@ pub fn write_trips_stc(trips: &[RawTrajectory]) -> Vec<u8> {
 /// realistic epoch by ~10¹¹ years).
 pub fn write_point_runs_stc<'a>(runs: impl IntoIterator<Item = &'a [RawPoint]>) -> Vec<u8> {
     let mut offsets = vec![0u64];
-    let mut lat: Vec<f64> = Vec::new();
-    let mut lon: Vec<f64> = Vec::new();
+    let mut lat: Vec<u8> = Vec::new();
+    let mut lon: Vec<u8> = Vec::new();
     let mut ts: Vec<u8> = Vec::new();
+    let mut n_points = 0u64;
     for run in runs {
-        lat.extend(run.iter().map(|p| p.point.lat));
-        lon.extend(run.iter().map(|p| p.point.lon));
+        for p in run {
+            lat.extend_from_slice(&p.point.lat.to_bits().to_le_bytes());
+            lon.extend_from_slice(&p.point.lon.to_bits().to_le_bytes());
+        }
         if let Some((first, rest)) = run.split_first() {
             push_zigzag(&mut ts, first.t.0);
             let mut prev = first.t.0;
@@ -831,14 +835,15 @@ pub fn write_point_runs_stc<'a>(runs: impl IntoIterator<Item = &'a [RawPoint]>) 
                 prev = p.t.0;
             }
         }
-        offsets.push(lat.len() as u64);
+        n_points += run.len() as u64;
+        offsets.push(n_points);
     }
     assemble(
         KIND_TRIPS,
         &[
             (TAG_TRIP_OFFSETS, Col::U64s(&offsets)),
-            (TAG_LAT, Col::F64s(&lat)),
-            (TAG_LON, Col::F64s(&lon)),
+            (TAG_LAT, Col::Bytes(&lat)),
+            (TAG_LON, Col::Bytes(&lon)),
             (TAG_TS, Col::Bytes(&ts)),
         ],
     )
