@@ -623,11 +623,15 @@ impl Container {
 // Column decoding helpers
 // ---------------------------------------------------------------------------
 
-/// A section whose byte length is not a whole number of `width`-byte
-/// elements.
-fn ragged(len: u64, width: usize, name: &'static str) -> StcError {
+/// How many `width`-byte elements section `s` holds; a length that is not
+/// a whole number of them is a [`StcError::ColumnLengthMismatch`].
+fn elements(s: Section, width: usize) -> Result<usize, StcError> {
     let width = width as u64;
-    StcError::ColumnLengthMismatch { section: name, expected: len / width * width, got: len }
+    if s.len % width != 0 {
+        let (section, expected) = (section_name(s.tag), s.len / width * width);
+        return Err(StcError::ColumnLengthMismatch { section, expected, got: s.len });
+    }
+    Ok((s.len / width) as usize)
 }
 
 /// Decodes section `tag` of `N`-byte little-endian elements straight into
@@ -646,10 +650,7 @@ fn le_col<S: Source, T, const N: usize>(
     decode: impl Fn([u8; N]) -> T,
 ) -> Result<Vec<T>, S::Error> {
     let s = c.section(tag)?;
-    if s.len % N as u64 != 0 {
-        return Err(ragged(s.len, N, section_name(tag)).into());
-    }
-    let mut out = Vec::with_capacity((s.len / N as u64) as usize);
+    let mut out = Vec::with_capacity(elements(s, N)?);
     src.read(s.off, s.len, &mut |chunk| {
         out.extend(chunk.chunks_exact(N).map(|b| decode(b.try_into().expect("chunk is N bytes"))));
     })?;
@@ -691,10 +692,7 @@ fn key_col<S: Source>(
     let mut keys =
         le_col(src, c, from_tag, |b| (LandmarkId(u32::from_le_bytes(b)), LandmarkId(0)))?;
     let to = c.section(to_tag)?;
-    if to.len % 4 != 0 {
-        return Err(ragged(to.len, 4, section_name(to_tag)).into());
-    }
-    same_len(section_name(to_tag), keys.len(), (to.len / 4) as usize)?;
+    same_len(section_name(to_tag), keys.len(), elements(to, 4)?)?;
     let mut filled = 0;
     src.read(to.off, to.len, &mut |chunk| {
         let slots = keys.get_mut(filled..).unwrap_or_default();
