@@ -323,7 +323,8 @@ fn build_route_cache(cfg: &SummarizerConfig) -> Option<RouteMemo> {
 
 /// Checks that `model` was trained against a registry of `registry`'s size
 /// and names no landmark past it, in its feature-map keys or in its
-/// popular-route corpus, pair, support, transfer and winner columns.
+/// popular-route corpus, pair, transfer and winner columns. Supports and
+/// winners are keyed by the pair column.
 fn check_model(model: &TrainedModel, registry: &LandmarkRegistry) -> Result<(), SummarizeError> {
     let n = registry.len();
     if model.registry_len != n {
@@ -335,9 +336,8 @@ fn check_model(model: &TrainedModel, registry: &LandmarkRegistry) -> Result<(), 
     check_ids("featmap categorical keys", &[Ids(&f.cat_from), Ids(&f.cat_to)], n)?;
     check_ids("popular corpus", &[Ids(&p.corpus_ids)], n)?;
     check_ids("popular pairs", &[Keys(&p.pair_keys)], n)?;
-    check_ids("popular supports", &[Keys(&p.sup_keys)], n)?;
     check_ids("popular transfers", &[Ids(&p.tr_src), Ids(&p.tr_dst)], n)?;
-    check_ids("popular winners", &[Keys(&p.win_keys), Ids(&p.win_ids)], n)
+    check_ids("popular winners", &[Ids(&p.win_ids)], n)
 }
 
 /// A model column of landmark ids: plain ids, or both landmarks of every
@@ -498,6 +498,16 @@ impl<'a> Summarizer<'a> {
     /// trip).
     pub fn into_model(self) -> TrainedModel {
         self.model
+    }
+
+    /// The road network trips are matched onto.
+    pub fn network(&self) -> &'a RoadNetwork {
+        self.net
+    }
+
+    /// The landmark registry the model was checked against.
+    pub fn registry(&self) -> &'a LandmarkRegistry {
+        self.registry
     }
 
     /// The trained historical model.

@@ -40,13 +40,21 @@
 //! `from`/`to`/`feat`/`sum`/`count` sorted strictly by `(from, to, feat)`,
 //! and categorical rows `from`/`to`/`feat`/`code`/`count` sorted strictly
 //! by `(from, to, feat, code)`, with `feat` a `u32` index into the name
-//! table. [`PopularRoutes`] is [`PopularRoutesParts`]. The encoder
-//! computes the section table from the column lengths, then writes every
-//! column borrowed, straight into one buffer sized exactly up front. The
-//! decoder reads each section straight into the column it came from and
-//! hands each set to its `from_parts`, which validates it (a refusal is
-//! [`StcError::InvalidFeatureMap`] or [`StcError::InvalidRoutes`]) and
-//! adopts it without copying. [`read_model_stc`] decodes a byte slice;
+//! table. [`PopularRoutes`] is [`PopularRoutesParts`], except that the
+//! support and winner tables keep their own `(from, to)` key sections in
+//! the file while the model indexes both by its one pair key column: the
+//! encoder writes the pair keys as the support keys, and the keys of the
+//! pairs with a winner, with the winner offsets of those pairs alone. The
+//! encoder computes the section table from the column lengths, then writes
+//! every column borrowed, straight into one buffer sized exactly up front.
+//! The decoder reads each section straight into the column it came from
+//! and hands each set to its `from_parts`, which validates it (a refusal
+//! is [`StcError::InvalidFeatureMap`] or [`StcError::InvalidRoutes`]) and
+//! adopts it without copying. The support and winner key sections are
+//! compared with the pair keys as they stream in and never allocated; a
+//! file the encoder could not have written is a typed
+//! [`StcError::SupportKeyMismatch`], [`StcError::WinnerKeyMissing`] or
+//! [`StcError::EmptyWinner`]. [`read_model_stc`] decodes a byte slice;
 //! [`read_model_file`] streams a file through the same column readers,
 //! checking every section's extent against the file's length before it
 //! allocates anything and then reading each section in bounded chunks, so
@@ -241,6 +249,25 @@ pub enum StcError {
     /// unsorted names or rows, a name index past the table, a non-finite
     /// sum, or a zero count.
     InvalidFeatureMap(FeatureMapError),
+    /// The support table's key sections (`sup_from`/`sup_to`) differ from
+    /// the pair keys they repeat.
+    SupportKeyMismatch {
+        /// Index of the first support key that differs.
+        index: usize,
+    },
+    /// A winner key (`win_from`/`win_to`) is not one of the pair keys
+    /// after the previous winner's, so the winners do not name distinct
+    /// pairs in pair order.
+    WinnerKeyMissing {
+        /// Index of the winner.
+        index: usize,
+    },
+    /// A winner's span in `win_offsets` is empty: a pair without a winner
+    /// has no winner key.
+    EmptyWinner {
+        /// Index of the winner.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for StcError {
@@ -278,6 +305,13 @@ impl std::fmt::Display for StcError {
             }
             StcError::InvalidRoutes(e) => write!(f, "invalid model: {e}"),
             StcError::InvalidFeatureMap(e) => write!(f, "invalid model: {e}"),
+            StcError::SupportKeyMismatch { index } => {
+                write!(f, "invalid model: support key {index} differs from the pair keys")
+            }
+            StcError::WinnerKeyMissing { index } => {
+                write!(f, "invalid model: winner key {index} is not a pair key in pair order")
+            }
+            StcError::EmptyWinner { index } => write!(f, "invalid model: winner {index} is empty"),
         }
     }
 }
@@ -350,6 +384,14 @@ enum Col<'a> {
     KeyFrom(&'a [PairKey]),
     /// The `to` halves of a key column.
     KeyTo(&'a [PairKey]),
+    /// The `from` halves of the keys that own a non-empty span in a
+    /// per-key offsets column.
+    WonFrom(&'a [PairKey], &'a [usize]),
+    /// The `to` halves of the same keys.
+    WonTo(&'a [PairKey], &'a [usize]),
+    /// A per-key offsets column with its empty spans left out, stored as
+    /// `u64`: one entry per non-empty span plus one.
+    WonOffsets(&'a [usize]),
     /// A prefix-sum offsets column, stored as `u64`.
     Offsets(&'a [usize]),
     /// A string table: a `u64` count, then per entry a `u32` byte length
@@ -364,6 +406,8 @@ impl Col<'_> {
             Col::U32s(v) => 4 * v.len(),
             Col::Ids(v) => 4 * v.len(),
             Col::KeyFrom(v) | Col::KeyTo(v) => 4 * v.len(),
+            Col::WonFrom(_, o) | Col::WonTo(_, o) => 4 * won(o).count(),
+            Col::WonOffsets(o) => 8 * (won(o).count() + 1),
             Col::U64s(v) => 8 * v.len(),
             Col::F64s(v) => 8 * v.len(),
             Col::Offsets(v) => 8 * v.len(),
@@ -387,6 +431,16 @@ impl Col<'_> {
             Col::Ids(v) => put(out, v, |l| l.0.to_le_bytes()),
             Col::KeyFrom(v) => put(out, v, |k| k.0 .0.to_le_bytes()),
             Col::KeyTo(v) => put(out, v, |k| k.1 .0.to_le_bytes()),
+            Col::WonFrom(keys, o) => {
+                won(o).for_each(|i| out.extend_from_slice(&keys[i].0 .0.to_le_bytes()));
+            }
+            Col::WonTo(keys, o) => {
+                won(o).for_each(|i| out.extend_from_slice(&keys[i].1 .0.to_le_bytes()));
+            }
+            Col::WonOffsets(o) => {
+                out.extend_from_slice(&0u64.to_le_bytes());
+                won(o).for_each(|i| out.extend_from_slice(&(o[i + 1] as u64).to_le_bytes()));
+            }
             Col::U64s(v) => put(out, v, u64::to_le_bytes),
             Col::F64s(v) => put(out, v, |x| x.to_bits().to_le_bytes()),
             Col::Offsets(v) => put(out, v, |o| (o as u64).to_le_bytes()),
@@ -399,6 +453,12 @@ impl Col<'_> {
             }
         }
     }
+}
+
+/// The keys that own a non-empty span in the per-key offsets column
+/// `offsets`, ascending.
+fn won(offsets: &[usize]) -> impl Iterator<Item = usize> + '_ {
+    offsets.windows(2).enumerate().filter(|(_, w)| w[0] < w[1]).map(|(i, _)| i)
 }
 
 /// Writes a container from `(tag, column)` sections into one buffer, sized
@@ -704,6 +764,120 @@ fn key_col<S: Source>(
     Ok(keys)
 }
 
+/// Checks that the support table's key sections repeat `keys`, streaming
+/// each half against the keys without allocating.
+fn check_support_keys<S: Source>(
+    src: &mut S,
+    c: &Container,
+    keys: &[PairKey],
+) -> Result<(), S::Error> {
+    for (tag, to) in [(TAG_SUP_FROM, false), (TAG_SUP_TO, true)] {
+        let half = |k: &PairKey| if to { k.1 .0 } else { k.0 .0 };
+        let s = c.section(tag)?;
+        same_len(section_name(tag), keys.len(), elements(s, 4)?)?;
+        let (mut at, mut differs) = (0, None);
+        src.read(s.off, s.len, &mut |chunk| {
+            let want = keys.get(at..).unwrap_or_default();
+            if differs.is_none() {
+                differs = (chunk.chunks_exact(4).zip(want))
+                    .position(|(b, k)| le_u32(b) != half(k))
+                    .map(|i| at + i);
+            }
+            at += chunk.len() / 4;
+        })?;
+        if let Some(index) = differs {
+            return Err(StcError::SupportKeyMismatch { index }.into());
+        }
+    }
+    Ok(())
+}
+
+/// Reads the winner table's `win_from`/`win_to` keys and its offsets
+/// (one entry per winner plus one) into offsets indexed like `keys`: a
+/// pair without a winner gets an empty span. Winner keys must name
+/// distinct pairs in pair order, and no winner may be empty, so the
+/// table re-encodes to the same bytes.
+///
+/// Nothing is allocated but the result, which doubles as scratch: the
+/// `from` pass stores each winner's `from` in slot `k`, the `to` pass
+/// replaces it with the winner's pair index `p_k`, a backward pass
+/// spreads winner numbers over the pairs (pair `p` gets the number of
+/// winners before it), and the offsets pass replaces each winner number
+/// with that winner's start offset.
+fn winner_offsets<S: Source>(
+    src: &mut S,
+    c: &Container,
+    keys: &[PairKey],
+) -> Result<Vec<usize>, S::Error> {
+    let from = c.section(TAG_WIN_FROM)?;
+    let n = elements(from, 4)?;
+    let to = c.section(TAG_WIN_TO)?;
+    same_len("win_to", n, elements(to, 4)?)?;
+    let offs = c.section(TAG_WIN_OFFSETS)?;
+    same_len("win_offsets", n + 1, elements(offs, 8)?)?;
+    if n > keys.len() {
+        return Err(StcError::WinnerKeyMissing { index: keys.len() }.into());
+    }
+    let mut out = vec![0usize; keys.len() + 1];
+
+    let mut at = 0;
+    src.read(from.off, from.len, &mut |chunk| {
+        for (slot, b) in out.get_mut(at..).unwrap_or_default().iter_mut().zip(chunk.chunks_exact(4))
+        {
+            *slot = le_u32(b) as usize;
+        }
+        at += chunk.len() / 4;
+    })?;
+
+    let (mut k, mut p, mut missing) = (0, 0, None);
+    src.read(to.off, to.len, &mut |chunk| {
+        for b in chunk.chunks_exact(4) {
+            if missing.is_some() {
+                return;
+            }
+            let key = (LandmarkId(out[k] as u32), LandmarkId(le_u32(b)));
+            while p < keys.len() && keys[p] < key {
+                p += 1;
+            }
+            if keys.get(p) == Some(&key) {
+                out[k] = p;
+                p += 1;
+            } else {
+                missing = Some(k);
+            }
+            k += 1;
+        }
+    })?;
+    if let Some(index) = missing {
+        return Err(StcError::WinnerKeyMissing { index }.into());
+    }
+
+    for w in (0..=n).rev() {
+        let last = if w == n { keys.len() } else { out[w] };
+        let first = if w == 0 { 0 } else { out[w - 1] + 1 };
+        out[first..=last].fill(w);
+    }
+
+    let (mut w, mut p, mut prev, mut empty) = (0, 0, None, None);
+    src.read(offs.off, offs.len, &mut |chunk| {
+        for b in chunk.chunks_exact(8) {
+            let o = usize::try_from(le_u64(b)).unwrap_or(usize::MAX);
+            if prev == Some(o) && empty.is_none() {
+                empty = Some(w - 1);
+            }
+            while p < out.len() && out[p] == w {
+                out[p] = o;
+                p += 1;
+            }
+            (prev, w) = (Some(o), w + 1);
+        }
+    })?;
+    match empty {
+        Some(index) => Err(StcError::EmptyWinner { index }.into()),
+        None => Ok(out),
+    }
+}
+
 /// The feature-name table section.
 fn names_col<S: Source>(src: &mut S, c: &Container) -> Result<Vec<String>, S::Error> {
     let s = c.section(TAG_FEAT_NAMES)?;
@@ -949,12 +1123,12 @@ pub fn write_model_stc(model: &TrainedModel) -> Vec<u8> {
             (TAG_TR_OFFSETS, Col::Offsets(&p.tr_offsets)),
             (TAG_TR_DST, Col::Ids(&p.tr_dst)),
             (TAG_TR_W, Col::F64s(&p.tr_w)),
-            (TAG_SUP_FROM, Col::KeyFrom(&p.sup_keys)),
-            (TAG_SUP_TO, Col::KeyTo(&p.sup_keys)),
+            (TAG_SUP_FROM, Col::KeyFrom(&p.pair_keys)),
+            (TAG_SUP_TO, Col::KeyTo(&p.pair_keys)),
             (TAG_SUP_VAL, Col::U32s(&p.sup_val)),
-            (TAG_WIN_FROM, Col::KeyFrom(&p.win_keys)),
-            (TAG_WIN_TO, Col::KeyTo(&p.win_keys)),
-            (TAG_WIN_OFFSETS, Col::Offsets(&p.win_offsets)),
+            (TAG_WIN_FROM, Col::WonFrom(&p.pair_keys, &p.win_offsets)),
+            (TAG_WIN_TO, Col::WonTo(&p.pair_keys, &p.win_offsets)),
+            (TAG_WIN_OFFSETS, Col::WonOffsets(&p.win_offsets)),
             (TAG_WIN_IDS, Col::Ids(&p.win_ids)),
         ],
     )
@@ -1023,7 +1197,7 @@ fn decode_model<S: Source>(src: &mut S) -> Result<TrainedModel, S::Error> {
     };
     let featmap = HistoricalFeatureMap::from_parts(featmap).map_err(StcError::InvalidFeatureMap)?;
 
-    let parts = PopularRoutesParts {
+    let mut parts = PopularRoutesParts {
         cfg: PopularRouteConfig {
             min_support: meta[2] as usize,
             max_indexed_span: meta[3] as usize,
@@ -1039,12 +1213,15 @@ fn decode_model<S: Source>(src: &mut S) -> Result<TrainedModel, S::Error> {
         tr_offsets: offsets_col(src, &c, TAG_TR_OFFSETS)?,
         tr_dst: id_col(src, &c, TAG_TR_DST)?,
         tr_w: f64_col(src, &c, TAG_TR_W)?,
-        sup_keys: key_col(src, &c, TAG_SUP_FROM, TAG_SUP_TO)?,
-        sup_val: u32_col(src, &c, TAG_SUP_VAL)?,
-        win_keys: key_col(src, &c, TAG_WIN_FROM, TAG_WIN_TO)?,
-        win_offsets: offsets_col(src, &c, TAG_WIN_OFFSETS)?,
-        win_ids: id_col(src, &c, TAG_WIN_IDS)?,
+        ..PopularRoutesParts::default()
     };
+    // The support and winner tables store their own key sections; in
+    // memory both are indexed like the pair keys, so their keys are
+    // checked against those and dropped.
+    check_support_keys(src, &c, &parts.pair_keys)?;
+    parts.sup_val = u32_col(src, &c, TAG_SUP_VAL)?;
+    parts.win_offsets = winner_offsets(src, &c, &parts.pair_keys)?;
+    parts.win_ids = id_col(src, &c, TAG_WIN_IDS)?;
     Ok(TrainedModel {
         popular: PopularRoutes::from_parts(parts).map_err(StcError::InvalidRoutes)?,
         featmap,

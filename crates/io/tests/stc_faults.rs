@@ -79,10 +79,8 @@ fn fixture_model() -> TrainedModel {
         tr_offsets: vec![0, 1, 2],
         tr_dst: vec![l(2), l(5)],
         tr_w: vec![2.0, 2.0],
-        sup_keys: vec![(l(1), l(2)), (l(1), l(5)), (l(2), l(5)), (l(5), l(7))],
         sup_val: vec![2, 1, 2, 1],
-        win_keys: vec![(l(1), l(2)), (l(2), l(5))],
-        win_offsets: vec![0, 2, 4],
+        win_offsets: vec![0, 2, 2, 4, 4],
         win_ids: vec![l(1), l(2), l(2), l(5)],
         ..PopularRoutesParts::default()
     };
@@ -414,7 +412,7 @@ fn big_model() -> TrainedModel {
     let parts = PopularRoutesParts {
         corpus_offsets: (0..=n).map(|i| 2 * i).collect(),
         corpus_ids: hops.clone(),
-        pair_keys: keys.clone(),
+        pair_keys: keys,
         pair_offsets: (0..=n).collect(),
         occ_traj: (0..BIG).collect(),
         occ_start: vec![0; n],
@@ -423,9 +421,7 @@ fn big_model() -> TrainedModel {
         tr_offsets: (0..=n).collect(),
         tr_dst: (1..=BIG).map(l).collect(),
         tr_w: (0..BIG).map(|i| f64::from(i % 7 + 1)).collect(),
-        sup_keys: keys.clone(),
         sup_val: (0..BIG).map(|i| i % 3 + 1).collect(),
-        win_keys: keys,
         win_offsets: (0..=n).map(|i| 2 * i).collect(),
         win_ids: hops,
         ..PopularRoutesParts::default()
@@ -531,6 +527,70 @@ fn truncation_inside_a_later_chunk_is_the_same_error_from_both_readers() {
     assert_eq!(
         same_error_from_both(&path, &bytes[..end], "file cut"),
         StcError::Truncated { expected: last.end as u64, got: end as u64 }
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// STC1 stores a key section pair for the support and winner tables, but
+/// a model keeps one pair key column and indexes both tables by it. Key
+/// sections that disagree with the pair keys, and winners that are empty,
+/// are typed errors, the same from both readers, including where the
+/// fault lies in a later file chunk.
+#[test]
+fn key_consistency_faults_are_the_same_error_from_both_readers() {
+    const SUP_FROM: u32 = 0x3C;
+    const SUP_TO: u32 = 0x3D;
+    const WIN_FROM: u32 = 0x3F;
+    const WIN_TO: u32 = 0x40;
+    const WIN_OFFSETS: u32 = 0x41;
+    let bytes = write_model_stc(&big_model());
+    let path =
+        std::env::temp_dir().join(format!("stmaker_stc_faults_{}_keys.stc", std::process::id()));
+    // Entry `i` of every 4-byte column lies in its third file chunk.
+    let i = 40_000usize;
+    assert!(4 * i > 2 * FILE_CHUNK);
+    // Sets entry `at` of each `(tag, width, at, value)` section.
+    let patched = |edits: &[(u32, usize, usize, u64)]| {
+        let mut b = bytes.clone();
+        for &(tag, width, at, value) in edits {
+            let s = section_range(&b, tag).expect("section present");
+            b[s.start + width * at..s.start + width * (at + 1)]
+                .copy_from_slice(&value.to_le_bytes()[..width]);
+        }
+        b
+    };
+    let (prev, next) = (i as u64 - 1, i as u64 + 2);
+    let cases = [
+        // A support key that is not the pair key at its index.
+        ("sup_from", patched(&[(SUP_FROM, 4, i, 7)]), StcError::SupportKeyMismatch { index: i }),
+        ("sup_to", patched(&[(SUP_TO, 4, i, 7)]), StcError::SupportKeyMismatch { index: i }),
+        // Winner `i` names (i, i + 2), which is not a pair.
+        ("win_to", patched(&[(WIN_TO, 4, i, next)]), StcError::WinnerKeyMissing { index: i }),
+        // Winner `i` repeats winner `i - 1`'s key: a pair out of order.
+        (
+            "win_from + win_to",
+            patched(&[(WIN_FROM, 4, i, prev), (WIN_TO, 4, i, prev + 1)]),
+            StcError::WinnerKeyMissing { index: i },
+        ),
+        // Winner `i` ends where it starts.
+        (
+            "win_offsets",
+            patched(&[(WIN_OFFSETS, 8, i + 1, 2 * i as u64)]),
+            StcError::EmptyWinner { index: i },
+        ),
+    ];
+    for (what, mutated, want) in cases {
+        assert_eq!(same_error_from_both(&path, &mutated, what), want, "{what}");
+    }
+
+    // The small fixture, read in one chunk: a winner key past every pair.
+    let small = write_model_stc(&fixture_model());
+    let mut b = small.clone();
+    let s = section_range(&b, WIN_FROM).expect("section present");
+    b[s.end - 4..s.end].copy_from_slice(&9u32.to_le_bytes());
+    assert_eq!(
+        same_error_from_both(&path, &b, "fixture win_from"),
+        StcError::WinnerKeyMissing { index: 1 }
     );
     let _ = std::fs::remove_file(&path);
 }

@@ -42,12 +42,15 @@ pub struct PopularRoutes {
 }
 
 /// The miner's tables as flat columns — the layout [`PopularRoutes`] keeps
-/// in memory and the STC1 model sections store, one column per section.
+/// in memory and the STC1 model sections store.
 ///
-/// Each table is a key column sorted strictly ascending plus value
-/// columns; a table with a list per key adds a prefix-sum offsets column
-/// (`keys + 1` entries, first 0, last the value-column length), so key `i`
-/// owns values `offsets[i]..offsets[i + 1]`. Produced by
+/// The pair and transfer tables are each a key column sorted strictly
+/// ascending plus value columns; a table with a list per key adds a
+/// prefix-sum offsets column (`keys + 1` entries, first 0, last the
+/// value-column length), so key `i` owns values `offsets[i]..offsets[i +
+/// 1]`. Supports and winners have no key column of their own: they are
+/// indexed like `pair_keys`, which the STC1 codec writes three times, once
+/// per table (`crates/io/src/stc.rs`). Produced by
 /// [`PopularRoutes::build`] and [`PopularRoutes::parts`], checked by
 /// [`PopularRoutes::from_parts`].
 #[derive(Debug, Clone, PartialEq)]
@@ -78,13 +81,11 @@ pub struct PopularRoutesParts {
     pub tr_dst: Vec<LandmarkId>,
     /// Hop counts (finite, positive) — the transfer-graph weights.
     pub tr_w: Vec<f64>,
-    /// Pairs with a precomputed distinct-trajectory support.
-    pub sup_keys: Vec<PairKey>,
-    /// Distinct-trajectory support of each `sup_keys` pair.
+    /// Distinct-trajectory support of each pair, parallel to `pair_keys`.
     pub sup_val: Vec<u32>,
-    /// Pairs at or above `min_support`, with a precomputed winner.
-    pub win_keys: Vec<PairKey>,
-    /// Per-pair boundaries in `win_ids`.
+    /// Per-pair boundaries in `win_ids`, indexed like `pair_keys`. A pair
+    /// at or above `min_support` owns its precomputed winner; an empty
+    /// span means the pair has none.
     pub win_offsets: Vec<usize>,
     /// Winning routes, concatenated.
     pub win_ids: Vec<LandmarkId>,
@@ -106,9 +107,7 @@ impl Default for PopularRoutesParts {
             tr_offsets: vec![0],
             tr_dst: Vec::new(),
             tr_w: Vec::new(),
-            sup_keys: Vec::new(),
             sup_val: Vec::new(),
-            win_keys: Vec::new(),
             win_offsets: vec![0],
             win_ids: Vec::new(),
         }
@@ -292,7 +291,6 @@ impl PopularRoutes {
             cols.tr_offsets.push(cols.tr_dst.len());
         }
 
-        cols.sup_keys = cols.pair_keys.clone();
         cols.sup_val = (0..cols.pair_keys.len())
             .map(|p| distinct_trajs(&cols.occ_traj[span(&cols.pair_offsets, p)]))
             .collect();
@@ -301,25 +299,21 @@ impl PopularRoutes {
         // queries for these pairs become a single lookup; only
         // below-min_support pairs ever reach the transfer-graph walk.
         let partials = exec.shard_partials(&cols.pair_keys, |_, base, keys| {
-            let mut won = Vec::new();
+            let mut ends = Vec::with_capacity(keys.len());
             let mut ids = Vec::new();
-            for (p, &key) in (base..).zip(keys) {
-                if (cols.sup_val[p] as usize) < cfg.min_support {
-                    continue;
+            for p in base..base + keys.len() {
+                if cols.sup_val[p] as usize >= cfg.min_support {
+                    if let Some(w) = most_frequent_exact(&cols, span(&cols.pair_offsets, p)) {
+                        ids.extend_from_slice(w);
+                    }
                 }
-                if let Some(w) = most_frequent_exact(&cols, span(&cols.pair_offsets, p)) {
-                    ids.extend_from_slice(w);
-                    won.push((key, ids.len()));
-                }
+                ends.push(ids.len());
             }
-            (won, ids)
+            (ends, ids)
         });
-        for (won, ids) in partials {
+        for (ends, ids) in partials {
             let base = cols.win_ids.len();
-            for (key, end) in won {
-                cols.win_keys.push(key);
-                cols.win_offsets.push(base + end);
-            }
+            cols.win_offsets.extend(ends.into_iter().map(|end| base + end));
             cols.win_ids.extend(ids);
         }
 
@@ -358,11 +352,8 @@ impl PopularRoutes {
             return Err(PartsError::BadTransferWeight { index: i });
         }
 
-        check_keys("sup_keys", &c.sup_keys)?;
-        check_len("sup_val", c.sup_keys.len(), c.sup_val.len())?;
-
-        check_keys("win_keys", &c.win_keys)?;
-        check_offsets("win_offsets", &c.win_offsets, c.win_keys.len(), c.win_ids.len())?;
+        check_len("sup_val", c.pair_keys.len(), c.sup_val.len())?;
+        check_offsets("win_offsets", &c.win_offsets, c.pair_keys.len(), c.win_ids.len())?;
         Ok(Self { cols: parts })
     }
 
@@ -375,8 +366,13 @@ impl PopularRoutes {
     /// order). A looping trajectory that covers the pair several times
     /// counts once. Precomputed at build time; one binary search.
     pub fn support(&self, from: LandmarkId, to: LandmarkId) -> usize {
-        let c = &self.cols;
-        c.sup_keys.binary_search(&(from, to)).map_or(0, |i| c.sup_val[i] as usize)
+        self.pair(from, to).map_or(0, |i| self.cols.sup_val[i] as usize)
+    }
+
+    /// The index of `(from, to)` in the pair key column, which every
+    /// per-pair column shares.
+    fn pair(&self, from: LandmarkId, to: LandmarkId) -> Option<usize> {
+        self.cols.pair_keys.binary_search(&(from, to)).ok()
     }
 
     /// The most popular historical route from `from` to `to`, inclusive of
@@ -390,8 +386,11 @@ impl PopularRoutes {
         let c = &self.cols;
         // Common case: the winner for every pair at/above min_support is
         // resolved at build time — one binary search, no occurrence scan.
-        if let Ok(i) = c.win_keys.binary_search(&(from, to)) {
-            return Some(c.win_ids[span(&c.win_offsets, i)].to_vec());
+        if let Some(i) = self.pair(from, to) {
+            let winner = &c.win_ids[span(&c.win_offsets, i)];
+            if !winner.is_empty() {
+                return Some(winner.to_vec());
+            }
         }
         // No precomputed winner: the pair is below min_support.
         self.max_probability_route(from, to)
@@ -707,8 +706,9 @@ mod tests {
         let cfg = PopularRouteConfig { min_support: 2, ..PopularRouteConfig::default() };
         let corpus = vec![traj(&[0, 1, 2]), traj(&[0, 1, 2]), traj(&[5, 6])];
         let pr = PopularRoutes::build(&corpus, cfg);
-        assert!(pr.cols.win_keys.contains(&(l(0), l(2))));
-        assert!(!pr.cols.win_keys.contains(&(l(5), l(6))));
+        let winner = |from, to| pr.pair(from, to).map(|i| span(&pr.cols.win_offsets, i).len());
+        assert_eq!(winner(l(0), l(2)), Some(3));
+        assert_eq!(winner(l(5), l(6)), Some(0));
         // The below-threshold pair is still answered via the fallback.
         assert_eq!(pr.popular_route(l(5), l(6)).unwrap(), vec![l(5), l(6)]);
     }
@@ -728,10 +728,6 @@ mod tests {
             Some(PartsError::UnsortedKeys { column: "pair_keys", index: 1 })
         );
         assert_eq!(
-            broken(|p| p.win_keys[1] = p.win_keys[0]),
-            Some(PartsError::UnsortedKeys { column: "win_keys", index: 1 })
-        );
-        assert_eq!(
             broken(|p| p.pair_offsets[1] = 99),
             Some(PartsError::BadOffsets { column: "pair_offsets", index: 2 })
         );
@@ -744,6 +740,12 @@ mod tests {
                 p.win_ids.pop();
             }),
             Some(PartsError::BadOffsets { column: "win_offsets", index: 4 })
+        );
+        assert_eq!(
+            broken(|p| {
+                p.win_offsets.pop();
+            }),
+            Some(PartsError::ColumnLength { column: "win_offsets", expected: 5, got: 4 })
         );
         assert_eq!(
             broken(|p| {

@@ -968,7 +968,7 @@ fn model_landmarks_past_the_registry_are_rejected() {
     // Landmark ids index the registry, so a model naming an id at or past
     // its end must not load, whichever column holds it, even after an
     // STC1 round trip; the unedited model still loads.
-    use stmaker_io::{read_model_stc, write_model_stc};
+    use stmaker_io::{read_model_stc, stc::section_range, write_model_stc, StcError};
     use stmaker_poi::LandmarkId;
     use stmaker_routes::{
         FeatureMapParts, HistoricalFeatureMap, PopularRoutes, PopularRoutesParts,
@@ -985,19 +985,17 @@ fn model_landmarks_past_the_registry_are_rejected() {
     let n = h.world.registry.len();
     let past = LandmarkId(n as u32);
     let (fm, pr) = (trained.model().featmap.parts(), trained.model().popular.parts());
-    assert!(!fm.num_to.is_empty() && !fm.cat_to.is_empty() && !pr.win_keys.is_empty());
+    assert!(!fm.num_to.is_empty() && !fm.cat_to.is_empty() && !pr.win_ids.is_empty());
 
     type Edit = fn(&mut FeatureMapParts, &mut PopularRoutesParts, LandmarkId);
     // Each edit keeps the columns' own layout valid: a last key grows, an
     // unordered id column changes in place.
-    let cases: [(&str, Edit); 8] = [
+    let cases: [(&str, Edit); 6] = [
         ("featmap numeric keys", |f, _, id| *f.num_to.last_mut().expect("a row") = id),
         ("featmap categorical keys", |f, _, id| *f.cat_to.last_mut().expect("a row") = id),
         ("popular corpus", |_, p, id| p.corpus_ids[0] = id),
         ("popular pairs", |_, p, id| p.pair_keys.last_mut().expect("a pair").1 = id),
-        ("popular supports", |_, p, id| p.sup_keys.last_mut().expect("a support").1 = id),
         ("popular transfers", |_, p, id| p.tr_dst[0] = id),
-        ("popular winners", |_, p, id| p.win_keys.last_mut().expect("a winner").1 = id),
         ("popular winners", |_, p, id| p.win_ids[0] = id),
     ];
     let load = |model: TrainedModel| {
@@ -1013,16 +1011,41 @@ fn model_landmarks_past_the_registry_are_rejected() {
         n_trained: trained.model().n_trained,
         registry_len: n,
     };
+    let out_of_range = |column: &str, err: Option<SummarizeError>| match err {
+        Some(SummarizeError::LandmarkOutOfRange { column: c, id, registry }) => {
+            assert_eq!((c, id, registry), (column, past.0, n));
+        }
+        other => panic!("{column}: expected LandmarkOutOfRange, got {other:?}"),
+    };
     assert!(load(model(fm, pr)).is_none(), "the unedited model loads");
     for (column, edit) in cases {
         let (mut f, mut p) = (fm.clone(), pr.clone());
         edit(&mut f, &mut p, past);
         let stc = read_model_stc(&write_model_stc(&model(&f, &p))).expect("STC decodes");
-        match load(stc) {
-            Some(SummarizeError::LandmarkOutOfRange { column: c, id, registry }) => {
-                assert_eq!((c, id, registry), (column, past.0, n));
-            }
-            other => panic!("{column}: expected LandmarkOutOfRange, got {other:?}"),
-        }
+        out_of_range(column, load(stc));
     }
+
+    // Supports and winners are keyed by the pairs in memory, but STC1
+    // stores a key section pair for each table. Set the `to` half of the
+    // last key past the registry in the support keys alone, in the winner
+    // keys alone, or in all three tables. With the default min_support
+    // every pair has a winner, so the last winner key is the last pair key.
+    const PAIR_TO: u32 = 0x33;
+    const SUP_TO: u32 = 0x3D;
+    const WIN_TO: u32 = 0x40;
+    let bytes = write_model_stc(trained.model());
+    let patched = |tags: &[u32]| {
+        let mut b = bytes.clone();
+        for &tag in tags {
+            let s = section_range(&b, tag).expect("section present");
+            b[s.end - 4..s.end].copy_from_slice(&past.0.to_le_bytes());
+        }
+        read_model_stc(&b)
+    };
+    let (pairs, winners) = (pr.pair_keys.len(), pr.win_offsets.windows(2).count());
+    assert_eq!(pairs, winners, "every pair has a winner");
+    assert_eq!(patched(&[SUP_TO]).err(), Some(StcError::SupportKeyMismatch { index: pairs - 1 }));
+    assert_eq!(patched(&[WIN_TO]).err(), Some(StcError::WinnerKeyMissing { index: winners - 1 }));
+    let all = patched(&[PAIR_TO, SUP_TO, WIN_TO]).expect("consistent keys decode");
+    out_of_range("popular pairs", load(all));
 }
