@@ -22,12 +22,13 @@
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stmaker::{
     standard_features, FeatureWeights, Recorder, SpatialIndexKind, SummarizeError, Summarizer,
-    SummarizerConfig,
+    SummarizerConfig, TrainedModel,
 };
 use stmaker_generator::{TripConfig, TripGenerator, World, WorldConfig};
 use stmaker_io::{
@@ -345,20 +346,68 @@ struct Stack {
     spatial_index: SpatialIndexKind,
 }
 
+/// A model read from a `--model` file, with the path its errors name.
+struct LoadedModel<'p> {
+    path: &'p str,
+    model: TrainedModel,
+}
+
 impl Stack {
     fn from_config(cfg: WorldConfig, obs: &Obs) -> Self {
+        Self::build(cfg, obs.recorder.clone(), obs)
+    }
+
+    /// Builds the world of `cfg`, timed as `startup.world` on `recorder`.
+    fn build(cfg: WorldConfig, recorder: Recorder, obs: &Obs) -> Self {
         eprintln!("building world (seed {})…", cfg.seed);
+        let span = recorder.span("startup.world");
         let mut world = World::generate(cfg);
         // The registry owns calibration's spatial index; switch it together
         // with the matcher backend so `--spatial-index` governs both.
         world.registry.set_index_kind(obs.spatial_index);
+        drop(span);
         Self {
             world,
-            recorder: obs.recorder.clone(),
+            recorder,
             threads: obs.threads,
             route_cache: obs.route_cache,
             spatial_index: obs.spatial_index,
         }
+    }
+
+    /// Reads and checks `DIR/world.json`, then builds its world on this
+    /// thread while a second thread reads the `model` file, if one was
+    /// given: the two do not depend on each other. A bad `world.json` is
+    /// reported before the model is touched, and a model that does not
+    /// load (or a loader thread that panics) after the world is built.
+    /// The loader times itself and the read is recorded here, after the
+    /// join, as `startup.model_read`, so the span tree does not depend on
+    /// which thread finished first.
+    fn start<'p>(
+        dir: &Path,
+        model: Option<&'p str>,
+        recorder: Recorder,
+        obs: &Obs,
+    ) -> Result<(Self, Option<LoadedModel<'p>>), String> {
+        let cfg = load_world_config(dir)?;
+        std::thread::scope(|s| {
+            let loader = model.map(|path| {
+                eprintln!("loading model {path}…");
+                let read = s.spawn(move || {
+                    let t0 = Instant::now();
+                    (read_model_file(path), t0.elapsed())
+                });
+                (path, read)
+            });
+            let stack = Self::build(cfg, recorder, obs);
+            let Some((path, read)) = loader else { return Ok((stack, None)) };
+            let (model, took) = read
+                .join()
+                .map_err(|p| format!("cannot load model {path}: {}", panic_message(&*p)))?;
+            stack.recorder.span_observed("startup.model_read", took);
+            let model = model.map_err(|e| format!("cannot load model {path}: {e}"))?;
+            Ok((stack, Some(LoadedModel { path, model })))
+        })
     }
 
     /// The default pipeline config with this stack's recorder, thread
@@ -388,39 +437,46 @@ impl Stack {
         )
     }
 
-    /// Loads a saved model if `--model` was given; otherwise trains fresh.
-    fn summarizer(&self, opts: &Opts<'_>) -> Result<Summarizer<'_>, String> {
-        match opts.get("--model") {
-            Some(path) => {
-                eprintln!("loading model {path}…");
-                let model = load_model(path)?;
-                let features = standard_features();
-                let weights = FeatureWeights::uniform(&features);
-                Summarizer::try_from_model(
-                    &self.world.net,
-                    &self.world.registry,
-                    model,
-                    features,
-                    weights,
-                    self.config(),
-                )
-                .map_err(|e| match e {
-                    SummarizeError::ModelMismatch { model, registry } => format!(
-                        "model {path} was trained against a different world \
-                         ({model} landmarks vs this world's {registry}); retrain with `train` \
-                         or point --dir at the world the model came from"
-                    ),
-                    e => format!("model {path}: {e}"),
-                })
-            }
-            None => Ok(self.train(300)),
-        }
+    /// The summarizer over a loaded model, or over one trained fresh on
+    /// `n_train` trips when `--model` was not given; timed as
+    /// `startup.summarizer`.
+    fn summarizer(
+        &self,
+        model: Option<LoadedModel<'_>>,
+        n_train: usize,
+    ) -> Result<Summarizer<'_>, String> {
+        let _span = self.recorder.span("startup.summarizer");
+        let Some(LoadedModel { path, model }) = model else { return Ok(self.train(n_train)) };
+        let features = standard_features();
+        let weights = FeatureWeights::uniform(&features);
+        Summarizer::try_from_model(
+            &self.world.net,
+            &self.world.registry,
+            model,
+            features,
+            weights,
+            self.config(),
+        )
+        .map_err(|e| match e {
+            SummarizeError::ModelMismatch { model, registry } => format!(
+                "model {path} was trained against a different world \
+                 ({model} landmarks vs this world's {registry}); retrain with `train` \
+                 or point --dir at the world the model came from"
+            ),
+            e => format!("model {path}: {e}"),
+        })
     }
 }
 
-/// Loads an STC1 model file.
-fn load_model(path: &str) -> Result<stmaker::TrainedModel, String> {
-    read_model_file(path).map_err(|e| format!("cannot load model {path}: {e}"))
+/// What a panic on the model loader thread reports, with its message if
+/// it carried one.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let message = (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    match message {
+        Some(m) => format!("the loader thread panicked: {m}"),
+        None => "the loader thread panicked".to_owned(),
+    }
 }
 
 fn load_world_config(dir: &Path) -> Result<WorldConfig, String> {
@@ -786,8 +842,8 @@ fn cmd_summarize(args: &[String], obs: &Obs) -> Result<(), String> {
 
     let raw = load_trip(&dir.join(trip_file), obs)?;
 
-    let stack = Stack::from_config(load_world_config(&dir)?, obs);
-    let summarizer = stack.summarizer(&opts)?;
+    let (stack, model) = Stack::start(&dir, opts.get("--model"), obs.recorder.clone(), obs)?;
+    let summarizer = stack.summarizer(model, 300)?;
     let summary = summarize_at(&summarizer, &raw, k)?;
 
     println!("{}", summary.text);
@@ -822,8 +878,8 @@ fn cmd_group(args: &[String], obs: &Obs) -> Result<(), String> {
         return Err("no readable trips in the directory".to_owned());
     }
 
-    let stack = Stack::from_config(load_world_config(&dir)?, obs);
-    let summarizer = stack.summarizer(&opts)?;
+    let (stack, model) = Stack::start(&dir, opts.get("--model"), obs.recorder.clone(), obs)?;
+    let summarizer = stack.summarizer(model, 300)?;
     let group = summarizer.summarize_group(&trips, min_share).map_err(|e| e.to_string())?;
     println!("{}", group.text);
     println!(
@@ -846,8 +902,8 @@ fn cmd_search(args: &[String], obs: &Obs) -> Result<(), String> {
     if files.is_empty() {
         return Err(format!("no trip_*.csv files in {}", dir.display()));
     }
-    let stack = Stack::from_config(load_world_config(&dir)?, obs);
-    let summarizer = stack.summarizer(&opts)?;
+    let (stack, model) = Stack::start(&dir, opts.get("--model"), obs.recorder.clone(), obs)?;
+    let summarizer = stack.summarizer(model, 300)?;
 
     let mut names = Vec::new();
     let mut texts = Vec::new();
@@ -887,20 +943,14 @@ fn cmd_serve(args: &[String], obs: &Obs) -> Result<(), String> {
     let queue_depth: usize = opts.parse("--queue", 64)?;
     let n_train: usize = opts.parse("--n-train", 300)?;
 
-    let mut stack = Stack::from_config(load_world_config(&dir)?, obs);
     // A serving process always publishes `/metrics`: without the global
     // `--trace`/`--metrics-json` flags the CLI recorder is disabled, so
-    // force one on rather than serving an empty report.
-    if !stack.recorder.is_enabled() {
-        stack.recorder = Recorder::enabled();
-    }
-    let model = match opts.get("--model") {
-        Some(path) => {
-            eprintln!("loading model {path}…");
-            load_model(path)?
-        }
-        None => stack.train(n_train).into_model(),
-    };
+    // force one on rather than serving an empty report. It is on before
+    // the world is built, so `/metrics` shows the start-up spans.
+    let recorder =
+        if obs.recorder.is_enabled() { obs.recorder.clone() } else { Recorder::enabled() };
+    let (stack, model) = Stack::start(&dir, opts.get("--model"), recorder, obs)?;
+    let summarizer = stack.summarizer(model, n_train)?;
     let cfg = ServeConfig {
         addr,
         workers,
@@ -908,8 +958,7 @@ fn cmd_serve(args: &[String], obs: &Obs) -> Result<(), String> {
         sanitize: obs.sanitize,
         ..ServeConfig::default()
     };
-    let server = Server::bind(&stack.world.net, &stack.world.registry, model, stack.config(), cfg)
-        .map_err(|e| e.to_string())?;
+    let server = Server::from_summarizer(summarizer, cfg).map_err(|e| e.to_string())?;
     eprintln!(
         "serving on http://{} ({} workers, queue {queue_depth}); POST /shutdown to drain",
         server.local_addr(),

@@ -214,6 +214,58 @@ fn runtime_errors_stay_exit_one() {
     }
 }
 
+/// The `error: …` line of a failed run's stderr.
+fn error_line(stderr: &str) -> &str {
+    stderr.lines().find(|l| l.starts_with("error: ")).unwrap_or_default()
+}
+
+#[test]
+fn serve_and_summarize_report_start_up_errors_alike() {
+    // `serve` and `summarize` start through one helper: the model is read
+    // while the world builds, yet each error reads as it did when the two
+    // ran in turn, and a bad world.json still comes before a bad model.
+    let dir = scratch("startup");
+    let d = dir.to_str().expect("utf8");
+    let model = dir.join("model.stc");
+    assert_eq!(run(&["gen", "--dir", d, "--trips", "1", "--seed", "7"]).0, 0);
+    let out = model.to_str().expect("utf8");
+    assert_eq!(run(&["train", "--dir", d, "--out", out, "--n-train", "20"]).0, 0);
+    let stc = std::fs::read(&model).expect("read model");
+    let meta = stmaker_io::stc::section_range(&stc, 0x20).expect("meta section");
+    let mut other_world = stc.clone();
+    let len_at = meta.start + 8;
+    let n = u64::from_le_bytes(stc[len_at..len_at + 8].try_into().expect("registry length"));
+    other_world[len_at..len_at + 8].copy_from_slice(&(n + 1).to_le_bytes());
+    let serve_with = |dir: &str, model: &std::path::Path| {
+        let m = model.to_str().expect("utf8");
+        run(&["serve", "--dir", dir, "--addr", "127.0.0.1:0", "--model", m])
+    };
+    for (name, body, needle) in [
+        ("corrupt.stc", stc[..stc.len() / 2].to_vec(), "cannot load model"),
+        ("other_world.stc", other_world, "retrain with `train` or point --dir at"),
+    ] {
+        let bad = dir.join(name);
+        std::fs::write(&bad, body).expect("write model");
+        let (code, _, summarize_err) = summarize_with(d, &bad);
+        assert_eq!(code, 1, "{name}: {summarize_err}");
+        let (code, _, serve_err) = serve_with(d, &bad);
+        assert_eq!(code, 1, "{name}: {serve_err}");
+        let line = error_line(&serve_err);
+        assert!(line.contains(needle) && line.contains(name), "{name}: {serve_err}");
+        assert_eq!(line, error_line(&summarize_err), "{name}");
+    }
+
+    // Without world.json, a missing model is never reached.
+    std::fs::remove_file(dir.join("world.json")).expect("remove world.json");
+    let ghost = dir.join("no_such_model.stc");
+    for (code, _, stderr) in [summarize_with(d, &ghost), serve_with(d, &ghost)] {
+        assert_eq!(code, 1, "{stderr}");
+        let line = error_line(&stderr);
+        assert!(line.contains("world.json") && line.contains("run `gen` first"), "{stderr}");
+        assert!(!stderr.contains("cannot load model"), "{stderr}");
+    }
+}
+
 /// `summarize` over `trip_000.csv` in `dir` with the model file `model`.
 fn summarize_with(dir: &str, model: &std::path::Path) -> (i32, String, String) {
     let m = model.to_str().expect("utf8");

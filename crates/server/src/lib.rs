@@ -234,8 +234,18 @@ impl<'w> Server<'w> {
         let features = standard_features();
         let weights = FeatureWeights::uniform(&features);
         let summarizer =
-            Summarizer::try_from_model(net, registry, model, features, weights, base_cfg.clone())
+            Summarizer::try_from_model(net, registry, model, features, weights, base_cfg)
                 .map_err(ServeError::Model)?;
+        Self::from_summarizer(summarizer, cfg)
+    }
+
+    /// Binds the listen socket and serves `summarizer` as generation 1.
+    /// Hot-swapped models are assembled over the same world with the same
+    /// config; the feature set is the standard one with uniform weights.
+    pub fn from_summarizer(
+        summarizer: Summarizer<'w>,
+        cfg: ServeConfig,
+    ) -> Result<Self, ServeError> {
         let obs = summarizer.recorder().clone();
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| ServeError::Bind { addr: cfg.addr.clone(), message: e.to_string() })?;
@@ -243,10 +253,10 @@ impl<'w> Server<'w> {
             .local_addr()
             .map_err(|e| ServeError::Bind { addr: cfg.addr.clone(), message: e.to_string() })?;
         Ok(Self {
-            net,
-            registry,
+            net: summarizer.network(),
+            registry: summarizer.registry(),
             cfg,
-            base_cfg,
+            base_cfg: summarizer.config().clone(),
             listener,
             addr,
             slot: Mutex::new(Arc::new(Generation { version: 1, summarizer })),
