@@ -130,37 +130,45 @@ mod tests {
         check_edit_distance_bounds(2.0, 3, 5);
     }
 
+    // The gates are `debug_assert!`s, compiled out of release builds, so
+    // the tests that expect them to fire run only where they exist.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "must be finite")]
     fn rejects_nan_potential() {
         check_finite("partition potential", f64::NAN);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "finite and >= 0")]
     fn rejects_negative_rate() {
         check_irregular_rate("gamma", -0.25);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "contiguous")]
     fn rejects_gapped_spans() {
         check_spans_cover(&[span(0, 1), span(3, 4)], 5);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "cover")]
     fn rejects_short_cover() {
         check_spans_cover(&[span(0, 1)], 4);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "DP is inconsistent")]
     fn rejects_k_beating_unconstrained() {
         check_k_potential_dominates(-5.0, -1.0);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "violates bounds")]
     fn rejects_edit_distance_below_length_gap() {
         check_edit_distance_bounds(0.5, 1, 5);
