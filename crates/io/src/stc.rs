@@ -764,14 +764,17 @@ fn key_col<S: Source>(
     Ok(keys)
 }
 
-/// Checks that the support table's key sections repeat `keys`, streaming
-/// each half against the keys without allocating.
-fn check_support_keys<S: Source>(
+/// The index of the first key in sections `from_tag`/`to_tag` that
+/// differs from `keys`, streaming each half against the keys without
+/// allocating; the sections must hold as many keys as `keys`.
+fn first_key_mismatch<S: Source>(
     src: &mut S,
     c: &Container,
     keys: &[PairKey],
-) -> Result<(), S::Error> {
-    for (tag, to) in [(TAG_SUP_FROM, false), (TAG_SUP_TO, true)] {
+    from_tag: u32,
+    to_tag: u32,
+) -> Result<Option<usize>, S::Error> {
+    for (tag, to) in [(from_tag, false), (to_tag, true)] {
         let half = |k: &PairKey| if to { k.1 .0 } else { k.0 .0 };
         let s = c.section(tag)?;
         same_len(section_name(tag), keys.len(), elements(s, 4)?)?;
@@ -785,11 +788,11 @@ fn check_support_keys<S: Source>(
             }
             at += chunk.len() / 4;
         })?;
-        if let Some(index) = differs {
-            return Err(StcError::SupportKeyMismatch { index }.into());
+        if differs.is_some() {
+            return Ok(differs);
         }
     }
-    Ok(())
+    Ok(None)
 }
 
 /// Reads the winner table's `win_from`/`win_to` keys and its offsets
@@ -798,8 +801,8 @@ fn check_support_keys<S: Source>(
 /// distinct pairs in pair order, and no winner may be empty, so the
 /// table re-encodes to the same bytes.
 ///
-/// Nothing is allocated but the result, which doubles as scratch: the
-/// `from` pass stores each winner's `from` in slot `k`, the `to` pass
+/// When some pairs have no winner, nothing is allocated but the result,
+/// which doubles as scratch: the `from` pass stores each winner's `from` in slot `k`, the `to` pass
 /// replaces it with the winner's pair index `p_k`, a backward pass
 /// spreads winner numbers over the pairs (pair `p` gets the number of
 /// winners before it), and the offsets pass replaces each winner number
@@ -815,6 +818,19 @@ fn winner_offsets<S: Source>(
     same_len("win_to", n, elements(to, 4)?)?;
     let offs = c.section(TAG_WIN_OFFSETS)?;
     same_len("win_offsets", n + 1, elements(offs, 8)?)?;
+    if n == keys.len() {
+        // Every pair has a winner, as always under the default
+        // `min_support` of 1: the winner keys must be the pair keys, and
+        // the stored offsets are already indexed by pair.
+        if let Some(index) = first_key_mismatch(src, c, keys, TAG_WIN_FROM, TAG_WIN_TO)? {
+            return Err(StcError::WinnerKeyMissing { index }.into());
+        }
+        let out = offsets_col(src, c, TAG_WIN_OFFSETS)?;
+        return match out.windows(2).position(|w| w[0] == w[1]) {
+            Some(index) => Err(StcError::EmptyWinner { index }.into()),
+            None => Ok(out),
+        };
+    }
     if n > keys.len() {
         return Err(StcError::WinnerKeyMissing { index: keys.len() }.into());
     }
@@ -1218,7 +1234,9 @@ fn decode_model<S: Source>(src: &mut S) -> Result<TrainedModel, S::Error> {
     // The support and winner tables store their own key sections; in
     // memory both are indexed like the pair keys, so their keys are
     // checked against those and dropped.
-    check_support_keys(src, &c, &parts.pair_keys)?;
+    if let Some(index) = first_key_mismatch(src, &c, &parts.pair_keys, TAG_SUP_FROM, TAG_SUP_TO)? {
+        return Err(StcError::SupportKeyMismatch { index }.into());
+    }
     parts.sup_val = u32_col(src, &c, TAG_SUP_VAL)?;
     parts.win_offsets = winner_offsets(src, &c, &parts.pair_keys)?;
     parts.win_ids = id_col(src, &c, TAG_WIN_IDS)?;

@@ -583,6 +583,44 @@ fn key_consistency_faults_are_the_same_error_from_both_readers() {
         assert_eq!(same_error_from_both(&path, &mutated, what), want, "{what}");
     }
 
+    // When only every other pair has a winner, the winner keys are matched
+    // to the pairs in order: the model still decodes the same from both
+    // readers, and the same faults are still typed.
+    let mut model = big_model();
+    let mut parts = model.popular.parts().clone();
+    parts.win_offsets = (0..=BIG as usize).map(|p| 2 * p.div_ceil(2)).collect();
+    parts.win_ids = (0..BIG).step_by(2).flat_map(|p| [LandmarkId(p), LandmarkId(p + 1)]).collect();
+    model.popular = PopularRoutes::from_parts(parts).expect("half the pairs keep a winner");
+    let half = write_model_stc(&model);
+    let from_file = decode_via_file(&path, &half).expect("file decodes");
+    assert_eq!(write_model_stc(&from_file), half, "file decode re-encodes");
+    assert_eq!(write_model_stc(&read_model_stc(&half).expect("slice decodes")), half);
+    // Winner `k` is pair `2k`; `k` lies in the second chunk of `win_to`.
+    let k = 20_000usize;
+    assert!(4 * k > FILE_CHUNK);
+    let patch = |tag: u32, width: usize, at: usize, value: u64| {
+        let mut b = half.clone();
+        let s = section_range(&b, tag).expect("section present");
+        b[s.start + width * at..s.start + width * (at + 1)]
+            .copy_from_slice(&value.to_le_bytes()[..width]);
+        b
+    };
+    let cases = [
+        (
+            "half win_to",
+            patch(WIN_TO, 4, k, 2 * k as u64 + 2),
+            StcError::WinnerKeyMissing { index: k },
+        ),
+        (
+            "half win_offsets",
+            patch(WIN_OFFSETS, 8, k + 1, 2 * k as u64),
+            StcError::EmptyWinner { index: k },
+        ),
+    ];
+    for (what, mutated, want) in cases {
+        assert_eq!(same_error_from_both(&path, &mutated, what), want, "{what}");
+    }
+
     // The small fixture, read in one chunk: a winner key past every pair.
     let small = write_model_stc(&fixture_model());
     let mut b = small.clone();
