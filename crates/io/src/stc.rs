@@ -67,6 +67,8 @@
 //! [`StcError`], and allocation is bounded by actual section byte lengths,
 //! never by counts read from the (possibly hostile) file.
 
+use std::borrow::Cow;
+
 use stmaker::TrainedModel;
 use stmaker_geo::GeoPoint;
 use stmaker_poi::LandmarkId;
@@ -384,14 +386,6 @@ enum Col<'a> {
     KeyFrom(&'a [PairKey]),
     /// The `to` halves of a key column.
     KeyTo(&'a [PairKey]),
-    /// The `from` halves of the keys that own a non-empty span in a
-    /// per-key offsets column.
-    WonFrom(&'a [PairKey], &'a [usize]),
-    /// The `to` halves of the same keys.
-    WonTo(&'a [PairKey], &'a [usize]),
-    /// A per-key offsets column with its empty spans left out, stored as
-    /// `u64`: one entry per non-empty span plus one.
-    WonOffsets(&'a [usize]),
     /// A prefix-sum offsets column, stored as `u64`.
     Offsets(&'a [usize]),
     /// A string table: a `u64` count, then per entry a `u32` byte length
@@ -406,8 +400,6 @@ impl Col<'_> {
             Col::U32s(v) => 4 * v.len(),
             Col::Ids(v) => 4 * v.len(),
             Col::KeyFrom(v) | Col::KeyTo(v) => 4 * v.len(),
-            Col::WonFrom(_, o) | Col::WonTo(_, o) => 4 * won(o).count(),
-            Col::WonOffsets(o) => 8 * (won(o).count() + 1),
             Col::U64s(v) => 8 * v.len(),
             Col::F64s(v) => 8 * v.len(),
             Col::Offsets(v) => 8 * v.len(),
@@ -431,16 +423,6 @@ impl Col<'_> {
             Col::Ids(v) => put(out, v, |l| l.0.to_le_bytes()),
             Col::KeyFrom(v) => put(out, v, |k| k.0 .0.to_le_bytes()),
             Col::KeyTo(v) => put(out, v, |k| k.1 .0.to_le_bytes()),
-            Col::WonFrom(keys, o) => {
-                won(o).for_each(|i| out.extend_from_slice(&keys[i].0 .0.to_le_bytes()));
-            }
-            Col::WonTo(keys, o) => {
-                won(o).for_each(|i| out.extend_from_slice(&keys[i].1 .0.to_le_bytes()));
-            }
-            Col::WonOffsets(o) => {
-                out.extend_from_slice(&0u64.to_le_bytes());
-                won(o).for_each(|i| out.extend_from_slice(&(o[i + 1] as u64).to_le_bytes()));
-            }
             Col::U64s(v) => put(out, v, u64::to_le_bytes),
             Col::F64s(v) => put(out, v, |x| x.to_bits().to_le_bytes()),
             Col::Offsets(v) => put(out, v, |o| (o as u64).to_le_bytes()),
@@ -453,12 +435,6 @@ impl Col<'_> {
             }
         }
     }
-}
-
-/// The keys that own a non-empty span in the per-key offsets column
-/// `offsets`, ascending.
-fn won(offsets: &[usize]) -> impl Iterator<Item = usize> + '_ {
-    offsets.windows(2).enumerate().filter(|(_, w)| w[0] < w[1]).map(|(i, _)| i)
 }
 
 /// Writes a container from `(tag, column)` sections into one buffer, sized
@@ -1112,6 +1088,20 @@ pub fn write_model_stc(model: &TrainedModel) -> Vec<u8> {
         p.cfg.min_support as u64,
         p.cfg.max_indexed_span as u64,
     ];
+    // The winner table stores the keys of the pairs with a winner and the
+    // offsets of those pairs alone. With a winner for every pair, as under
+    // the default `min_support` of 1, those are the pair keys and the
+    // offsets as they are.
+    let (win_keys, win_offsets): (Cow<[PairKey]>, Cow<[usize]>) =
+        if p.win_offsets.windows(2).all(|w| w[0] < w[1]) {
+            (Cow::Borrowed(&p.pair_keys), Cow::Borrowed(&p.win_offsets))
+        } else {
+            let won: Vec<usize> = (0..p.pair_keys.len())
+                .filter(|&i| p.win_offsets[i] < p.win_offsets[i + 1])
+                .collect();
+            let offsets = std::iter::once(0).chain(won.iter().map(|&i| p.win_offsets[i + 1]));
+            (won.iter().map(|&i| p.pair_keys[i]).collect(), offsets.collect())
+        };
     assemble(
         KIND_MODEL,
         &[
@@ -1142,9 +1132,9 @@ pub fn write_model_stc(model: &TrainedModel) -> Vec<u8> {
             (TAG_SUP_FROM, Col::KeyFrom(&p.pair_keys)),
             (TAG_SUP_TO, Col::KeyTo(&p.pair_keys)),
             (TAG_SUP_VAL, Col::U32s(&p.sup_val)),
-            (TAG_WIN_FROM, Col::WonFrom(&p.pair_keys, &p.win_offsets)),
-            (TAG_WIN_TO, Col::WonTo(&p.pair_keys, &p.win_offsets)),
-            (TAG_WIN_OFFSETS, Col::WonOffsets(&p.win_offsets)),
+            (TAG_WIN_FROM, Col::KeyFrom(&win_keys)),
+            (TAG_WIN_TO, Col::KeyTo(&win_keys)),
+            (TAG_WIN_OFFSETS, Col::Offsets(&win_offsets)),
             (TAG_WIN_IDS, Col::Ids(&p.win_ids)),
         ],
     )
