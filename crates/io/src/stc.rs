@@ -778,11 +778,11 @@ fn first_key_mismatch<S: Source>(
 /// table re-encodes to the same bytes.
 ///
 /// When some pairs have no winner, nothing is allocated but the result,
-/// which doubles as scratch: the `from` pass stores each winner's `from` in slot `k`, the `to` pass
-/// replaces it with the winner's pair index `p_k`, a backward pass
-/// spreads winner numbers over the pairs (pair `p` gets the number of
-/// winners before it), and the offsets pass replaces each winner number
-/// with that winner's start offset.
+/// which doubles as scratch: the `from` pass stores each winner's `from`
+/// in slot `k`, the `to` pass replaces it with the winner's pair index
+/// `p_k`, a backward pass spreads winner numbers over the pairs (pair `p`
+/// gets the number of winners before it), and the offsets pass replaces
+/// each winner number with that winner's start offset.
 fn winner_offsets<S: Source>(
     src: &mut S,
     c: &Container,
