@@ -10,8 +10,7 @@
 //! The geometric procedure implemented here:
 //!
 //! 1. collect candidate landmarks within [`CalibrationParams::radius_m`] of
-//!    the raw polyline (one corridor query against the registry's spatial
-//!    index — R-tree by default, grid as the escape hatch);
+//!    the raw polyline (one corridor query against the registry's R-tree);
 //! 2. project each candidate onto the polyline and keep those whose
 //!    projection distance is within the radius;
 //! 3. order accepted landmarks by arc length along the polyline and assign
@@ -127,7 +126,7 @@ pub fn calibrate_view(
     calibrate_view_traced(raw, registry, params, &mut stats)
 }
 
-/// [`calibrate_view`] that also accumulates spatial-index work counters
+/// [`calibrate_view`] that also accumulates spatial index work counters
 /// (`spatial.*` obs metrics) into `stats`.
 pub fn calibrate_view_traced(
     raw: RawView<'_>,
@@ -142,7 +141,7 @@ pub fn calibrate_view_traced(
     // 1. Candidate collection: sample the polyline densely enough that no
     //    landmark within `radius_m` of the route can be missed, then ask the
     //    registry for everything within the corridor in one query (the R-tree
-    //    walks its rect once; the grid falls back to per-probe ring scans).
+    //    walks one padded rect per chunk of probes).
     let probe = poly.resample(params.radius_m.max(1.0));
     let mut candidates: Vec<LandmarkId> = Vec::new();
     registry.candidates_along(probe.points(), params.radius_m * 1.5, &mut candidates, stats);

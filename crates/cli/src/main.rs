@@ -27,8 +27,8 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stmaker::{
-    standard_features, FeatureWeights, Recorder, SpatialIndexKind, SummarizeError, Summarizer,
-    SummarizerConfig, TrainedModel,
+    standard_features, FeatureWeights, Recorder, SummarizeError, Summarizer, SummarizerConfig,
+    TrainedModel,
 };
 use stmaker_generator::{TripConfig, TripGenerator, World, WorldConfig};
 use stmaker_io::{
@@ -57,10 +57,6 @@ struct Obs {
     /// (`--route-cache N`); 0 = disabled. Purely a latency knob — results
     /// are byte-identical either way.
     route_cache: usize,
-    /// Spatial index backend for calibration and map matching
-    /// (`--spatial-index rtree|grid`); R-tree by default, grid kept as the
-    /// byte-identical escape hatch.
-    spatial_index: SpatialIndexKind,
     /// Write a Chrome trace-event JSON of the event journal here
     /// (`--trace-out FILE`); loads in `about://tracing` / Perfetto.
     trace_out: Option<PathBuf>,
@@ -73,8 +69,7 @@ struct Obs {
 impl Obs {
     /// Extracts `--trace` / `--metrics-json PATH` / `--trace-out FILE` /
     /// `--trace-clock SRC` / `--threads N` / `--sanitize POLICY` /
-    /// `--route-cache N` / `--spatial-index KIND` from `args` (removing
-    /// them) and builds the
+    /// `--route-cache N` from `args` (removing them) and builds the
     /// matching recorder: journal-backed if `--trace-out` is present,
     /// enabled if another tracing flag is, the zero-cost no-op otherwise.
     fn extract(args: &mut Vec<String>) -> Result<Self, String> {
@@ -83,7 +78,6 @@ impl Obs {
         let mut threads = 0usize;
         let mut sanitize = None;
         let mut route_cache = 0usize;
-        let mut spatial_index = SpatialIndexKind::default();
         let mut trace_out = None;
         let mut trace_clock = TraceClock::default();
         let mut i = 0;
@@ -141,13 +135,6 @@ impl Obs {
                     route_cache =
                         v.parse().map_err(|_| format!("bad value for --route-cache: {v:?}"))?;
                 }
-                "--spatial-index" => {
-                    args.remove(i);
-                    if i >= args.len() {
-                        return Err("missing kind after --spatial-index".to_owned());
-                    }
-                    spatial_index = args.remove(i).parse::<SpatialIndexKind>()?;
-                }
                 _ => i += 1,
             }
         }
@@ -165,7 +152,6 @@ impl Obs {
             threads,
             sanitize,
             route_cache,
-            spatial_index,
             trace_out,
             trace_clock,
         })
@@ -291,11 +277,7 @@ fn print_usage() {
          \x20                      defective files are rejected with an error)\n  \
          --route-cache N        read-through serving cache holding N routes\n  \
          \x20                      (0 = off, the default; summaries are\n  \
-         \x20                      byte-identical with and without it)\n  \
-         --spatial-index KIND   spatial index for calibration and map\n  \
-         \x20                      matching: rtree (default) | grid; purely a\n  \
-         \x20                      latency knob — candidate sets and summaries\n  \
-         \x20                      are byte-identical under both"
+         \x20                      byte-identical with and without it)"
     );
 }
 
@@ -343,7 +325,6 @@ struct Stack {
     recorder: Recorder,
     threads: usize,
     route_cache: usize,
-    spatial_index: SpatialIndexKind,
 }
 
 /// A model read from a `--model` file, with the path its errors name.
@@ -361,18 +342,9 @@ impl Stack {
     fn build(cfg: WorldConfig, recorder: Recorder, obs: &Obs) -> Self {
         eprintln!("building world (seed {})…", cfg.seed);
         let span = recorder.span("startup.world");
-        let mut world = World::generate(cfg);
-        // The registry owns calibration's spatial index; switch it together
-        // with the matcher backend so `--spatial-index` governs both.
-        world.registry.set_index_kind(obs.spatial_index);
+        let world = World::generate(cfg);
         drop(span);
-        Self {
-            world,
-            recorder,
-            threads: obs.threads,
-            route_cache: obs.route_cache,
-            spatial_index: obs.spatial_index,
-        }
+        Self { world, recorder, threads: obs.threads, route_cache: obs.route_cache }
     }
 
     /// Reads and checks `DIR/world.json`, then builds its world on this
@@ -411,13 +383,12 @@ impl Stack {
     }
 
     /// The default pipeline config with this stack's recorder, thread
-    /// count and spatial backend attached.
+    /// count and route cache attached.
     fn config(&self) -> SummarizerConfig {
         SummarizerConfig::default()
             .with_recorder(self.recorder.clone())
             .with_threads(self.threads)
             .with_route_cache(self.route_cache)
-            .with_spatial_index(self.spatial_index)
     }
 
     fn train(&self, n_train: usize) -> Summarizer<'_> {

@@ -346,7 +346,8 @@ fn argument_mistakes_outside_obs_exit_one() {
     // and an unknown one, exits 1. A subcommand flag given last has no
     // value: it used to be ignored, so `summarize … --model` quietly
     // trained a fresh model instead. An unknown flag (here the removed
-    // `--format`) was ignored the same way.
+    // `--format`) was ignored the same way. The removed global
+    // `--spatial-index` is now an unknown subcommand option too.
     let dir = scratch("arguments");
     let d = dir.to_str().expect("utf8");
     assert_eq!(run(&["gen", "--dir", d, "--trips", "1", "--seed", "7"]).0, 0);
@@ -360,6 +361,7 @@ fn argument_mistakes_outside_obs_exit_one() {
         (&["train", "--dir", d, "--out"][..], "missing value after --out"),
         (&["serve", "--dir", d, "--model"][..], "missing value after --model"),
         (&["train", "--dir", d, "--format", "json"][..], "unknown option \"--format\""),
+        (&["demo", "--spatial-index", "grid"][..], "unknown option \"--spatial-index\""),
     ] {
         let (code, _, stderr) = run(args);
         assert_eq!(code, 1, "{args:?}: {stderr}");

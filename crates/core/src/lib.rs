@@ -93,7 +93,6 @@ pub use summarize::{
 pub use route_memo::CacheStats;
 pub use stmaker_obs::{Recorder, Report};
 
-// Spatial-index selection, re-exported so the CLI and the benchmark can flip
-// the backend (`--spatial-index rtree|grid`) without depending on
-// `stmaker-geo`.
-pub use stmaker_geo::{SpatialIndexKind, SpatialStats};
+// Spatial-index work counters, re-exported so the benchmark can read them
+// without depending on `stmaker-geo`.
+pub use stmaker_geo::SpatialStats;

@@ -61,12 +61,7 @@ pub struct SummarizerConfig {
     /// costs one branch on the query path. Lookups are pure, so the cache
     /// never changes output bytes, only latency (DESIGN.md §12).
     pub route_cache: usize,
-    /// Spatial index backend for the map-matching candidate pre-filter
-    /// (R-tree by default; the grid is the `--spatial-index grid` escape
-    /// hatch). Purely a latency knob: candidate sets, models and summaries
-    /// are byte-identical under both backends (DESIGN.md §14). Calibration's
-    /// corridor query follows the registry's own backend, which the CLI
-    /// switches together with this field.
+    /// Unused; kept only because the benchmark driver names it (ROADMAP item 5).
     pub spatial_index: SpatialIndexKind,
     /// Telemetry sink for per-stage spans and counters. Defaults to the
     /// disabled no-op recorder, which costs a branch per stage and
@@ -114,14 +109,6 @@ impl SummarizerConfig {
     #[must_use]
     pub fn with_route_cache(mut self, capacity: usize) -> Self {
         self.route_cache = capacity;
-        self
-    }
-
-    /// Selects the matcher's spatial index backend (builder style). Purely a
-    /// latency knob: output bytes are identical under both backends.
-    #[must_use]
-    pub fn with_spatial_index(mut self, kind: SpatialIndexKind) -> Self {
-        self.spatial_index = kind;
         self
     }
 }
@@ -396,7 +383,7 @@ impl<'a> Summarizer<'a> {
         assert_eq!(weights.as_slice().len(), features.len(), "weights must match feature set");
         let obs = cfg.recorder.clone();
         let _train_span = obs.span("train");
-        let matcher = MapMatcher::with_index(net, cfg.matching, cfg.spatial_index);
+        let matcher = MapMatcher::new(net, cfg.matching);
         let exec = Executor::new(cfg.threads).with_recorder(obs.clone());
         let (calibration, extraction) = (cfg.calibration, cfg.extraction);
 
@@ -488,7 +475,7 @@ impl<'a> Summarizer<'a> {
     ) -> Result<Self, SummarizeError> {
         check_model(&model, registry)?;
         assert_eq!(weights.as_slice().len(), features.len(), "weights must match feature set");
-        let matcher = MapMatcher::with_index(net, cfg.matching, cfg.spatial_index);
+        let matcher = MapMatcher::new(net, cfg.matching);
         let route_cache = build_route_cache(&cfg);
         Ok(Self { net, registry, matcher, features, weights, cfg, model, route_cache })
     }

@@ -10,26 +10,21 @@
 //! * [`Polyline`] — an ordered sequence of points with arc-length queries,
 //!   point projection and resampling.
 //! * [`BoundingBox`] — axis-aligned lat/lon boxes.
-//! * [`GridIndex`] — a uniform-grid spatial index for nearest-neighbour and
-//!   radius queries over large point sets (used for POIs, landmarks and road
-//!   vertices).
 //! * [`RTree`] — a packed STR (Sort-Tile-Recursive) R-tree over point and
-//!   segment entries, bulk-loaded into flat arrays; the default backend for
-//!   the calibration and map-matching hot paths ([`SpatialIndexKind`] selects
-//!   between it and the grid, [`SpatialStats`] counts traversal work).
+//!   segment entries, bulk-loaded into flat arrays; the one spatial index,
+//!   behind landmark lookup, calibration and map matching ([`SpatialStats`]
+//!   counts traversal work).
 //!
 //! The paper's datasets cover a single city (Beijing), so an equirectangular
 //! approximation is accurate to well under a metre across the region of
 //! interest — far below GPS noise.
 
 pub mod bbox;
-pub mod grid;
 pub mod point;
 pub mod polyline;
 pub mod rtree;
 
 pub use bbox::BoundingBox;
-pub use grid::GridIndex;
 pub use point::{GeoPoint, LocalFrame, EARTH_RADIUS_M};
 pub use polyline::{PolyProjection, Polyline};
 pub use rtree::{RTree, SpatialIndexKind, SpatialStats};

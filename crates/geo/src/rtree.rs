@@ -4,9 +4,9 @@
 //! parallel `Vec<f64>` columns and nodes in a single `Vec<Node>` — so queries
 //! walk contiguous memory with no per-node boxing. Entries are either points
 //! (degenerate segments with `a == b`) or road-edge style segments; both are
-//! refined with the exact same planar arithmetic `LocalFrame` uses, so swapping
-//! a [`GridIndex`](crate::GridIndex) for an [`RTree`] never changes a reported
-//! distance by even one ULP.
+//! refined with the exact planar arithmetic `LocalFrame` uses, so a reported
+//! distance is the one `LocalFrame::dist_m` / `project_onto_segment` give in
+//! the tree's frame, to the bit.
 //!
 //! Determinism contract: the build canonicalises entry order (center-x,
 //! center-y, id, endpoints) before tiling, so the packed layout — and therefore
@@ -19,42 +19,15 @@ use crate::point::{GeoPoint, LocalFrame};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Which spatial index backend a pipeline stage should use.
-///
-/// The two backends are required to produce byte-identical candidate sets and
-/// summaries; `Grid` is kept as an escape hatch (`--spatial-index grid` on the
-/// CLI) and as the reference implementation for the identity benchmarks.
+/// Kept only because the benchmark driver names it; delete with ROADMAP item 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SpatialIndexKind {
-    /// Uniform-cell grid (`GridIndex`), the original backend.
-    Grid,
-    /// Packed STR R-tree (`RTree`), the default.
+    /// Packed STR R-tree (`RTree`).
     #[default]
     Rtree,
 }
 
-impl std::str::FromStr for SpatialIndexKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "grid" => Ok(Self::Grid),
-            "rtree" => Ok(Self::Rtree),
-            other => Err(format!("unknown spatial index '{other}' (expected rtree|grid)")),
-        }
-    }
-}
-
-impl std::fmt::Display for SpatialIndexKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Grid => f.write_str("grid"),
-            Self::Rtree => f.write_str("rtree"),
-        }
-    }
-}
-
-/// Work counters for spatial-index queries (`spatial.*` obs metrics).
+/// Work counters for spatial index queries (`spatial.*` obs metrics).
 ///
 /// Threaded by `&mut` through query calls; callers fold them into an
 /// `stmaker-obs` `Recorder` as plain counters, which keeps the index `Clone`
@@ -97,10 +70,9 @@ struct Node {
 /// A packed STR-bulk-loaded R-tree over point or segment entries.
 ///
 /// Built once via [`RTree::build_points`] or [`RTree::build_segments`];
-/// immutable afterwards. The planar frame is constructed with exactly the
-/// recipe `GridIndex::build` uses (enclosing bbox of all endpoints, inflated
-/// by `1e-4` degrees, frame at its center), so distances reported by the two
-/// backends are bit-identical.
+/// immutable afterwards. The planar frame is centred on the enclosing bbox of
+/// all endpoints inflated by `1e-4` degrees, so it depends only on the entry
+/// set, and every distance the tree reports is measured in that frame.
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
     frame: LocalFrame,
@@ -148,8 +120,7 @@ impl<T: Copy + Ord> RTree<T> {
     /// Point entries are just degenerate segments with `a == b`.
     pub fn build_segments(items: impl IntoIterator<Item = (T, GeoPoint, GeoPoint)>) -> Self {
         let items: Vec<(T, GeoPoint, GeoPoint)> = items.into_iter().collect();
-        // Frame recipe mirrors GridIndex::build so planar distances agree
-        // bit-for-bit between the two backends.
+        // The frame depends only on the entry set, never on input order.
         let mut pts: Vec<GeoPoint> = Vec::with_capacity(items.len() * 2);
         for (_, a, b) in &items {
             pts.push(*a);
@@ -300,15 +271,16 @@ impl<T: Copy + Ord> RTree<T> {
         self.ids.is_empty()
     }
 
-    /// The planar frame the tree measures distances in (same recipe as
-    /// `GridIndex::build`: enclosing bbox inflated by 1e-4 deg, centered).
+    /// The planar frame the tree measures distances in (centred on the
+    /// entries' enclosing bbox inflated by 1e-4 deg).
     pub fn frame(&self) -> &LocalFrame {
         &self.frame
     }
 
     /// Exact planar distance from `(qx, qy)` to entry `i`, using the same
     /// float expressions as `LocalFrame::project_onto_segment` /
-    /// `LocalFrame::dist_m` so refinement is bit-identical to the grid path.
+    /// `LocalFrame::dist_m` so refinement is bit-identical to a `LocalFrame`
+    /// measurement in the tree's frame.
     #[inline]
     fn entry_dist(&self, i: usize, qx: f64, qy: f64) -> f64 {
         let (ax, ay, bx, by) = (self.ax[i], self.ay[i], self.bx[i], self.by[i]);
@@ -448,10 +420,10 @@ impl<T: Copy + Ord> RTree<T> {
     /// tight rect pass padded by `max_dist_m` plus one metre of float slack.
     /// Chunking keeps the rect snug around the corridor even for long diagonal
     /// paths, whose whole-path bounding box would cover most of the city.
-    /// Every candidate is re-filtered with the exact per-probe distance
-    /// predicate the grid path evaluates (after a conservative per-axis window
-    /// reject that can only skip pairs provably beyond `max_dist_m`), so the
-    /// resulting id set equals the grid's sorted+deduped set exactly.
+    /// Every candidate is re-filtered with the exact per-probe predicate
+    /// `entry_dist <= max_dist_m` (after a conservative per-axis window reject
+    /// that can only skip pairs provably beyond `max_dist_m`), so the id set
+    /// is exactly the union of [`RTree::within_radius`] over the probes.
     pub fn along_into(
         &self,
         path: &[GeoPoint],
@@ -666,15 +638,5 @@ mod tests {
         want.dedup();
         assert_eq!(got, want);
         assert!(stats.nodes_visited > 0 && stats.candidates_refined > 0);
-    }
-
-    #[test]
-    fn spatial_index_kind_round_trips() {
-        assert_eq!("rtree".parse::<SpatialIndexKind>().unwrap(), SpatialIndexKind::Rtree);
-        assert_eq!("grid".parse::<SpatialIndexKind>().unwrap(), SpatialIndexKind::Grid);
-        assert!("quadtree".parse::<SpatialIndexKind>().is_err());
-        assert_eq!(SpatialIndexKind::default(), SpatialIndexKind::Rtree);
-        assert_eq!(SpatialIndexKind::Rtree.to_string(), "rtree");
-        assert_eq!(SpatialIndexKind::Grid.to_string(), "grid");
     }
 }

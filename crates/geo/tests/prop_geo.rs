@@ -1,9 +1,7 @@
 //! Property-based tests for the geodesy primitives.
 
 use proptest::prelude::*;
-use stmaker_geo::{
-    heading_diff_deg, BoundingBox, GeoPoint, GridIndex, LocalFrame, Polyline, RTree,
-};
+use stmaker_geo::{heading_diff_deg, GeoPoint, LocalFrame, Polyline, RTree};
 
 /// Latitudes/longitudes inside a generous city-scale band (avoids poles and
 /// the antimeridian, which the stack deliberately does not support).
@@ -85,48 +83,6 @@ proptest! {
         let (x2, y2) = frame.to_xy(&p);
         prop_assert!((x2 - dx).abs() < 1e-6);
         prop_assert!((y2 - dy).abs() < 1e-6);
-    }
-
-    #[test]
-    fn grid_nearest_matches_brute_force(
-        origin in city_point(),
-        offsets in prop::collection::vec((0.0f64..360.0, 10.0f64..5_000.0), 1..40),
-        q_bearing in 0.0f64..360.0,
-        q_dist in 0.0f64..6_000.0,
-    ) {
-        let pts: Vec<GeoPoint> =
-            offsets.iter().map(|(b, d)| origin.destination(*b, *d)).collect();
-        let grid = GridIndex::build(pts.iter().copied().enumerate(), 400.0);
-        let q = origin.destination(q_bearing, q_dist);
-        let (got, got_d) = grid.nearest(&q).expect("non-empty index");
-        // Brute force under the same (planar local-frame) metric the grid uses.
-        let frame_origin = BoundingBox::enclosing(&pts).unwrap().inflate(1e-4).center();
-        let frame = LocalFrame::new(frame_origin);
-        let best = pts
-            .iter()
-            .map(|p| frame.dist_m(&q, p))
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!((got_d - best).abs() < 1.0, "grid {got_d} vs brute {best} (id {got})");
-    }
-
-    #[test]
-    fn grid_radius_query_is_exact(
-        origin in city_point(),
-        offsets in prop::collection::vec((0.0f64..360.0, 10.0f64..3_000.0), 1..30),
-        radius in 50.0f64..2_000.0,
-    ) {
-        let pts: Vec<GeoPoint> =
-            offsets.iter().map(|(b, d)| origin.destination(*b, *d)).collect();
-        let grid = GridIndex::build(pts.iter().copied().enumerate(), 300.0);
-        let hits = grid.within_radius(&origin, radius);
-        for (id, d) in &hits {
-            prop_assert!(*d <= radius, "hit {id} at {d} beyond {radius}");
-        }
-        // Every point closer than radius − ε is reported (the grid metric is
-        // planar; allow a small tolerance against haversine construction).
-        let frame = LocalFrame::new(BoundingBox::enclosing(&pts).unwrap().inflate(1e-4).center());
-        let expected = pts.iter().filter(|p| frame.dist_m(&origin, p) <= radius - 0.01).count();
-        prop_assert!(hits.len() >= expected, "{} hits vs {expected} expected", hits.len());
     }
 
     #[test]
@@ -252,24 +208,5 @@ proptest! {
             tree.k_nearest_within(&q, k, f64::INFINITY),
             all[..k.min(all.len())].to_vec()
         );
-    }
-
-    // The grid's new zero-alloc radius query must agree with the allocating
-    // one (same hits, same cell-scan order) when the scratch is reused dirty.
-    #[test]
-    fn grid_within_radius_into_matches_allocating_path(
-        origin in city_point(),
-        offsets in lattice_offsets(30),
-        radius in 50.0f64..3_000.0,
-    ) {
-        let pts: Vec<(usize, GeoPoint)> = offsets
-            .iter()
-            .enumerate()
-            .map(|(i, (b, d))| (i, origin.destination(*b, *d)))
-            .collect();
-        let grid = GridIndex::build(pts, 300.0);
-        let mut scratch = vec![(usize::MAX, -1.0)]; // dirty scratch must be cleared
-        grid.within_radius_into(&origin, radius, &mut scratch);
-        prop_assert_eq!(scratch, grid.within_radius(&origin, radius));
     }
 }

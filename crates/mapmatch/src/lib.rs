@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use stmaker_geo::{GridIndex, LocalFrame, RTree, SpatialIndexKind};
+use stmaker_geo::{LocalFrame, RTree, SpatialIndexKind};
 use stmaker_road::{EdgeId, RoadNetwork};
 use stmaker_trajectory::RawPoint;
 
@@ -41,50 +41,32 @@ impl Default for MatchParams {
     }
 }
 
-/// The matcher's candidate pre-filter: resampled edge points in a grid, or
-/// exact edge segments in a packed R-tree. Either way the hits are only a
-/// superset filter — `candidates()` re-refines every edge against its true
-/// geometry, so both backends produce identical candidate lists.
-enum EdgeIndex {
-    Grid(GridIndex<EdgeId>),
-    Segments(RTree<EdgeId>),
-}
-
 /// A reusable matcher holding the network's spatial index.
 pub struct MapMatcher<'a> {
     net: &'a RoadNetwork,
-    index: EdgeIndex,
-    /// Arc spacing of the indexed edge samples, metres (grid backend only,
-    /// but the query padding is kept identical for both backends so the
-    /// pre-filter supersets match).
-    sample_m: f64,
+    /// One segment entry per edge-geometry leg; only a superset pre-filter,
+    /// since `candidates()` refines every hit against the edge's geometry.
+    index: RTree<EdgeId>,
+    /// Radius of the pre-filter query, metres: the candidate radius plus a
+    /// pad. The tree measures in its own frame (centred on the network) and
+    /// the refine step in the trip's frame, so an edge just inside the
+    /// candidate radius in the trip's frame can read slightly farther in
+    /// the tree's; the pad keeps every such edge in the superset.
+    query_radius_m: f64,
     params: MatchParams,
 }
 
 impl<'a> MapMatcher<'a> {
-    /// Builds a matcher with the default spatial backend (R-tree).
+    /// Builds a matcher, indexing the network's edge geometry once.
     pub fn new(net: &'a RoadNetwork, params: MatchParams) -> Self {
-        Self::with_index(net, params, SpatialIndexKind::default())
+        let r = params.candidate_radius_m;
+        let query_radius_m = r + (r / 4.0).clamp(25.0, 100.0) / 2.0;
+        Self { net, index: net.edge_segment_rtree(), query_radius_m, params }
     }
 
-    /// Builds a matcher with an explicit spatial backend (indexes the
-    /// network's edge geometry once).
-    pub fn with_index(net: &'a RoadNetwork, params: MatchParams, kind: SpatialIndexKind) -> Self {
-        // Sample spacing must be well under the candidate radius: with
-        // spacing == radius, a point at perpendicular distance just inside
-        // the radius but midway between two samples sits √(r² + (s/2)²) > r
-        // from every sample and the edge silently drops out of the
-        // candidate set. The index query below pads the radius by the
-        // worst-case half-spacing instead of relying on luck. (The segment
-        // R-tree needs no such padding — its distances are exact — but it
-        // uses the same padded radius so both pre-filters select the same
-        // superset of edges.)
-        let sample_m = (params.candidate_radius_m / 4.0).clamp(25.0, 100.0);
-        let index = match kind {
-            SpatialIndexKind::Grid => EdgeIndex::Grid(net.edge_index(sample_m)),
-            SpatialIndexKind::Rtree => EdgeIndex::Segments(net.edge_segment_rtree()),
-        };
-        Self { net, index, sample_m, params }
+    /// [`MapMatcher::new`], kept only because the benchmark driver names it (ROADMAP item 5).
+    pub fn with_index(net: &'a RoadNetwork, params: MatchParams, _kind: SpatialIndexKind) -> Self {
+        Self::new(net, params)
     }
 
     /// The underlying network.
@@ -100,15 +82,12 @@ impl<'a> MapMatcher<'a> {
     /// Candidate edges near `p` with their true geometric distances.
     fn candidates(&self, frame: &LocalFrame, p: &RawPoint) -> Vec<(EdgeId, f64)> {
         let mut seen: Vec<(EdgeId, f64)> = Vec::new();
-        let query_radius = self.params.candidate_radius_m + self.sample_m / 2.0;
-        let mut hits: Vec<EdgeId> = match &self.index {
-            EdgeIndex::Grid(g) => {
-                g.within_radius(&p.point, query_radius).into_iter().map(|(e, _)| e).collect()
-            }
-            EdgeIndex::Segments(t) => {
-                t.within_radius(&p.point, query_radius).into_iter().map(|(e, _)| e).collect()
-            }
-        };
+        let mut hits: Vec<EdgeId> = self
+            .index
+            .within_radius(&p.point, self.query_radius_m)
+            .into_iter()
+            .map(|(e, _)| e)
+            .collect();
         hits.sort_unstable();
         hits.dedup();
         for e in hits {
@@ -394,19 +373,27 @@ mod tests {
     }
 
     #[test]
-    fn grid_and_rtree_backends_match_identically() {
+    fn candidates_match_a_scan_of_every_edge() {
         let (net, _, _, _) = parallel_roads();
-        let grid = MapMatcher::with_index(&net, MatchParams::default(), SpatialIndexKind::Grid);
-        let tree = MapMatcher::with_index(&net, MatchParams::default(), SpatialIndexKind::Rtree);
-        // A noisy drive that exercises candidates near both roads, the
-        // connector corner, and the off-map fallback.
+        // A noisy drive that puts samples near both roads (the north road
+        // sits right at the default 200 m radius from the south one), the
+        // connector corner, and off the map.
         let mut pts = pts_along(base(), 90.0, 20, 160.0, &[0.0, 40.0, -30.0, 90.0]);
         pts.push(RawPoint { point: base().destination(180.0, 3_000.0), t: Timestamp(10_000) });
         let frame = MapMatcher::frame_for(&pts);
-        for p in &pts {
-            assert_eq!(grid.candidates(&frame, p), tree.candidates(&frame, p));
+        // Radii below, at and above both ends of the pad's clamp.
+        for radius in [60.0, 170.0, 200.0, 230.0, 500.0] {
+            let params = MatchParams { candidate_radius_m: radius, ..MatchParams::default() };
+            let m = MapMatcher::new(&net, params);
+            for p in &pts {
+                let want: Vec<(EdgeId, f64)> = net
+                    .edges()
+                    .iter()
+                    .map(|e| (e.id, m.dist_to_edge(&frame, p, e.id)))
+                    .filter(|&(_, d)| d <= radius)
+                    .collect();
+                assert_eq!(m.candidates(&frame, p), want, "radius {radius}");
+            }
         }
-        assert_eq!(grid.match_nearest(&pts), tree.match_nearest(&pts));
-        assert_eq!(grid.match_hmm(&pts), tree.match_hmm(&pts));
     }
 }

@@ -8,12 +8,13 @@
 //! The grid is built once per call: every point is projected into a local
 //! planar frame a single time, and the point indices are counting-sorted by
 //! cell into one array, so the cells of a grid row are one contiguous run
-//! and a query scans five runs with no allocation. Frame, cell arithmetic
-//! and the `sqrt(dx² + dy²) <= ε` test are those of
-//! [`stmaker_geo::GridIndex`], so the ε-neighbourhoods are exactly the
-//! ones a `GridIndex` query returns. Labels depend only on which points
-//! are neighbours and on the outer scan order over points, never on the
-//! order neighbours are visited within one cluster expansion.
+//! and a query scans five runs with no allocation. The frame is centred on
+//! the points' enclosing box inflated by 1e-4°, and two points are
+//! neighbours when `sqrt(dx² + dy²) <= ε` on their `to_xy` coordinates in
+//! that frame — the same float expression as `LocalFrame::dist_m`. Labels
+//! depend only on which points are neighbours and on the outer scan order
+//! over points, never on the order neighbours are visited within one
+//! cluster expansion.
 
 use stmaker_geo::{BoundingBox, GeoPoint, LocalFrame};
 
@@ -152,8 +153,8 @@ impl FlatGrid {
         out.clear();
         let (cx, cy) = self.cell[i];
         let (qx, qy) = self.xy[i];
-        // `GridIndex`'s reach for a radius of one cell, ceil(ε / ε) + 1: the
-        // spare ring keeps a neighbour that rounding puts two cells over.
+        // Two cells, not one: the spare ring keeps a neighbour that rounding
+        // puts two cells over.
         let reach = 2;
         let x0 = cx.saturating_sub(reach);
         let x1 = (cx + reach).min(self.cols - 1);

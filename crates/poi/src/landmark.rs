@@ -7,15 +7,7 @@
 use crate::cluster::{centroids, dbscan, DbscanParams};
 use crate::poi::Poi;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use stmaker_geo::{GeoPoint, GridIndex, RTree, SpatialIndexKind, SpatialStats};
-
-thread_local! {
-    /// Reusable per-probe hit scratch for the grid fallback of
-    /// [`LandmarkRegistry::candidates_along`], so batch workers stop
-    /// allocating a fresh `Vec` per probe point (PR-5 scratch pattern).
-    static HIT_SCRATCH: RefCell<Vec<(LandmarkId, f64)>> = const { RefCell::new(Vec::new()) };
-}
+use stmaker_geo::{GeoPoint, RTree, SpatialStats};
 
 /// Index of a [`Landmark`] within its [`LandmarkRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -46,39 +38,16 @@ pub struct Landmark {
     pub significance: f64,
 }
 
-/// Grid cell size for the landmark index, in metres (≈ calibration radius).
-const LANDMARK_CELL_M: f64 = 300.0;
-
-/// The registry's spatial backend: the packed STR R-tree by default, with the
-/// uniform grid kept as a byte-identical escape hatch (`--spatial-index grid`).
-#[derive(Debug, Clone)]
-enum LandmarkIndex {
-    Grid(GridIndex<LandmarkId>),
-    Rtree(RTree<LandmarkId>),
-}
-
-impl LandmarkIndex {
-    fn build(landmarks: &[Landmark], kind: SpatialIndexKind) -> Self {
-        let items = landmarks.iter().map(|l| (l.id, l.point));
-        match kind {
-            SpatialIndexKind::Grid => Self::Grid(GridIndex::build(items, LANDMARK_CELL_M)),
-            SpatialIndexKind::Rtree => Self::Rtree(RTree::build_points(items)),
-        }
-    }
-
-    fn kind(&self) -> SpatialIndexKind {
-        match self {
-            Self::Grid(_) => SpatialIndexKind::Grid,
-            Self::Rtree(_) => SpatialIndexKind::Rtree,
-        }
-    }
+/// The registry's spatial index: a packed STR R-tree over landmark points.
+fn build_index(landmarks: &[Landmark]) -> RTree<LandmarkId> {
+    RTree::build_points(landmarks.iter().map(|l| (l.id, l.point)))
 }
 
 /// The merged landmark dataset with spatial lookup.
 #[derive(Debug, Clone)]
 pub struct LandmarkRegistry {
     landmarks: Vec<Landmark>,
-    index: LandmarkIndex,
+    index: RTree<LandmarkId>,
     /// Maps each input POI to the landmark its cluster produced (noise POIs
     /// map to `None`). Needed to transfer check-ins onto landmarks.
     poi_to_landmark: Vec<Option<LandmarkId>>,
@@ -139,7 +108,7 @@ impl LandmarkRegistry {
             });
         }
 
-        let index = LandmarkIndex::build(&landmarks, SpatialIndexKind::default());
+        let index = build_index(&landmarks);
         Self { landmarks, index, poi_to_landmark }
     }
 
@@ -148,22 +117,8 @@ impl LandmarkRegistry {
         for (i, l) in landmarks.iter_mut().enumerate() {
             l.id = LandmarkId(i as u32);
         }
-        let index = LandmarkIndex::build(&landmarks, SpatialIndexKind::default());
+        let index = build_index(&landmarks);
         Self { landmarks, index, poi_to_landmark: Vec::new() }
-    }
-
-    /// Which spatial backend the registry is currently using.
-    pub fn index_kind(&self) -> SpatialIndexKind {
-        self.index.kind()
-    }
-
-    /// Rebuilds the spatial index with the requested backend (no-op if it is
-    /// already in use). Both backends answer every query byte-identically;
-    /// the grid is kept as the `--spatial-index grid` escape hatch.
-    pub fn set_index_kind(&mut self, kind: SpatialIndexKind) {
-        if self.index.kind() != kind {
-            self.index = LandmarkIndex::build(&self.landmarks, kind);
-        }
     }
 
     /// All landmarks.
@@ -194,50 +149,28 @@ impl LandmarkRegistry {
 
     /// Nearest landmark to `p`.
     pub fn nearest(&self, p: &GeoPoint) -> Option<(LandmarkId, f64)> {
-        match &self.index {
-            LandmarkIndex::Grid(g) => g.nearest(p),
-            LandmarkIndex::Rtree(t) => t.nearest(p),
-        }
+        self.index.nearest(p)
     }
 
-    /// Landmarks within `radius_m` of `p`.
-    ///
-    /// Hit order is backend-specific (the grid reports cell-scan order, the
-    /// R-tree `(distance, id)` order); callers that need a canonical order
-    /// sort, or use [`LandmarkRegistry::k_nearest_within`].
+    /// Landmarks within `radius_m` of `p`, sorted by `(distance, id)`.
     pub fn within_radius(&self, p: &GeoPoint, radius_m: f64) -> Vec<(LandmarkId, f64)> {
-        match &self.index {
-            LandmarkIndex::Grid(g) => g.within_radius(p, radius_m),
-            LandmarkIndex::Rtree(t) => t.within_radius(p, radius_m),
-        }
+        self.index.within_radius(p, radius_m)
     }
 
     /// The `k` landmarks nearest to `p` among those within `radius_m`,
-    /// sorted by `(distance, id)` — identical under both backends.
+    /// sorted by `(distance, id)`.
     pub fn k_nearest_within(
         &self,
         p: &GeoPoint,
         k: usize,
         radius_m: f64,
     ) -> Vec<(LandmarkId, f64)> {
-        match &self.index {
-            LandmarkIndex::Grid(g) => {
-                let mut hits = g.within_radius(p, radius_m);
-                hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                hits.truncate(k);
-                hits
-            }
-            LandmarkIndex::Rtree(t) => t.k_nearest_within(p, k, radius_m),
-        }
+        self.index.k_nearest_within(p, k, radius_m)
     }
 
     /// Ids of all landmarks within `max_dist_m` of at least one point of
-    /// `path`, sorted and deduplicated — calibration's corridor query.
-    ///
-    /// The R-tree answers this with a single padded-rect traversal plus exact
-    /// refinement; the grid falls back to one ring scan per probe point
-    /// (through a thread-local scratch, so batch workers do not allocate per
-    /// probe). Both produce the identical id set.
+    /// `path`, sorted and deduplicated — calibration's corridor query,
+    /// answered with one padded-rect traversal plus exact refinement.
     pub fn candidates_along(
         &self,
         path: &[GeoPoint],
@@ -245,22 +178,7 @@ impl LandmarkRegistry {
         out: &mut Vec<LandmarkId>,
         stats: &mut SpatialStats,
     ) {
-        match &self.index {
-            LandmarkIndex::Grid(g) => {
-                out.clear();
-                HIT_SCRATCH.with(|scratch| {
-                    let mut hits = scratch.borrow_mut();
-                    for p in path {
-                        g.within_radius_into(p, max_dist_m, &mut hits);
-                        stats.candidates_refined += hits.len() as u64;
-                        out.extend(hits.iter().map(|(id, _)| *id));
-                    }
-                });
-                out.sort_unstable();
-                out.dedup();
-            }
-            LandmarkIndex::Rtree(t) => t.along_into(path, max_dist_m, out, stats),
-        }
+        self.index.along_into(path, max_dist_m, out, stats);
     }
 
     /// Sets landmark significances (parallel to [`Self::landmarks`] order).
@@ -381,27 +299,27 @@ mod tests {
     }
 
     #[test]
-    fn index_backends_answer_identically() {
-        let mut reg = sample_registry();
-        assert_eq!(reg.index_kind(), SpatialIndexKind::Rtree);
+    fn index_queries_agree_with_each_other() {
+        let reg = sample_registry();
         let probes: Vec<GeoPoint> =
             (0..6).map(|i| base().destination(40.0, 700.0 * i as f64)).collect();
 
-        let near_r = reg.nearest(&base());
-        let knn_r = reg.k_nearest_within(&base(), 3, 4_500.0);
-        let mut cand_r = Vec::new();
-        let mut stats = SpatialStats::default();
-        reg.candidates_along(&probes, 2_200.0, &mut cand_r, &mut stats);
-        assert!(stats.nodes_visited > 0);
+        let all = reg.within_radius(&base(), 4_500.0);
+        assert!(all.windows(2).all(|w| (w[0].1, w[0].0) <= (w[1].1, w[1].0)));
+        assert_eq!(reg.nearest(&base()), all.first().copied());
+        let knn = reg.k_nearest_within(&base(), 3, 4_500.0);
+        assert_eq!(knn, all[..3.min(all.len())]);
 
-        reg.set_index_kind(SpatialIndexKind::Grid);
-        assert_eq!(reg.index_kind(), SpatialIndexKind::Grid);
-        assert_eq!(reg.nearest(&base()), near_r);
-        assert_eq!(reg.k_nearest_within(&base(), 3, 4_500.0), knn_r);
-        let mut cand_g = Vec::new();
-        reg.candidates_along(&probes, 2_200.0, &mut cand_g, &mut SpatialStats::default());
-        assert_eq!(cand_g, cand_r);
-        assert!(!cand_r.is_empty());
+        let mut cand = Vec::new();
+        let mut stats = SpatialStats::default();
+        reg.candidates_along(&probes, 2_200.0, &mut cand, &mut stats);
+        assert!(stats.nodes_visited > 0);
+        assert!(!cand.is_empty());
+        let mut want: Vec<LandmarkId> =
+            probes.iter().flat_map(|p| reg.within_radius(p, 2_200.0)).map(|(id, _)| id).collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(cand, want);
     }
 
     #[test]

@@ -1,23 +1,33 @@
-//! `dbscan` against the `GridIndex` DBSCAN it replaced.
+//! `dbscan` against a brute-force DBSCAN.
 //!
-//! The reference asks a `GridIndex` for every ε-neighbourhood and collects
-//! each answer into a fresh `Vec`. The flat-grid implementation must give
-//! every point the same label and find the same number of clusters, since
-//! the labels decide which POIs merge into which landmark.
+//! The reference finds every ε-neighbourhood by testing each point against
+//! every other, in the frame `dbscan` uses (centred on the enclosing box
+//! inflated by 1e-4°) and with its `sqrt(dx² + dy²) <= ε` test on `to_xy`
+//! coordinates. The flat-grid implementation must give every point the same
+//! label and find the same number of clusters, since the labels decide which
+//! POIs merge into which landmark.
 
 use proptest::prelude::*;
-use stmaker_geo::{BoundingBox, GeoPoint, GridIndex, LocalFrame};
+use stmaker_geo::{BoundingBox, GeoPoint, LocalFrame};
 use stmaker_poi::cluster::Assignment;
 use stmaker_poi::{dbscan, DbscanParams};
 
-/// The `GridIndex` DBSCAN, kept only as an oracle.
+/// Textbook DBSCAN over an O(n²) ε-neighbourhood scan.
 fn reference_dbscan(points: &[GeoPoint], params: DbscanParams) -> (Vec<Assignment>, usize) {
     let n = points.len();
     if n == 0 {
         return (Vec::new(), 0);
     }
 
-    let index = GridIndex::build(points.iter().copied().enumerate(), params.eps_m);
+    let bbox = BoundingBox::enclosing(points).expect("points").inflate(1e-4);
+    let frame = LocalFrame::new(bbox.center());
+    let xy: Vec<(f64, f64)> = points.iter().map(|p| frame.to_xy(p)).collect();
+    let within_eps = |i: usize| -> Vec<usize> {
+        let (qx, qy) = xy[i];
+        (0..n)
+            .filter(|&j| ((qx - xy[j].0).powi(2) + (qy - xy[j].1).powi(2)).sqrt() <= params.eps_m)
+            .collect()
+    };
 
     const UNVISITED: usize = usize::MAX;
     const NOISE: usize = usize::MAX - 1;
@@ -28,8 +38,7 @@ fn reference_dbscan(points: &[GeoPoint], params: DbscanParams) -> (Vec<Assignmen
         if label[i] != UNVISITED {
             continue;
         }
-        let neighbours: Vec<usize> =
-            index.within_radius(&points[i], params.eps_m).into_iter().map(|(id, _)| id).collect();
+        let neighbours = within_eps(i);
         if neighbours.len() < params.min_pts {
             label[i] = NOISE;
             continue;
@@ -47,11 +56,7 @@ fn reference_dbscan(points: &[GeoPoint], params: DbscanParams) -> (Vec<Assignmen
                 continue;
             }
             label[j] = cluster;
-            let nbrs: Vec<usize> = index
-                .within_radius(&points[j], params.eps_m)
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect();
+            let nbrs = within_eps(j);
             if nbrs.len() >= params.min_pts {
                 queue.extend(nbrs);
             }
@@ -103,7 +108,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn matches_grid_index_reference((pts, params) in case_strategy()) {
+    fn matches_brute_force_reference((pts, params) in case_strategy()) {
         prop_assert_eq!(dbscan(&pts, params), reference_dbscan(&pts, params));
     }
 }
@@ -133,7 +138,7 @@ fn matches_reference_on_a_lattice_exactly_eps_apart() {
 
 #[test]
 fn matches_reference_when_eps_is_exactly_a_pair_distance() {
-    // eps set to a pair's planar distance in the grid's own frame, so the
+    // eps set to a pair's planar distance in dbscan's own frame, so the
     // inclusive `<=` decides whether that pair are neighbours.
     let pts: Vec<GeoPoint> =
         (0..12).map(|i| base().destination(37.0 * i as f64, 90.0 + 13.0 * i as f64)).collect();

@@ -2,7 +2,7 @@
 
 use crate::types::{Direction, RoadGrade};
 use serde::{Deserialize, Serialize};
-use stmaker_geo::{GeoPoint, GridIndex, Polyline, RTree};
+use stmaker_geo::{GeoPoint, Polyline, RTree};
 
 /// Index of a [`RoadNode`] within its [`RoadNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -167,20 +167,6 @@ impl RoadNetwork {
         &self.adj[n.0 as usize]
     }
 
-    /// Builds a spatial index of edge geometry samples for nearest-edge
-    /// queries (used by map matching). Each edge contributes samples every
-    /// `sample_m` metres along its geometry.
-    pub fn edge_index(&self, sample_m: f64) -> GridIndex<EdgeId> {
-        let mut items = Vec::new();
-        for e in &self.edges {
-            let rs = e.geometry.resample(sample_m);
-            for p in rs.points() {
-                items.push((e.id, *p));
-            }
-        }
-        GridIndex::build(items, sample_m.max(50.0))
-    }
-
     /// Builds a packed R-tree over the network's edge geometry, one segment
     /// entry per polyline leg, for exact nearest-edge candidate queries (no
     /// resampling: distances refine against the true segment geometry).
@@ -241,19 +227,6 @@ mod tests {
         let e = net.edge(e1);
         let expect = e.length_m / (60.0 / 3.6);
         assert!((e.free_flow_secs() - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn edge_index_finds_nearest_edge() {
-        let (net, _, [e1, e2]) = tiny_net();
-        let idx = net.edge_index(50.0);
-        // Query near the middle of edge 1.
-        let q = p(39.9002, 116.405);
-        let (hit, _) = idx.nearest(&q).unwrap();
-        assert_eq!(hit, e1);
-        let q2 = p(39.9002, 116.415);
-        let (hit2, _) = idx.nearest(&q2).unwrap();
-        assert_eq!(hit2, e2);
     }
 
     #[test]

@@ -207,7 +207,7 @@ mod tests {
         // Regression for the k_nearest_within switch: a dense ring of
         // landmarks (including exact distance ties) must annotate with the
         // same names, in the same order, as the old within_radius + sort +
-        // take(max_nearby) lookup — under both spatial backends.
+        // take(max_nearby) lookup.
         let mut net = RoadNetwork::new();
         let a = net.add_node(base());
         let b = net.add_node(base().destination(90.0, 1_000.0));
@@ -226,7 +226,7 @@ mod tests {
         for i in 0..12 {
             lms.push(lm(2 + i, base().destination(30.0 * i as f64, 60.0 + 5.0 * i as f64)));
         }
-        let mut registry = LandmarkRegistry::from_landmarks(lms);
+        let registry = LandmarkRegistry::from_landmarks(lms);
         let raw = RawTrajectory::new(vec![
             RawPoint { point: base(), t: Timestamp(0) },
             RawPoint { point: base().destination(90.0, 10.0), t: Timestamp(10) },
@@ -241,12 +241,8 @@ mod tests {
                 .map(|(id, _)| registry.get(id).name.clone())
                 .collect::<Vec<_>>()
         };
-        let sem = annotate(&raw, &net, &registry, params.clone());
+        let sem = annotate(&raw, &net, &registry, params);
         assert_eq!(sem.points[0].annotation.nearby, reference);
-
-        registry.set_index_kind(stmaker_geo::SpatialIndexKind::Grid);
-        let sem_grid = annotate(&raw, &net, &registry, params);
-        assert_eq!(sem_grid.points[0].annotation.nearby, reference);
     }
 
     #[test]

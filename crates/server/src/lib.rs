@@ -204,7 +204,7 @@ pub struct Server<'w> {
     registry: &'w LandmarkRegistry,
     cfg: ServeConfig,
     /// Template config each generation's summarizer is assembled from
-    /// (threads, route-cache size, spatial index, recorder).
+    /// (threads, route-cache size, recorder).
     base_cfg: SummarizerConfig,
     listener: TcpListener,
     addr: SocketAddr,
@@ -221,7 +221,7 @@ impl<'w> Server<'w> {
     /// Binds the listen socket and installs `model` as generation 1.
     ///
     /// `base_cfg` carries the serving-path knobs every generation shares —
-    /// threads, `--route-cache` capacity, spatial index, recorder; the
+    /// threads, `--route-cache` capacity, recorder; the
     /// feature set is the standard one with uniform weights, matching the
     /// CLI serving path.
     pub fn bind(
