@@ -547,22 +547,11 @@ fn write_trip_as(path: &Path, traj: &RawTrajectory, fmt: TripFormat) -> Result<(
     }
 }
 
-/// Summarizes at the optimal granularity (`k == 0`) or with exactly `k`
-/// partitions.
-fn summarize_at(
-    summarizer: &Summarizer<'_>,
-    raw: &RawTrajectory,
-    k: usize,
-) -> Result<stmaker::Summary, String> {
-    if k == 0 { summarizer.summarize(raw) } else { summarizer.summarize_k(raw, k) }
-        .map_err(|e| e.to_string())
-}
-
 fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
     let opts = Opts::new(args, &["--seed", "--hour", "--k", "--trip", "--repeat"])?;
     let seed: u64 = opts.parse("--seed", 2024)?;
     let hour: f64 = opts.parse("--hour", 8.5)?;
-    let k: usize = opts.parse("--k", 0)?;
+    let k = Some(opts.parse::<usize>("--k", 0)?).filter(|&k| k > 0);
     let repeat: usize = opts.parse("--repeat", 1)?;
 
     // `--trip FILE` summarizes a file against the demo world instead of a
@@ -576,7 +565,7 @@ fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
 
     if let Some(raw) = file_trip {
         println!("trip: {} samples", raw.len());
-        let summary = summarize_at(&summarizer, &raw, k)?;
+        let summary = summarizer.summarize(raw.points(), k).map_err(|e| e.to_string())?;
         println!("\n{}", summary.text);
         return Ok(());
     }
@@ -593,7 +582,7 @@ fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
         hour as u32,
         ((hour % 1.0) * 60.0) as u32,
     );
-    let summary = summarize_at(&summarizer, &trip.raw, k)?;
+    let summary = summarizer.summarize(trip.raw.points(), k).map_err(|e| e.to_string())?;
     println!("\n{}", summary.text);
 
     // `--repeat N` re-summarizes the same trip as an N-copy batch: every
@@ -601,13 +590,9 @@ fn cmd_demo(args: &[String], obs: &Obs) -> Result<(), String> {
     // the printed hit rate shows what a repeated-pair serving workload
     // gets out of `--route-cache`.
     if repeat > 1 {
-        let trips = vec![trip.raw.clone(); repeat];
+        let trips = vec![trip.raw.points(); repeat];
         let t0 = std::time::Instant::now();
-        let results = if k == 0 {
-            summarizer.summarize_batch(&trips)
-        } else {
-            summarizer.summarize_batch_k(&trips, k)
-        };
+        let results = summarizer.summarize_batch(&trips, k);
         let elapsed = t0.elapsed();
         let ok = results.iter().filter(|r| r.is_ok()).count();
         eprintln!("\nre-summarized {repeat} copies in {elapsed:.1?} ({ok} ok)");
@@ -809,13 +794,13 @@ fn cmd_summarize(args: &[String], obs: &Obs) -> Result<(), String> {
     let opts = Opts::new(args, &["--dir", "--trip", "--k", "--model", "--geojson"])?;
     let dir = PathBuf::from(opts.require("--dir")?);
     let trip_file = opts.require("--trip")?;
-    let k: usize = opts.parse("--k", 0)?;
+    let k = Some(opts.parse::<usize>("--k", 0)?).filter(|&k| k > 0);
 
     let raw = load_trip(&dir.join(trip_file), obs)?;
 
     let (stack, model) = Stack::start(&dir, opts.get("--model"), obs.recorder.clone(), obs)?;
     let summarizer = stack.summarizer(model, 300)?;
-    let summary = summarize_at(&summarizer, &raw, k)?;
+    let summary = summarizer.summarize(raw.points(), k).map_err(|e| e.to_string())?;
 
     println!("{}", summary.text);
     if let Some(out) = opts.get("--geojson") {
@@ -886,7 +871,7 @@ fn cmd_search(args: &[String], obs: &Obs) -> Result<(), String> {
                 continue;
             }
         };
-        if let Ok(s) = summarizer.summarize(&raw) {
+        if let Ok(s) = summarizer.summarize(raw.points(), None) {
             names.push(p.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_owned());
             texts.push(s.text);
         }

@@ -85,7 +85,7 @@ impl Summarizer<'_> {
             return Err(GroupError::InvalidMinShare(min_share));
         }
         let members: Vec<Summary> =
-            self.summarize_batch(trips).into_iter().filter_map(Result::ok).collect();
+            self.summarize_batch(trips, None).into_iter().filter_map(Result::ok).collect();
         if members.is_empty() {
             return Err(GroupError::NothingSummarizable);
         }

@@ -31,7 +31,7 @@
 //! let summarizer = Summarizer::train(
 //!     net, registry, training, features, weights, SummarizerConfig::default(),
 //! );
-//! let summary = summarizer.summarize(trip).expect("calibratable trip");
+//! let summary = summarizer.summarize(trip.points(), None).expect("calibratable trip");
 //! println!("{}", summary.text);
 //! // e.g. "The car started from the Daoxiang Community to the Haidian
 //! //       Hospital with 2 staying points (in total for 167 seconds)."

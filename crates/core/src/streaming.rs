@@ -293,10 +293,10 @@ impl StreamingSummarizer {
 
     /// Re-summarizes the buffered prefix; returns whether a fresh summary
     /// was produced. Summarizes the buffer in place ([`Summarizer::
-    /// summarize_points`]) — cloning it here would cost O(n²) allocation
-    /// over a trip's worth of refreshes.
+    /// summarize`] takes a sample slice) — cloning it here would cost
+    /// O(n²) allocation over a trip's worth of refreshes.
     fn refresh(&mut self, summarizer: &Summarizer<'_>) -> bool {
-        match summarizer.summarize_points(&self.buffer) {
+        match summarizer.summarize(&self.buffer, None) {
             Ok(summary) => {
                 self.current = Some(summary);
                 true
@@ -314,12 +314,9 @@ impl StreamingSummarizer {
             // when the trip ended between refreshes.
             self.publish_windows(summarizer, self.window_index(last.t.0));
         }
-        if self.buffer.len() < 2 {
-            return Err(SummarizeError::Input(TrajectoryError::TooFewPoints {
-                got: self.buffer.len(),
-            }));
-        }
-        summarizer.summarize_points(&self.buffer)
+        // Fewer than two samples is `SummarizeError::Input` from the
+        // summarizer's own validation.
+        summarizer.summarize(&self.buffer, None)
     }
 }
 

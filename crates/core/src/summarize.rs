@@ -7,8 +7,9 @@
 //!
 //! [`Summarizer::train`] builds the historical knowledge (popular routes +
 //! feature map) from a training corpus, mirroring Sec. VII-A's 50k-trajectory
-//! training split; [`Summarizer::summarize`] / [`Summarizer::summarize_k`]
-//! then summarize unseen trajectories.
+//! training split; [`Summarizer::summarize`] then summarizes unseen
+//! trajectories at the optimal granularity or with exactly `k` partitions,
+//! and [`Summarizer::summarize_batch`] does the same for many trips at once.
 
 use crate::context::{
     extract_segment_data, nearest_landmark_name, segment_context, ExtractionParams, SegmentData,
@@ -285,24 +286,6 @@ pub struct Summarizer<'a> {
     route_cache: Option<RouteMemo>,
 }
 
-/// A trip the batch worker loop accepts: valid by construction, or a raw
-/// buffer validated inside its worker.
-trait BatchTrip: Sync {
-    fn raw_view(&self) -> Result<RawView<'_>, TrajectoryError>;
-}
-
-impl BatchTrip for RawTrajectory {
-    fn raw_view(&self) -> Result<RawView<'_>, TrajectoryError> {
-        Ok(self.view())
-    }
-}
-
-impl BatchTrip for Vec<RawPoint> {
-    fn raw_view(&self) -> Result<RawView<'_>, TrajectoryError> {
-        RawView::try_new(self)
-    }
-}
-
 /// The route memo a config asks for (`None` when disabled).
 fn build_route_cache(cfg: &SummarizerConfig) -> Option<RouteMemo> {
     (cfg.route_cache > 0).then(|| RouteMemo::new(cfg.route_cache))
@@ -563,80 +546,41 @@ impl<'a> Summarizer<'a> {
         Ok(Prepared { symbolic, data, seg_values })
     }
 
-    /// Opens the root telemetry span for one end-to-end summarization and
-    /// records the requested granularity.
-    fn summarize_span(&self, k: Option<usize>) -> stmaker_obs::Span {
-        let span = self.cfg.recorder.span("summarize");
-        if let Some(k) = k {
-            self.cfg.recorder.gauge("summarize.requested_k", k as f64); // cast-ok: small k
-        }
-        span
-    }
-
-    /// Summarizes with the globally optimal partition (Eq. 4) — STMaker's
-    /// default granularity.
-    pub fn summarize(&self, raw: &RawTrajectory) -> Result<Summary, SummarizeError> {
-        let _root = self.summarize_span(None);
-        let prepared = self.prepare(raw)?;
-        self.summarize_prepared(&prepared, None)
-    }
-
-    /// Summarizes with exactly `k` partitions (Algorithm 1).
-    pub fn summarize_k(&self, raw: &RawTrajectory, k: usize) -> Result<Summary, SummarizeError> {
-        let _root = self.summarize_span(Some(k));
-        let prepared = self.prepare(raw)?;
-        self.summarize_prepared(&prepared, Some(k))
-    }
-
-    /// Summarizes straight out of a borrowed sample buffer — the zero-copy
-    /// path used by [`crate::streaming::StreamingSummarizer`], which would
-    /// otherwise clone its whole buffer into an owned trajectory on every
-    /// refresh.
+    /// Summarizes one trip straight out of its sample buffer: with the
+    /// globally optimal partition (Eq. 4) when `k` is `None`, with exactly
+    /// `k` partitions (Algorithm 1) when it is `Some(k)`. A
+    /// [`RawTrajectory`] passes its [`RawTrajectory::points`].
     ///
     /// Never panics: a buffer violating the [`RawView`] invariants (too few
     /// samples, defective coordinates, decreasing timestamps) returns
     /// [`SummarizeError::Input`].
-    pub fn summarize_points(&self, points: &[RawPoint]) -> Result<Summary, SummarizeError> {
+    pub fn summarize(
+        &self,
+        points: &[RawPoint],
+        k: Option<usize>,
+    ) -> Result<Summary, SummarizeError> {
         let raw = RawView::try_new(points)?;
-        let _root = self.summarize_span(None);
-        let prepared = self.prepare_view(raw, &self.cfg.recorder)?;
-        self.summarize_prepared(&prepared, None)
+        let obs = &self.cfg.recorder;
+        let _root = obs.span("summarize");
+        if let Some(k) = k {
+            obs.gauge("summarize.requested_k", k as f64); // cast-ok: small k
+        }
+        let prepared = self.prepare_view(raw, obs)?;
+        self.summarize_prepared(&prepared, k)
     }
 
-    /// Summarizes many trajectories in parallel over `cfg.threads` workers
-    /// (default granularity). Results are index-aligned with `trips` —
-    /// exactly what mapping [`Self::summarize`] over the slice would
-    /// return, computed on however many workers are configured.
-    pub fn summarize_batch(&self, trips: &[RawTrajectory]) -> Vec<Result<Summary, SummarizeError>> {
-        self.summarize_batch_inner(trips, None)
+    /// [`Self::summarize`] with `k = None`, kept only for the benchmark driver (ROADMAP item 5).
+    pub fn summarize_points(&self, points: &[RawPoint]) -> Result<Summary, SummarizeError> {
+        self.summarize(points, None)
     }
 
-    /// [`Self::summarize_batch`] with exactly `k` partitions per trip.
-    pub fn summarize_batch_k(
-        &self,
-        trips: &[RawTrajectory],
-        k: usize,
-    ) -> Vec<Result<Summary, SummarizeError>> {
-        self.summarize_batch_inner(trips, Some(k))
-    }
-
-    /// Summarizes many *untrusted* sample buffers in parallel — the batch
-    /// analogue of [`Self::summarize_points`]. Where [`Self::summarize_batch`]
-    /// takes [`RawTrajectory`] values that are valid by construction, this
-    /// accepts raw buffers straight off disk: each is validated inside its
-    /// worker, and a defective buffer yields [`SummarizeError::Input`] at its
-    /// index while every other trip still summarizes. Results stay
-    /// index-aligned and byte-identical at any `cfg.threads`.
-    pub fn summarize_batch_points(
-        &self,
-        trips: &[Vec<RawPoint>],
-    ) -> Vec<Result<Summary, SummarizeError>> {
-        self.summarize_batch_inner(trips, None)
-    }
-
-    /// The one batch worker loop behind every batch entry point; the trip
-    /// type only decides how a trip becomes a [`RawView`].
-    fn summarize_batch_inner<T: BatchTrip>(
+    /// Summarizes many trips in parallel over `cfg.threads` workers, each
+    /// as [`Self::summarize`] would with the same `k`. Each sample buffer
+    /// is validated inside its worker, so a defective one yields
+    /// [`SummarizeError::Input`] at its index while every other trip still
+    /// summarizes. Results are index-aligned with `trips` and
+    /// byte-identical at any `cfg.threads`.
+    pub fn summarize_batch<T: AsRef<[RawPoint]> + Sync>(
         &self,
         trips: &[T],
         k: Option<usize>,
@@ -657,15 +601,24 @@ impl<'a> Summarizer<'a> {
             // lint: wallclock — per-trip duration is replayed to obs in input order, never folded into summaries
             let t0 = Instant::now();
             let local = if detailed { Recorder::enabled() } else { Recorder::disabled() };
-            let r = trip.raw_view().map_err(SummarizeError::Input).and_then(|raw| {
-                self.prepare_view(raw, &local)
-                    .and_then(|p| self.summarize_prepared_obs(&p, k, &local))
-            });
+            let r =
+                RawView::try_new(trip.as_ref()).map_err(SummarizeError::Input).and_then(|raw| {
+                    self.prepare_view(raw, &local)
+                        .and_then(|p| self.summarize_prepared_obs(&p, k, &local))
+                });
             (r, t0.elapsed(), detailed.then(|| local.report()))
         });
         let out = self.collect_batch(timed);
         self.record_cache_delta(cache_before);
         out
+    }
+
+    /// [`Self::summarize_batch`] with `k = None`, kept only for the benchmark driver (ROADMAP item 5).
+    pub fn summarize_batch_points(
+        &self,
+        trips: &[Vec<RawPoint>],
+    ) -> Vec<Result<Summary, SummarizeError>> {
+        self.summarize_batch(trips, None)
     }
 
     /// The route cache's counters before a call that reports their delta

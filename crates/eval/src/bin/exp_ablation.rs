@@ -38,8 +38,12 @@ fn main() {
         let weights = FeatureWeights::uniform(&features);
         let cfg = SummarizerConfig { eta, ..SummarizerConfig::default() };
         let s = h.train_summarizer(features, weights, cfg);
-        let summaries: Vec<_> =
-            h.test.iter().take(n_trips).filter_map(|t| s.summarize(&t.raw).ok()).collect();
+        let summaries: Vec<_> = h
+            .test
+            .iter()
+            .take(n_trips)
+            .filter_map(|t| s.summarize(t.raw.points(), None).ok())
+            .collect();
         let ffs = feature_frequency(&summaries, &keys6);
         let mean_sel: f64 = summaries
             .iter()
@@ -74,7 +78,7 @@ fn main() {
             .test
             .iter()
             .take(n_trips)
-            .filter_map(|t| s.summarize(&t.raw).ok())
+            .filter_map(|t| s.summarize(t.raw.points(), None).ok())
             .map(|su| su.partitions.len())
             .collect();
         let mean = counts.iter().sum::<usize>() as f64 / counts.len().max(1) as f64;
@@ -99,8 +103,12 @@ fn main() {
         let mut cfg = SummarizerConfig::default();
         cfg.extraction.hmm_matching = hmm;
         let s = h.train_summarizer(features, weights, cfg);
-        let summaries: Vec<_> =
-            h.test.iter().take(n_trips).filter_map(|t| s.summarize(&t.raw).ok()).collect();
+        let summaries: Vec<_> = h
+            .test
+            .iter()
+            .take(n_trips)
+            .filter_map(|t| s.summarize(t.raw.points(), None).ok())
+            .collect();
         let ffs = feature_frequency(&summaries, &keys6);
         let mut row = vec![label.to_string()];
         for k in &keys6 {

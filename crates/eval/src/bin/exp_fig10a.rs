@@ -41,8 +41,12 @@ fn main() {
         let features = stmaker::standard_features();
         let weights = FeatureWeights::uniform(&features).with(&features, keys::SPEED, w_spe);
         summarizer.set_weights(weights);
-        let summaries: Vec<_> =
-            h.test.iter().take(n_trips).filter_map(|t| summarizer.summarize(&t.raw).ok()).collect();
+        let summaries: Vec<_> = h
+            .test
+            .iter()
+            .take(n_trips)
+            .filter_map(|t| summarizer.summarize(t.raw.points(), None).ok())
+            .collect();
         let ffs = feature_frequency(&summaries, &keys6);
         let mut row = vec![format!("w_Spe = {w_spe}")];
         for k in &keys6 {

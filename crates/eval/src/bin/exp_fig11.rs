@@ -32,7 +32,9 @@ fn main() {
     let pool: Vec<_> = h
         .test
         .iter()
-        .filter_map(|t| summarizer.summarize(&t.raw).ok().map(|s| (s, t.truth.clone())))
+        .filter_map(|t| {
+            summarizer.summarize(t.raw.points(), None).ok().map(|s| (s, t.truth.clone()))
+        })
         .collect();
     println!("pool: {} graded summaries", pool.len());
 

@@ -89,7 +89,7 @@ fn main() {
     // spans, merged worker counters, top-K slowest-trip exemplars) so
     // this binary emits the full report schema.
     let batch: Vec<_> = trips.iter().take(40).cloned().collect();
-    let batch_ok = summarizer.summarize_batch(&batch).iter().filter(|r| r.is_ok()).count();
+    let batch_ok = summarizer.summarize_batch(&batch, None).iter().filter(|r| r.is_ok()).count();
     println!("batch leg: {batch_ok}/{} trips ok", batch.len());
 
     // Per-stage telemetry for the whole run (training + every timed

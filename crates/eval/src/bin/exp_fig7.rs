@@ -22,7 +22,7 @@ fn main() {
     let mut best: Option<(usize, _, _)> = None;
     for _ in 0..120 {
         let Some(trip) = gen.generate_at(2, 8.4, &mut rng) else { continue };
-        let Ok(summary) = summarizer.summarize(&trip.raw) else { continue };
+        let Ok(summary) = summarizer.summarize(trip.raw.points(), None) else { continue };
         let events: usize = summary.partitions.iter().map(|p| p.selected.len()).sum();
         if best.as_ref().map(|(b, _, _)| events > *b).unwrap_or(true) {
             best = Some((events, trip, summary));

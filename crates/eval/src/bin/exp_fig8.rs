@@ -44,7 +44,7 @@ fn main() {
             let Some(trip) = gen.generate_at((attempts % 30) as i64, hour, &mut rng) else {
                 continue;
             };
-            let Ok(summary) = summarizer.summarize(&trip.raw) else { continue };
+            let Ok(summary) = summarizer.summarize(trip.raw.points(), None) else { continue };
             items.push((hour, summary));
             made += 1;
         }

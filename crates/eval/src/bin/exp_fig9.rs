@@ -27,7 +27,7 @@ fn main() {
     let summarizer = h.train_default();
 
     let summaries: Vec<_> =
-        h.test.iter().filter_map(|t| summarizer.summarize(&t.raw).ok()).collect();
+        h.test.iter().filter_map(|t| summarizer.summarize(t.raw.points(), None).ok()).collect();
     println!("summarized {} of {} test trips", summaries.len(), h.test.len());
 
     let usage = usage_by_significance_decile(&h.world.registry, &summaries);

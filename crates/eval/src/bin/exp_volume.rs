@@ -41,7 +41,7 @@ fn main() {
     let mut summary_bytes = 0usize;
     let mut n = 0usize;
     for trip in h.test.iter().take(n_trips) {
-        let Ok(summary) = summarizer.summarize(&trip.raw) else { continue };
+        let Ok(summary) = summarizer.summarize(trip.raw.points(), None) else { continue };
         raw_bytes += write_trajectory_csv(&trip.raw).len();
         semantic_bytes +=
             annotate(&trip.raw, &h.world.net, &h.world.registry, AnnotateParams::default())

@@ -169,7 +169,7 @@ mod tests {
         let h = Harness::new(scale);
         let s = h.train_default();
         let trip = &h.test[0];
-        let summary = s.summarize(&trip.raw).expect("summarizable");
+        let summary = s.summarize(trip.raw.points(), None).expect("summarizable");
         let html =
             render_trip_report(&h.world.net, &h.world.registry, &trip.raw, &summary, "Test trip");
         assert!(html.starts_with("<!DOCTYPE html>"));

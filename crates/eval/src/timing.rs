@@ -39,7 +39,7 @@ pub fn time_by_symbolic_len(
         };
         // lint: wallclock — timing harness: measured durations are the experiment's output by design
         let t0 = Instant::now();
-        let _ = summarizer.summarize(raw);
+        let _ = summarizer.summarize(raw.points(), None);
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         sums[bi] += dt;
         counts[bi] += 1;
@@ -67,7 +67,7 @@ pub fn time_by_k(
             for raw in trips {
                 // lint: wallclock — timing harness: measured durations are the experiment's output by design
                 let t0 = Instant::now();
-                if summarizer.summarize_k(raw, k).is_ok() {
+                if summarizer.summarize(raw.points(), Some(k)).is_ok() {
                     sum += t0.elapsed().as_secs_f64() * 1e3;
                     n += 1;
                 }

@@ -22,9 +22,10 @@
 //! A served summary is **byte-identical** to what `stmaker-cli summarize`
 //! prints for the same input: both front ends decode trips through the one
 //! `stmaker_io::decode` entry point under the same [`SanitizePolicy`] and
-//! call the same [`Summarizer`] entry points (the batch endpoint fans out
-//! through the `stmaker-exec` pool inside [`Summarizer::summarize_batch`],
-//! whose merge is index-preserving). The e2e tests and the CI "Serve
+//! call the same two [`Summarizer`] entry points with the same `k`:
+//! [`Summarizer::summarize`] for one trip, and [`Summarizer::summarize_batch`]
+//! for the batch endpoint, which fans out through the `stmaker-exec` pool
+//! with an index-preserving merge. The e2e tests and the CI "Serve
 //! smoke" step `cmp` the two byte-for-byte.
 //!
 //! # Model hot-swap and the cache-generation invariant
@@ -134,15 +135,12 @@ pub enum ServeError {
         /// The OS-level failure.
         message: String,
     },
-    /// The initial model does not fit the serving registry.
-    Model(SummarizeError),
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Bind { addr, message } => write!(f, "cannot bind {addr}: {message}"),
-            ServeError::Model(e) => write!(f, "cannot load model: {e}"),
         }
     }
 }
@@ -218,27 +216,6 @@ pub struct Server<'w> {
 }
 
 impl<'w> Server<'w> {
-    /// Binds the listen socket and installs `model` as generation 1.
-    ///
-    /// `base_cfg` carries the serving-path knobs every generation shares —
-    /// threads, `--route-cache` capacity, recorder; the
-    /// feature set is the standard one with uniform weights, matching the
-    /// CLI serving path.
-    pub fn bind(
-        net: &'w RoadNetwork,
-        registry: &'w LandmarkRegistry,
-        model: TrainedModel,
-        base_cfg: SummarizerConfig,
-        cfg: ServeConfig,
-    ) -> Result<Self, ServeError> {
-        let features = standard_features();
-        let weights = FeatureWeights::uniform(&features);
-        let summarizer =
-            Summarizer::try_from_model(net, registry, model, features, weights, base_cfg)
-                .map_err(ServeError::Model)?;
-        Self::from_summarizer(summarizer, cfg)
-    }
-
     /// Binds the listen socket and serves `summarizer` as generation 1.
     /// Hot-swapped models are assembled over the same world with the same
     /// config; the feature set is the standard one with uniform weights.
@@ -562,12 +539,15 @@ impl<'w> Server<'w> {
         }
     }
 
-    fn parse_k(req: &Request) -> Result<usize, Response> {
+    /// The requested partition count: `None` (the optimal partition) when
+    /// `k` is absent or `0`.
+    fn parse_k(req: &Request) -> Result<Option<usize>, Response> {
         match req.query("k") {
-            None => Ok(0),
-            Some(v) => {
-                v.parse::<usize>().map_err(|_| Response::error(400, &format!("bad k param {v:?}")))
-            }
+            None => Ok(None),
+            Some(v) => v
+                .parse::<usize>()
+                .map(|k| (k > 0).then_some(k))
+                .map_err(|_| Response::error(400, &format!("bad k param {v:?}"))),
         }
     }
 
@@ -593,13 +573,7 @@ impl<'w> Server<'w> {
             Ok(raw) => raw,
             Err(e) => return decode_rejected(&e),
         };
-        let gen = self.current();
-        let result = if k == 0 {
-            gen.summarizer.summarize(&raw)
-        } else {
-            gen.summarizer.summarize_k(&raw, k)
-        };
-        match result {
+        match self.current().summarizer.summarize(raw.points(), k) {
             // Trailing newline matches `stmaker-cli summarize`'s `println!`
             // so the two outputs `cmp` equal.
             Ok(s) => Response::text(200, format!("{}\n", s.text)),
@@ -654,12 +628,7 @@ impl<'w> Server<'w> {
 
         // The throughput path: fans out through the stmaker-exec pool,
         // deterministic index-preserving merge.
-        let gen = self.current();
-        let results = if k == 0 {
-            gen.summarizer.summarize_batch(&trips)
-        } else {
-            gen.summarizer.summarize_batch_k(&trips, k)
-        };
+        let results = self.current().summarizer.summarize_batch(&trips, k);
         for (i, result) in at.into_iter().zip(results) {
             lines[i] = match result {
                 Ok(s) => s.text,

@@ -70,6 +70,12 @@ impl Fixture {
         .expect("registry matches")
     }
 
+    /// Binds a server on `model`, built by [`Self::summarizer`] and served
+    /// through [`Server::from_summarizer`] as `serve` does.
+    fn server(&self, model: TrainedModel, cfg: SummarizerConfig, serve: ServeConfig) -> Server<'_> {
+        Server::from_summarizer(self.summarizer(model, cfg), serve).expect("bind")
+    }
+
     /// What the CLI path would print for each trip CSV (text + newline),
     /// or None where summarization errors.
     fn reference_texts(&self, summarizer: &Summarizer<'_>) -> Vec<Option<String>> {
@@ -77,7 +83,7 @@ impl Fixture {
             .iter()
             .map(|csv| {
                 let points = read_trajectory_csv(csv).expect("fixture parses").points().to_vec();
-                summarizer.summarize_points(&points).ok().map(|s| format!("{}\n", s.text))
+                summarizer.summarize(&points, None).ok().map(|s| format!("{}\n", s.text))
             })
             .collect()
     }
@@ -155,14 +161,7 @@ fn concurrent_clients_get_cli_identical_bytes() {
         for route_cache in [0usize, 64] {
             let base_cfg =
                 SummarizerConfig::default().with_threads(threads).with_route_cache(route_cache);
-            let server = Server::bind(
-                &fx.world.net,
-                &fx.world.registry,
-                fx.train(60, 1001),
-                base_cfg,
-                ServeConfig::default(),
-            )
-            .expect("bind");
+            let server = fx.server(fx.train(60, 1001), base_cfg, ServeConfig::default());
             with_running(&server, |addr| {
                 std::thread::scope(|s| {
                     for _client in 0..3 {
@@ -221,14 +220,11 @@ fn hot_swap_serves_cold_cache_bytes() {
     };
     assert_ne!(warm_a, cold_b, "models must disagree for the test to have teeth");
 
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
+    let server = fx.server(
         fx.train(60, 1001),
         SummarizerConfig::default().with_route_cache(64),
         ServeConfig::default(),
-    )
-    .expect("bind");
+    );
     with_running(&server, |addr| {
         // Warm generation A's cache: every trip twice, so the second pass
         // is served from memoized entries (misses memoize negatives too).
@@ -357,14 +353,7 @@ fn full_queue_answers_429() {
         io_timeout: Duration::from_secs(2),
         ..ServeConfig::default()
     };
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
-        fx.train(20, 1001),
-        SummarizerConfig::default(),
-        cfg,
-    )
-    .expect("bind");
+    let server = fx.server(fx.train(20, 1001), SummarizerConfig::default(), cfg);
     with_running(&server, |addr| {
         // Wedge the only worker: a half-written request holds it in the
         // body read until the io timeout.
@@ -387,14 +376,7 @@ fn full_queue_answers_429() {
 #[test]
 fn shutdown_endpoint_drains_cleanly() {
     let fx = Fixture::new();
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
-        fx.train(20, 1001),
-        SummarizerConfig::default(),
-        ServeConfig::default(),
-    )
-    .expect("bind");
+    let server = fx.server(fx.train(20, 1001), SummarizerConfig::default(), ServeConfig::default());
     let mut addr_out = None;
     with_running(&server, |addr| {
         let (status, body) = request(addr, "GET", "/healthz", b"");
@@ -436,16 +418,9 @@ fn ingest_session_replays_and_finishes() {
         let summarizer = fx.summarizer(fx.train(60, 1001), SummarizerConfig::default());
         let points: Vec<RawPoint> =
             read_trajectory_csv(&fx.trip_csvs[0]).expect("parses").points().to_vec();
-        summarizer.summarize_points(&points).expect("summarizes").text
+        summarizer.summarize(&points, None).expect("summarizes").text
     };
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
-        model,
-        SummarizerConfig::default(),
-        ServeConfig::default(),
-    )
-    .expect("bind");
+    let server = fx.server(model, SummarizerConfig::default(), ServeConfig::default());
     with_running(&server, |addr| {
         let csv = &fx.trip_csvs[0];
         let lines: Vec<&str> = csv.lines().collect();
@@ -535,14 +510,11 @@ fn ingest_body(
 fn ingest_session_matches_one_local_stream() {
     let fx = Fixture::new();
     let obs = Recorder::enabled();
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
+    let server = fx.server(
         fx.train(60, 1001),
         SummarizerConfig::default().with_recorder(obs.clone()),
         ServeConfig::default(),
-    )
-    .expect("bind");
+    );
     let local_obs = Recorder::enabled();
     let local = fx.summarizer(
         fx.train(60, 1001),
@@ -558,7 +530,7 @@ fn ingest_session_matches_one_local_stream() {
             samples.insert(6, rows[0].to_owned());
             let one_shot = {
                 let points = read_trajectory_csv(csv).expect("parses").points().to_vec();
-                local.summarize_points(&points).expect("summarizes").text
+                local.summarize(&points, None).expect("summarizes").text
             };
             for chunk in [1, 10] {
                 let session = format!("trip{trip}-chunk{chunk}");
@@ -618,19 +590,12 @@ fn ingest_session_survives_model_swap() {
         .iter()
         .find_map(|csv| {
             let points = read_trajectory_csv(csv).expect("parses").points().to_vec();
-            let a = summarizer_a.summarize_points(&points).ok()?.text;
-            let b = summarizer_b.summarize_points(&points).ok()?.text;
+            let a = summarizer_a.summarize(&points, None).ok()?.text;
+            let b = summarizer_b.summarize(&points, None).ok()?.text;
             (a != b).then_some((csv, b))
         })
         .expect("a trip the models disagree on");
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
-        fx.train(60, 1001),
-        SummarizerConfig::default(),
-        ServeConfig::default(),
-    )
-    .expect("bind");
+    let server = fx.server(fx.train(60, 1001), SummarizerConfig::default(), ServeConfig::default());
     with_running(&server, |addr| {
         let lines: Vec<&str> = csv.lines().collect();
         let (header, rows) = (lines[0], &lines[1..]);
@@ -675,14 +640,11 @@ fn ingest_session_survives_model_swap() {
 fn ingest_bounds_refuse_without_leaving_sessions() {
     let fx = Fixture::new();
     let obs = Recorder::enabled();
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
+    let server = fx.server(
         fx.train(20, 1001),
         SummarizerConfig::default().with_recorder(obs.clone()),
         ServeConfig { max_sessions: 2, max_session_points: 3, ..ServeConfig::default() },
-    )
-    .expect("bind");
+    );
     with_running(&server, |addr| {
         let lines: Vec<&str> = fx.trip_csvs[0].lines().collect();
         let (header, rows) = (lines[0], &lines[1..]);
@@ -729,14 +691,11 @@ fn ingest_bounds_refuse_without_leaving_sessions() {
 fn metrics_reports_serve_counters() {
     let fx = Fixture::new();
     let obs = Recorder::enabled();
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
+    let server = fx.server(
         fx.train(20, 1001),
         SummarizerConfig::default().with_recorder(obs.clone()),
         ServeConfig::default(),
-    )
-    .expect("bind");
+    );
     let mut summary_len = 0;
     with_running(&server, |addr| {
         let (status, _) = request(addr, "GET", "/healthz", b"");
@@ -769,14 +728,7 @@ fn metrics_reports_serve_counters() {
 #[test]
 fn sanitize_is_per_request() {
     let fx = Fixture::new();
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
-        fx.train(60, 1001),
-        SummarizerConfig::default(),
-        ServeConfig::default(),
-    )
-    .expect("bind");
+    let server = fx.server(fx.train(60, 1001), SummarizerConfig::default(), ServeConfig::default());
     with_running(&server, |addr| {
         // Inject an out-of-range row into an otherwise good trip.
         let csv = &fx.trip_csvs[0];
@@ -815,14 +767,7 @@ fn stc_wire_surface_is_equivalent() {
     let stc_container = write_trips_stc(&trips);
     let single_stc = write_trips_stc(&trips[..1]);
 
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
-        fx.train(60, 1001),
-        SummarizerConfig::default(),
-        ServeConfig::default(),
-    )
-    .expect("bind");
+    let server = fx.server(fx.train(60, 1001), SummarizerConfig::default(), ServeConfig::default());
     with_running(&server, |addr| {
         // Download generation 1's model: the served bytes are the trained
         // model's encoding, and they decode (the byte-identity contract,
@@ -890,17 +835,79 @@ fn stc_wire_surface_is_equivalent() {
 }
 
 /// Routing edges: unknown path 404, wrong method 405, bad params 400.
+/// `?k=` on both trip endpoints: `k=2` answers what a local
+/// `summarize(points, Some(2))` gives, `k=0` is the same as no `k`, and a
+/// `k` past a trip's segment count is a 422 on `/summarize` and an inline
+/// error line at that trip's index in a batch.
+#[test]
+fn k_param_matches_local_summaries() {
+    let fx = Fixture::new();
+    let local = fx.summarizer(fx.train(60, 1001), SummarizerConfig::default());
+    let server = fx.server(fx.train(60, 1001), SummarizerConfig::default(), ServeConfig::default());
+    let points: Vec<Vec<RawPoint>> = fx
+        .trip_csvs
+        .iter()
+        .map(|csv| read_trajectory_csv(csv).expect("fixture parses").points().to_vec())
+        .collect();
+    let batch_body = fx.trip_csvs.join("\n");
+    // The trip with the fewest segments, and one `k` past them.
+    let (short, segments) = points
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| Some((i, local.summarize(p, None).ok()?.symbolic_len - 1)))
+        .min_by_key(|&(_, n)| n)
+        .expect("a fixture trip summarizes");
+    with_running(&server, |addr| {
+        for k in [2, segments + 1] {
+            let expected: Vec<Result<String, String>> = points
+                .iter()
+                .map(|p| local.summarize(p, Some(k)).map(|s| s.text).map_err(|e| e.to_string()))
+                .collect();
+            if k == 2 {
+                assert!(expected.iter().any(Result::is_ok), "k=2 must summarize some trip");
+            } else {
+                let e = expected[short].as_ref().expect_err("k past the segment count");
+                assert!(e.starts_with("cannot split"), "{e}");
+            }
+            for (i, (csv, expect)) in fx.trip_csvs.iter().zip(&expected).enumerate() {
+                let (status, body) =
+                    request(addr, "POST", &format!("/summarize?k={k}"), csv.as_bytes());
+                let body = body_text(&body);
+                match expect {
+                    Ok(text) => {
+                        assert_eq!(status, 200, "k={k} trip {i}: {body}");
+                        assert_eq!(body, format!("{text}\n"), "k={k} trip {i}");
+                    }
+                    Err(e) => {
+                        assert_eq!(status, 422, "k={k} trip {i}: {body}");
+                        assert!(body.contains(e.as_str()), "k={k} trip {i}: {body}");
+                    }
+                }
+            }
+            let lines: Vec<String> = expected
+                .iter()
+                .map(|r| r.clone().unwrap_or_else(|e| format!("error: {e}")))
+                .collect();
+            let (status, body) =
+                request(addr, "POST", &format!("/summarize_batch?k={k}"), batch_body.as_bytes());
+            assert_eq!(status, 200);
+            assert_eq!(body_text(&body), format!("{}\n", lines.join("\n")), "k={k}");
+        }
+        // `k=0` is the optimal partition, exactly as if `k` were absent.
+        for (path, body) in
+            [("/summarize", &fx.trip_csvs[short]), ("/summarize_batch", &batch_body)]
+        {
+            let plain = request(addr, "POST", path, body.as_bytes());
+            assert_eq!(plain.0, 200, "{path}");
+            assert_eq!(request(addr, "POST", &format!("{path}?k=0"), body.as_bytes()), plain);
+        }
+    });
+}
+
 #[test]
 fn routing_rejects_are_typed() {
     let fx = Fixture::new();
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
-        fx.train(20, 1001),
-        SummarizerConfig::default(),
-        ServeConfig::default(),
-    )
-    .expect("bind");
+    let server = fx.server(fx.train(20, 1001), SummarizerConfig::default(), ServeConfig::default());
     with_running(&server, |addr| {
         let (status, _) = request(addr, "GET", "/nope", b"");
         assert_eq!(status, 404);
@@ -937,14 +944,7 @@ fn routing_rejects_are_typed() {
 fn ambiguous_framing_is_rejected_and_the_worker_survives() {
     let fx = Fixture::new();
     let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
-        fx.train(20, 1001),
-        SummarizerConfig::default(),
-        cfg,
-    )
-    .expect("bind");
+    let server = fx.server(fx.train(20, 1001), SummarizerConfig::default(), cfg);
     let cases: [(&str, &[u8]); 5] = [
         (
             "conflicting content-length",
@@ -992,14 +992,7 @@ fn jsonl_wire_path_matches_cli_bytes() {
         .iter()
         .map(|csv| write_trajectory_jsonl(&read_trajectory_csv(csv).expect("fixture parses")))
         .collect();
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
-        fx.train(60, 1001),
-        SummarizerConfig::default(),
-        ServeConfig::default(),
-    )
-    .expect("bind");
+    let server = fx.server(fx.train(60, 1001), SummarizerConfig::default(), ServeConfig::default());
     with_running(&server, |addr| {
         for (body, expect) in jsonl.iter().zip(&reference) {
             let (status, got) = request(addr, "POST", "/summarize?format=jsonl", body.as_bytes());
@@ -1031,14 +1024,11 @@ fn jsonl_wire_path_matches_cli_bytes() {
 fn batch_decode_failures_are_counted() {
     let fx = Fixture::new();
     let obs = Recorder::enabled();
-    let server = Server::bind(
-        &fx.world.net,
-        &fx.world.registry,
+    let server = fx.server(
         fx.train(20, 1001),
         SummarizerConfig::default().with_recorder(obs.clone()),
         ServeConfig::default(),
-    )
-    .expect("bind");
+    );
     let mut errors = 0;
     with_running(&server, |addr| {
         let body = format!("{}\nlat,lon,ts\nnot,a,row\n", fx.trip_csvs[0]);

@@ -136,6 +136,12 @@ impl RawTrajectory {
     }
 }
 
+impl AsRef<[RawPoint]> for RawTrajectory {
+    fn as_ref(&self) -> &[RawPoint] {
+        &self.points
+    }
+}
+
 /// A borrowed, zero-copy view of a raw trajectory: the same invariants as
 /// [`RawTrajectory`] (≥ 2 samples, non-decreasing timestamps) over a slice
 /// someone else owns. `Copy`, so it passes through pipelines by value.

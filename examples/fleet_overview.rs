@@ -51,7 +51,7 @@ fn main() {
         let mut made = 0;
         while made < 25 {
             let Some(trip) = gen.generate_at(3, hour as f64 + 0.5, &mut rng) else { continue };
-            if let Ok(summary) = summarizer.summarize(&trip.raw) {
+            if let Ok(summary) = summarizer.summarize(trip.raw.points(), None) {
                 texts.push(summary.text);
             }
             made += 1;

@@ -38,7 +38,7 @@ fn main() {
     while trip_no < 20 {
         let Some(trip) = gen.generate_at(1, 17.5, &mut rng) else { continue };
         trip_no += 1;
-        let Ok(summary) = summarizer.summarize(&trip.raw) else { continue };
+        let Ok(summary) = summarizer.summarize(trip.raw.points(), None) else { continue };
 
         // An "infraction" is any partition whose selected features include a
         // U-turn (possibly illegal) or a strong speed anomaly (≥ 15 km/h off

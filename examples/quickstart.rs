@@ -52,11 +52,11 @@ fn main() {
     println!("    …          …           …");
 
     // 4. And this is what a person gets (the paper's Fig. 1(b)):
-    let summary = summarizer.summarize(&trip.raw).expect("trip calibrates");
+    let summary = summarizer.summarize(trip.raw.points(), None).expect("trip calibrates");
     println!("\nsummary:\n    {}", summary.text);
 
     // Want more or less detail? Ask for a specific number of partitions.
-    if let Ok(fine) = summarizer.summarize_k(&trip.raw, 3) {
+    if let Ok(fine) = summarizer.summarize(trip.raw.points(), Some(3)) {
         println!("\nsummary at k = 3:\n    {}", fine.text);
     }
 }

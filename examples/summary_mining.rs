@@ -35,7 +35,7 @@ fn main() {
     for hour in [7.0, 8.0, 9.0, 11.0, 13.0] {
         for _ in 0..12 {
             if let Some(trip) = gen.generate_at(1, hour, &mut rng) {
-                if let Ok(s) = summarizer.summarize(&trip.raw) {
+                if let Ok(s) = summarizer.summarize(trip.raw.points(), None) {
                     texts.push(s.text);
                 }
             }

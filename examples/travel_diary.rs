@@ -47,7 +47,7 @@ fn main() {
         let Some(trip) = (0..50).find_map(|_| gen.generate_at(2, *hour, &mut rng)) else {
             continue;
         };
-        let Ok(summary) = summarizer.summarize(&trip.raw) else { continue };
+        let Ok(summary) = summarizer.summarize(trip.raw.points(), None) else { continue };
         println!("## {title}");
         println!("{}\n", summary.text);
 
@@ -60,7 +60,7 @@ fn main() {
 
     // Retell the most eventful leg in more detail for the curious reader.
     if let Some((_, _, raw)) = most_eventful {
-        if let Ok(fine) = summarizer.summarize_k(&raw, 3) {
+        if let Ok(fine) = summarizer.summarize(raw.points(), Some(3)) {
             println!("## The eventful one, in detail");
             println!("{}", fine.text);
         }

@@ -48,7 +48,7 @@ fn full_pipeline_produces_summaries() {
 
     let mut summarized = 0;
     for raw in &test {
-        let Ok(summary) = summarizer.summarize(raw) else { continue };
+        let Ok(summary) = summarizer.summarize(raw.points(), None) else { continue };
         summarized += 1;
         // Structural invariants.
         assert!(!summary.partitions.is_empty());
@@ -91,8 +91,8 @@ fn summaries_are_deterministic() {
     let s1 = make();
     let s2 = make();
     for raw in &test {
-        let a = s1.summarize(raw).map(|s| s.text).unwrap_or_default();
-        let b = s2.summarize(raw).map(|s| s.text).unwrap_or_default();
+        let a = s1.summarize(raw.points(), None).map(|s| s.text).unwrap_or_default();
+        let b = s2.summarize(raw.points(), None).map(|s| s.text).unwrap_or_default();
         assert_eq!(a, b);
     }
 }
@@ -162,7 +162,7 @@ fn injected_events_surface_in_summaries() {
         if trip.truth.stays.is_empty() {
             continue;
         }
-        let Ok(summary) = summarizer.summarize(&trip.raw) else { continue };
+        let Ok(summary) = summarizer.summarize(trip.raw.points(), None) else { continue };
         with_stays += 1;
         if summary_mentions(&summary, stmaker_suite::keys::STAY_POINTS) {
             mentioned += 1;
@@ -202,7 +202,7 @@ fn night_trips_read_smoother_than_rush_trips() {
         let mut n = 0usize;
         for _ in 0..25 {
             let Some(trip) = gen.generate_at(2, hour, rng) else { continue };
-            let Ok(summary) = summarizer.summarize(&trip.raw) else { continue };
+            let Ok(summary) = summarizer.summarize(trip.raw.points(), None) else { continue };
             total += mentioned_keys(&summary).len();
             n += 1;
         }
@@ -321,8 +321,8 @@ fn model_persistence_round_trips_summaries() {
     )
     .expect("registry matches");
     for raw in &test {
-        let a = trained.summarize(raw).map(|s| s.text).unwrap_or_default();
-        let b = revived.summarize(raw).map(|s| s.text).unwrap_or_default();
+        let a = trained.summarize(raw.points(), None).map(|s| s.text).unwrap_or_default();
+        let b = revived.summarize(raw.points(), None).map(|s| s.text).unwrap_or_default();
         assert_eq!(a, b);
     }
     // Canonical encoding: saving the revived model reproduces the file.
@@ -367,7 +367,7 @@ fn streaming_summarizer_converges_to_batch() {
 
     // Finalizing equals batch summarization of the same samples.
     let live = stream.finish(&summarizer).expect("summarizable");
-    let batch = summarizer.summarize(&trip.raw).expect("summarizable");
+    let batch = summarizer.summarize(trip.raw.points(), None).expect("summarizable");
     assert_eq!(live.text, batch.text);
 }
 
@@ -390,7 +390,7 @@ fn recorder_sees_every_pipeline_stage() {
 
     let mut summarized = 0u64;
     for raw in &test {
-        if summarizer.summarize(raw).is_ok() {
+        if summarizer.summarize(raw.points(), None).is_ok() {
             summarized += 1;
         }
     }
@@ -503,26 +503,19 @@ fn summarize_batch_matches_individual_summaries() {
         SummarizerConfig::default().with_threads(4),
     );
 
-    let batch = summarizer.summarize_batch(&test);
-    assert_eq!(batch.len(), test.len(), "results are index-aligned with the input");
-    for (raw, batched) in test.iter().zip(&batch) {
-        let individual = summarizer.summarize(raw);
-        match (batched, individual) {
-            (Ok(b), Ok(s)) => assert_eq!(b.text, s.text),
-            (Err(_), Err(_)) => {}
-            (b, s) => {
-                panic!("batch {:?} vs individual {:?} disagree on success", b.is_ok(), s.is_ok())
+    for k in [None, Some(2)] {
+        let batch = summarizer.summarize_batch(&test, k);
+        assert_eq!(batch.len(), test.len(), "results are index-aligned with the input");
+        for (raw, batched) in test.iter().zip(&batch) {
+            match (batched, summarizer.summarize(raw.points(), k)) {
+                (Ok(b), Ok(s)) => assert_eq!(b.text, s.text, "k = {k:?}"),
+                (Err(b), Err(s)) => assert_eq!(b.to_string(), s.to_string(), "k = {k:?}"),
+                (b, s) => panic!(
+                    "batch {:?} vs individual {:?} disagree on success at k = {k:?}",
+                    b.is_ok(),
+                    s.is_ok()
+                ),
             }
-        }
-    }
-
-    // The k-constrained batch variant agrees with summarize_k the same way.
-    let batch_k = summarizer.summarize_batch_k(&test, 2);
-    for (raw, batched) in test.iter().zip(&batch_k) {
-        match (batched, summarizer.summarize_k(raw, 2)) {
-            (Ok(b), Ok(s)) => assert_eq!(b.text, s.text),
-            (Err(_), Err(_)) => {}
-            (b, s) => panic!("batch_k {:?} vs summarize_k {:?} disagree", b.is_ok(), s.is_ok()),
         }
     }
 }
@@ -545,8 +538,11 @@ fn summaries_identical_with_and_without_cache() {
     };
 
     // The reference: no cache, one thread.
-    let reference: Vec<Option<String>> =
-        make(1, 0).summarize_batch(&test).into_iter().map(|r| r.ok().map(|s| s.text)).collect();
+    let reference: Vec<Option<String>> = make(1, 0)
+        .summarize_batch(&test, None)
+        .into_iter()
+        .map(|r| r.ok().map(|s| s.text))
+        .collect();
     assert!(reference.iter().flatten().count() >= 10, "most test trips must summarize");
 
     // The cache memoizes pure functions of the trained model (DESIGN.md
@@ -556,7 +552,7 @@ fn summaries_identical_with_and_without_cache() {
     for threads in [1, 2, 4] {
         for capacity in [256, 2] {
             let s = make(threads, capacity);
-            let results = s.summarize_batch(&test);
+            let results = s.summarize_batch(&test, None);
             // Each partition makes exactly one `PR` lookup, and the cache
             // memoizes nothing else.
             let lookups: usize = results.iter().flatten().map(|s| s.partitions.len()).sum();
@@ -578,8 +574,11 @@ fn summaries_identical_with_and_without_cache() {
             } else {
                 // A second pass over the same trips is answered from the
                 // warm cache and still renders the same bytes.
-                let warm: Vec<Option<String>> =
-                    s.summarize_batch(&test).into_iter().map(|r| r.ok().map(|s| s.text)).collect();
+                let warm: Vec<Option<String>> = s
+                    .summarize_batch(&test, None)
+                    .into_iter()
+                    .map(|r| r.ok().map(|s| s.text))
+                    .collect();
                 assert_eq!(warm, reference, "warm cache at {threads} thread(s) changed bytes");
                 let warm_stats = s.route_cache_stats().expect("cache enabled").since(&stats);
                 assert!(warm_stats.hit_rate() >= 0.9, "warm hit rate {}", warm_stats.hit_rate());
@@ -607,15 +606,11 @@ fn single_trip_summaries_report_their_route_cache_lookups() {
     let before = s.route_cache_stats().expect("cache enabled");
     let counter = |name: &str| obs.report().counters.get(name).copied().unwrap_or(0);
     let (hits0, misses0) = (counter("cache.hits"), counter("cache.misses"));
-    // Twice over the trips, through each single-trip entry point, so the
-    // second pass hits what the first one missed.
+    // Twice over the trips, at both granularities, so the second pass
+    // hits what the first one missed.
     for _ in 0..2 {
         for (i, trip) in test.iter().enumerate() {
-            let _ = match i % 3 {
-                0 => s.summarize(trip),
-                1 => s.summarize_k(trip, 2),
-                _ => s.summarize_points(trip.points()),
-            };
+            let _ = s.summarize(trip.points(), (i % 2 == 1).then_some(2));
         }
     }
     let delta = s.route_cache_stats().expect("cache enabled").since(&before);
@@ -640,7 +635,7 @@ fn batch_telemetry_reports_per_trip_spans() {
         weights,
         SummarizerConfig::default().with_threads(2).with_recorder(obs.clone()),
     );
-    let batch = summarizer.summarize_batch(&test);
+    let batch = summarizer.summarize_batch(&test, None);
 
     let report = obs.report();
     let names = report.span_names();
@@ -682,7 +677,7 @@ fn batch_report_carries_exemplars_stage_merge_and_stable_bytes() {
         weights,
         SummarizerConfig::default().with_threads(2).with_recorder(obs.clone()),
     );
-    let batch = summarizer.summarize_batch(&test);
+    let batch = summarizer.summarize_batch(&test, None);
     let n_ok = batch.iter().filter(|r| r.is_ok()).count();
     assert!(n_ok > 0, "corpus must summarize for this test to bite");
 
@@ -737,7 +732,7 @@ fn logical_trace_is_byte_identical_across_thread_counts() {
             weights.clone(),
             SummarizerConfig::default().with_threads(threads).with_recorder(obs.clone()),
         );
-        let _ = summarizer.summarize_batch(&test);
+        let _ = summarizer.summarize_batch(&test, None);
         obs.chrome_trace(stmaker_obs::TraceClock::Logical)
     };
     let reference = run(1);
@@ -769,7 +764,7 @@ fn obs_diff_flags_regressions_and_passes_identical_runs() {
             weights.clone(),
             SummarizerConfig::default().with_threads(1).with_recorder(obs.clone()),
         );
-        let _ = summarizer.summarize_batch(&test);
+        let _ = summarizer.summarize_batch(&test, None);
         obs.report()
     };
     let base = run();
@@ -873,7 +868,7 @@ fn stc_model_round_trip_is_byte_identical_across_thread_counts() {
     assert_eq!(revived_test, test);
 
     let texts = |s: &Summarizer<'_>, trips: &[RawTrajectory]| -> Vec<Option<String>> {
-        s.summarize_batch(trips).into_iter().map(|r| r.ok().map(|s| s.text)).collect()
+        s.summarize_batch(trips, None).into_iter().map(|r| r.ok().map(|s| s.text)).collect()
     };
     let reference = texts(&trained, &test);
     assert!(reference.iter().flatten().count() >= 8, "most test trips must summarize");

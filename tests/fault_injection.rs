@@ -190,7 +190,7 @@ fn repair_round_trips_and_pipeline_never_panics_over_many_variants() {
                 // calibrate), but only as a typed error.
                 if policy == SanitizePolicy::Repair {
                     if let Some(longest) = cleaned.longest() {
-                        if summarizer.summarize_points(longest).is_ok() {
+                        if summarizer.summarize(longest, None).is_ok() {
                             summarized += 1;
                         }
                     }
@@ -198,7 +198,7 @@ fn repair_round_trips_and_pipeline_never_panics_over_many_variants() {
             }
             // The un-sanitized corrupt buffer must also be a typed error (or
             // a fluke success), never a panic.
-            let _ = summarizer.summarize_points(&pts);
+            let _ = summarizer.summarize(&pts, None);
         }
     }
     assert!(variants >= 100, "only {variants} corruption variants exercised");
@@ -277,7 +277,7 @@ fn mixed_batch_is_deterministic_and_degrades_per_trip() {
             SummarizerConfig::default().with_threads(threads),
         );
         summarizer
-            .summarize_batch_points(&batch)
+            .summarize_batch(&batch, None)
             .into_iter()
             .map(|r| r.map(|s| s.text).map_err(|e| e.to_string()))
             .collect()
@@ -308,12 +308,12 @@ fn summarize_points_is_fallible_not_panicking() {
         h.corpus(40, 1001).into_iter().map(RawTrajectory::new).collect();
     let summarizer = h.summarizer(&train);
 
-    let err = summarizer.summarize_points(&[]).expect_err("empty buffer");
+    let err = summarizer.summarize(&[], None).expect_err("empty buffer");
     assert!(matches!(err, SummarizeError::Input(TrajectoryError::TooFewPoints { got: 0 })));
 
     let mut pts = h.corpus(1, 55).remove(0);
     pts[2].point = GeoPoint { lat: f64::INFINITY, lon: pts[2].point.lon };
-    let err = summarizer.summarize_points(&pts).expect_err("inf coordinate");
+    let err = summarizer.summarize(&pts, None).expect_err("inf coordinate");
     assert!(matches!(
         err,
         SummarizeError::Input(TrajectoryError::NonFiniteCoordinate { index: 2 })

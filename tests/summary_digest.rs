@@ -94,11 +94,7 @@ fn digest(summarizer: &Summarizer<'_>, trips: &[RawTrajectory]) -> (u64, usize) 
     for decoded in [&from_csv, &from_stc] {
         for trip in decoded {
             for k in [None, Some(1), Some(2), Some(3), Some(4)] {
-                let summary = match k {
-                    None => summarizer.summarize(trip),
-                    Some(k) => summarizer.summarize_k(trip, k),
-                };
-                match summary {
+                match summarizer.summarize(trip.points(), k) {
                     Ok(s) => {
                         ok += 1;
                         h.summary(&s);
